@@ -4,8 +4,9 @@
 For every variant this builds the pipeline at small probe dims, runs the
 forward pass, measures cross-level sensitivity, counts parameters, and
 (optionally) runs the toy identity-regression for a fixed number of steps
-so the variants' trainability can be compared on equal footing.  All
-numbers are deterministic for a fixed seed.
+so the variants' trainability can be compared on equal footing.  The rows
+have the same keys as those of ``sdtp variants``, plus a ``train`` block
+when training runs.  All numbers are deterministic for a fixed seed.
 
 Usage:
     python scripts/ablation_report.py
@@ -19,15 +20,8 @@ import sys
 
 sys.path.insert(0, "src")  # allow running from a source checkout
 
-import numpy as np
-
-from sdtp.config import CdiConfig, IspConfig, PipelineConfig
-from sdtp.pyramid import (
-    build_variant,
-    cross_level_sensitivity,
-    synthetic_pyramid,
-    toy_train,
-)
+from sdtp.config import IspConfig, PipelineConfig
+from sdtp.pyramid import Pipeline, synthetic_pyramid, toy_train, variant_rows
 
 
 def main(argv=None) -> int:
@@ -42,39 +36,18 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default=None, help="write the JSON report here")
     args = ap.parse_args(argv)
 
-    heads = max(h for h in range(1, min(8, args.channels) + 1) if args.channels % h == 0)
-    base = PipelineConfig(
-        variant="sdtp", seed=args.seed, channels=args.channels,
-        in_channels=args.channels, base_hw=tuple(args.base_hw),
-        isp=IspConfig(heads=heads, rates=(1, 2)),
-        cdi=CdiConfig(heads=heads, levels=tuple(args.levels)))
+    base = PipelineConfig(seed=args.seed, isp=IspConfig(rates=(1, 2))).shrink(
+        args.channels, tuple(args.base_hw), tuple(args.levels))
 
-    tags = ["sdtp", "fpn_baseline", "dilated_c5", "no_interaction"]
-    tags += [f"single_input_{lvl}" for lvl in base.cdi.levels]
-
-    rows = []
+    rows = variant_rows(base)
     print(f"{'variant':<18} {'params':>8} {'dep_loss':>12} {'cross':>6}"
           + (f" {'loss_ratio':>11}" if args.train_steps else ""))
-    for tag in tags:
-        cfg = dataclasses.replace(base, variant=tag)
-        pipe = build_variant(cfg)
-        pyr = synthetic_pyramid(cfg)
-        _, dep = pipe.forward(pyr)
-        levels, sens = cross_level_sensitivity(pipe, pyr)
-        off = sens.copy()
-        np.fill_diagonal(off, 0.0)
-        row = {
-            "variant": tag,
-            "n_params": int(sum(p.data.size for p in pipe.params())),
-            "dep_loss": dep,
-            "any_cross_level": bool(off.max() > 0.0),
-            "sensitivity_levels": levels,
-            "sensitivity": sens.tolist(),
-        }
-        line = (f"{tag:<18} {row['n_params']:>8} {dep:>12.5f} "
+    for row in rows:
+        line = (f"{row['variant']:<18} {row['n_params']:>8} {row['dep_loss']:>12.5f} "
                 f"{str(row['any_cross_level']):>6}")
         if args.train_steps:
-            trace = toy_train(build_variant(cfg), synthetic_pyramid(cfg),
+            cfg = dataclasses.replace(base, variant=row["variant"])
+            trace = toy_train(Pipeline(cfg), synthetic_pyramid(cfg),
                               steps=args.train_steps, lr=args.lr)
             row["train"] = {
                 "steps": args.train_steps, "lr": args.lr,
@@ -82,7 +55,6 @@ def main(argv=None) -> int:
                 "ratio": trace.final / trace.initial,
             }
             line += f" {row['train']['ratio']:>11.4f}"
-        rows.append(row)
         print(line)
 
     report = {"kind": "ablation", "seed": args.seed, "channels": args.channels,

@@ -6,15 +6,14 @@ from .arf import ArfParams, arf, arf_grad, arf_op, arf_vjp
 from .attention import AttentionWeights, attention_weights, multi_head_attention
 from .cdi import (CdiBlock, DecoupledPair, DecoupleWeights, decouple,
                   decouple_loss, mga, recouple, total_loss)
-from .complexity import (COCO_LEVEL_DIMS, InstrumentationDisabledError,
-                         LevelDims, MacCounter, flops_decoupled, flops_full,
-                         flops_strided, flops_table, measured_macs)
+from .complexity import (COCO_LEVEL_DIMS, LevelDims, MacCounter, flops_decoupled,
+                         flops_full, flops_strided, flops_table, measured_macs)
 from .config import ConfigurationError, PipelineConfig, load_config
 from .gradcheck import GradCheckReport, registered_cases, run_all, run_case, vjp_check
 from .isp import IspBlock, ReceptiveStates, generate_states, mma, sinusoidal_embedding_2d
 from .pyramid import (FeaturePyramid, Pipeline, TrainingDiverged, TrainTrace,
-                      build_variant, cross_level_sensitivity, sdtp_forward,
-                      synthetic_pyramid, toy_train, zero_enhancement_branches)
+                      cross_level_sensitivity, synthetic_pyramid, toy_train,
+                      variant_rows, zero_enhancement_branches)
 from .tensor import ContractViolation, Tensor
 
 __version__ = "0.1.0"
@@ -24,15 +23,14 @@ __all__ = [
     "AttentionWeights", "attention_weights", "multi_head_attention",
     "CdiBlock", "DecoupledPair", "DecoupleWeights", "decouple",
     "decouple_loss", "mga", "recouple", "total_loss",
-    "COCO_LEVEL_DIMS", "InstrumentationDisabledError", "LevelDims",
-    "MacCounter", "flops_decoupled", "flops_full", "flops_strided",
-    "flops_table", "measured_macs",
+    "COCO_LEVEL_DIMS", "LevelDims", "MacCounter", "flops_decoupled",
+    "flops_full", "flops_strided", "flops_table", "measured_macs",
     "ConfigurationError", "PipelineConfig", "load_config",
     "GradCheckReport", "registered_cases", "run_all", "run_case", "vjp_check",
     "IspBlock", "ReceptiveStates", "generate_states", "mma", "sinusoidal_embedding_2d",
     "FeaturePyramid", "Pipeline", "TrainingDiverged", "TrainTrace",
-    "build_variant", "cross_level_sensitivity", "sdtp_forward",
-    "synthetic_pyramid", "toy_train", "zero_enhancement_branches",
+    "cross_level_sensitivity", "synthetic_pyramid", "toy_train",
+    "variant_rows", "zero_enhancement_branches",
     "ContractViolation", "Tensor",
     "__version__",
 ]

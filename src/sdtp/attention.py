@@ -109,7 +109,7 @@ def multi_head_attention(queries: Tensor, keys_values: list[Tensor],
         k = T.narrow(k_full, 1, lo, d_head)
         v = T.narrow(v_full, 1, lo, d_head)
         record_macs(n_q * n_k * d_head)
-        scores = T.scale(T.matmul(q, T.transpose2d(k)), inv_sqrt)
+        scores = T.scale(T.matmul(q, T.permute(k, (1, 0))), inv_sqrt)
         w = apply_activation(scores, mode, tau)
         record_macs(n_q * n_k * d_head)
         head_outs.append(T.matmul(w, v))

@@ -25,7 +25,6 @@ import numpy as np
 from . import complexity as CX
 from . import gradcheck as GC
 from . import pyramid as P
-from . import tensor as TE
 from .config import ConfigurationError, PipelineConfig, load_config
 from .tensor import ContractViolation
 
@@ -113,14 +112,13 @@ def _flops_renders(table: dict) -> tuple[str, str]:
 
 def cmd_forward(args) -> int:
     cfg = _load(args)
-    TE.set_default_dtype(np.float64 if cfg.precision == "double" else np.float32)
     pyr = P.synthetic_pyramid(cfg)
-    pipe = P.build_variant(cfg)
+    pipe = P.Pipeline(cfg)
 
     t0 = time.perf_counter()
     outs, dep = pipe.forward(pyr)
     wall = time.perf_counter() - t0
-    levels, sens = P.cross_level_sensitivity(pipe, pyr)
+    levels, sens = P.cross_level_sensitivity(pipe, pyr, outs)
     off_diag = sens.copy()
     np.fill_diagonal(off_diag, 0.0)
     flops = CX.flops_table(_complexity_dims(cfg))
@@ -160,7 +158,6 @@ def cmd_forward(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = _load(args)
-    TE.set_default_dtype(np.float64)  # verification always runs in double
     names = GC.registered_cases()
     if args.ops:
         wanted = [s.strip() for s in args.ops.split(",") if s.strip()]
@@ -168,12 +165,12 @@ def cmd_gradcheck(args) -> int:
         if unknown:
             raise ConfigurationError(f"--ops: unknown case(s) {unknown}; known: {names}")
         names = wanted
-    if args.negative_control:
-        names.append(GC.register_corrupted_case())
 
     gc = cfg.gradcheck
-    reports = GC.run_all(names, points=gc.points, tolerance=gc.tolerance,
-                         step=gc.step, seed=cfg.seed)
+    settings = dict(points=gc.points, tolerance=gc.tolerance, step=gc.step, seed=cfg.seed)
+    reports = GC.run_all(names, **settings)
+    if args.negative_control:
+        reports.append(GC.run_case("corrupted_linear", factory=GC.corrupted_linear, **settings))
     lines = []
     worst = None
     for rep in reports:
@@ -219,10 +216,8 @@ def cmd_flops(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load(args)
-    TE.set_default_dtype(np.float64)
-    toy = PipelineConfig.for_train(cfg)
-    pipe = P.build_variant(toy)
+    toy = PipelineConfig.for_train(_load(args))
+    pipe = P.Pipeline(toy)
     pyr = P.synthetic_pyramid(toy)
     t0 = time.perf_counter()
     trace = P.toy_train(pipe, pyr, steps=toy.train.steps, lr=toy.train.lr,
@@ -256,35 +251,10 @@ def cmd_train(args) -> int:
 
 def cmd_variants(args) -> int:
     cfg = _load(args)
-    TE.set_default_dtype(np.float64)
-    probe = dataclasses.replace(
-        cfg, channels=args.channels, in_channels=args.channels,
-        base_hw=tuple(args.base_hw),
-        isp=dataclasses.replace(cfg.isp, heads=_fit_heads(cfg.isp.heads, args.channels)),
-        cdi=dataclasses.replace(cfg.cdi, heads=_fit_heads(cfg.cdi.heads, args.channels)),
-    )
-    tags = ["sdtp", "fpn_baseline", "dilated_c5", "no_interaction"]
-    tags += [f"single_input_{lvl}" for lvl in probe.cdi.levels]
-    rows = []
-    lines = []
-    for tag in tags:
-        vcfg = dataclasses.replace(probe, variant=tag)
-        pipe = P.build_variant(vcfg)
-        pyr = P.synthetic_pyramid(vcfg)
-        _, dep = pipe.forward(pyr)
-        levels, sens = P.cross_level_sensitivity(pipe, pyr)
-        off = sens.copy()
-        np.fill_diagonal(off, 0.0)
-        rows.append({
-            "variant": tag,
-            "dep_loss": dep,
-            "levels": levels,
-            "sensitivity": sens.tolist(),
-            "any_cross_level": bool(off.max() > 0.0),
-            "n_params": int(sum(p.size for p in pipe.params())),
-        })
-        lines.append(f"{tag:<18} params={rows[-1]['n_params']:>8} "
-                     f"dep_loss={dep:>12.5f} cross_level={rows[-1]['any_cross_level']}")
+    probe = cfg.shrink(args.channels, tuple(args.base_hw), cfg.cdi.levels)
+    rows = P.variant_rows(probe)
+    lines = [f"{r['variant']:<18} params={r['n_params']:>8} "
+             f"dep_loss={r['dep_loss']:>12.5f} cross_level={r['any_cross_level']}" for r in rows]
     report = {
         "kind": "variants",
         "config": probe.to_dict(),
@@ -293,13 +263,6 @@ def cmd_variants(args) -> int:
     }
     _emit(report, args, "\n".join(lines) + "\n")
     return 0
-
-
-def _fit_heads(heads: int, channels: int) -> int:
-    h = min(heads, channels)
-    while channels % h:
-        h -= 1
-    return h
 
 
 def main(argv: list[str] | None = None) -> int:

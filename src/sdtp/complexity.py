@@ -104,10 +104,6 @@ def flops_table(dims) -> dict:
 # ---------------------------------------------------------------------------
 # instrumented MAC counting
 
-class InstrumentationDisabledError(RuntimeError):
-    """measured_macs was asked to run without instrumentation."""
-
-
 _ACTIVE_COUNTERS: list["MacCounter"] = []
 
 
@@ -136,7 +132,7 @@ class MacCounter:
 MEASURABLE_SECTIONS = ("full", "decoupled")
 
 
-def measured_macs(section: str, dims, seed: int = 0, instrument: bool = True) -> int:
+def measured_macs(section: str, dims, seed: int = 0) -> int:
     """Run an attention section on random tokens and count its actual MACs.
 
     section "full": one self-attention over h*w tokens per level, matching
@@ -145,9 +141,6 @@ def measured_macs(section: str, dims, seed: int = 0, instrument: bool = True) ->
     over w horizontal tokens per level, matching flops_decoupled.
     An empty dims list measures an empty section: 0.
     """
-    if not instrument:
-        raise InstrumentationDisabledError(
-            "measured_macs requires instrumented kernels; pass instrument=True")
     if section not in MEASURABLE_SECTIONS:
         raise ContractViolation(
             f"unknown section {section!r}; measurable sections: {MEASURABLE_SECTIONS}")

@@ -7,9 +7,10 @@ maps ConfigurationError to exit code 2.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
-import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,7 +24,7 @@ class ConfigurationError(ValueError):
 VARIANT_BASE_TAGS = ("sdtp", "fpn_baseline", "dilated_c5", "no_interaction")
 ARF_MODES = ("softmax", "tanh", "arf")
 POS_EMBED_MODES = ("sinusoidal", "learned", "none")
-PRECISIONS = ("double", "single")
+_SINGLE_INPUT = re.compile(r"single_input_([2-5])")
 
 
 @dataclass
@@ -61,10 +62,6 @@ class GradCheckConfig:
     points: int = 10
     tolerance: float = 1e-4
     step: float = 1e-5
-    channels: int = 8
-    base_hw: tuple[int, int] = (8, 8)
-    levels: tuple[int, ...] = (4, 5)
-    heads: int = 2
 
 
 @dataclass
@@ -84,7 +81,6 @@ class PipelineConfig:
     channels: int = 256
     in_channels: int = 256
     base_hw: tuple[int, int] = (64, 64)
-    precision: str = "double"
     arf: ArfConfig = field(default_factory=ArfConfig)
     isp: IspConfig = field(default_factory=IspConfig)
     cdi: CdiConfig = field(default_factory=CdiConfig)
@@ -108,71 +104,43 @@ class PipelineConfig:
         return dims
 
     def single_input_level(self) -> int | None:
-        if self.variant.startswith("single_input_"):
-            return int(self.variant.rsplit("_", 1)[1])
-        return None
+        m = _SINGLE_INPUT.fullmatch(self.variant)
+        return int(m.group(1)) if m else None
 
-    @classmethod
-    def for_gradcheck(cls, base: "PipelineConfig | None" = None) -> "PipelineConfig":
-        """Shrink a config to the dims used for gradient checking, keeping
-        the structural knobs (rates, activation mode, tau, pos embed)."""
-        base = base or cls()
-        gc = base.gradcheck
-        return cls(
-            variant="sdtp",
-            seed=base.seed,
-            channels=gc.channels,
-            in_channels=gc.channels,
-            base_hw=gc.base_hw,
-            precision="double",
-            arf=dataclasses.replace(base.arf),
-            isp=dataclasses.replace(base.isp, heads=gc.heads),
-            cdi=dataclasses.replace(base.cdi, heads=gc.heads, levels=gc.levels),
-            train=dataclasses.replace(base.train),
-            gradcheck=dataclasses.replace(gc),
-            complexity=dataclasses.replace(base.complexity),
-        )
+    def shrink(self, channels: int, base_hw: tuple[int, int],
+               levels: tuple[int, ...]) -> "PipelineConfig":
+        """The same config at other dims: input and embed width `channels`,
+        shallowest level `base_hw`, pyramid `levels`.  Each stage keeps the
+        largest head count up to its own that divides the new width.  The
+        result shares no section object with this config."""
+        base = copy.deepcopy(self)
+        return dataclasses.replace(
+            base, channels=channels, in_channels=channels, base_hw=base_hw,
+            isp=dataclasses.replace(base.isp, heads=fit_heads(base.isp.heads, channels)),
+            cdi=dataclasses.replace(base.cdi, heads=fit_heads(base.cdi.heads, channels),
+                                    levels=levels))
 
     @classmethod
     def for_train(cls, base: "PipelineConfig | None" = None) -> "PipelineConfig":
-        """Shrink a config to the toy-training dims (identity regression)."""
+        """Shrink the full pipeline to the toy-training dims (identity regression)."""
         base = base or cls()
-        tr = base.train
-        heads = min(base.isp.heads, tr.channels)
-        while tr.channels % heads:
-            heads -= 1
-        return cls(
-            variant="sdtp",
-            seed=base.seed,
-            channels=tr.channels,
-            in_channels=tr.channels,
-            base_hw=tr.base_hw,
-            precision="double",
-            arf=dataclasses.replace(base.arf),
-            isp=dataclasses.replace(base.isp, heads=heads),
-            cdi=dataclasses.replace(base.cdi, heads=heads, levels=tr.levels),
-            train=dataclasses.replace(tr),
-            gradcheck=dataclasses.replace(base.gradcheck),
-            complexity=dataclasses.replace(base.complexity),
-        )
+        return dataclasses.replace(base, variant="sdtp").shrink(
+            base.train.channels, base.train.base_hw, base.train.levels)
 
     # -- validation --------------------------------------------------------
 
     def validate(self) -> None:
-        if self.variant not in VARIANT_BASE_TAGS and not self.variant.startswith("single_input_"):
+        if not isinstance(self.variant, str) or not (
+                self.variant in VARIANT_BASE_TAGS or _SINGLE_INPUT.fullmatch(self.variant)):
             raise ConfigurationError(
                 f"variant: {self.variant!r} is not one of {VARIANT_BASE_TAGS} or single_input_<level>")
         _check_int("seed", self.seed, low=0)
         _check_int("channels", self.channels, low=1)
         _check_int("in_channels", self.in_channels, low=1)
         self.base_hw = _check_hw("base_hw", self.base_hw)
-        if self.precision not in PRECISIONS:
-            raise ConfigurationError(f"precision: {self.precision!r} not in {PRECISIONS}")
 
-        if self.arf.mode not in ARF_MODES:
-            raise ConfigurationError(f"arf.mode: {self.arf.mode!r} not in {ARF_MODES}")
-        if not math.isfinite(self.arf.tau) or self.arf.tau < 0:
-            raise ConfigurationError(f"arf.tau: must be finite and >= 0, got {self.arf.tau}")
+        _check_choice("arf.mode", self.arf.mode, ARF_MODES)
+        _check_float("arf.tau", self.arf.tau)
 
         self.isp.rates = _check_int_tuple("isp.rates", self.isp.rates, low=1)
         if not self.isp.rates or self.isp.rates[0] != 1:
@@ -181,16 +149,14 @@ class PipelineConfig:
         if self.channels % self.isp.heads:
             raise ConfigurationError(
                 f"isp.heads: {self.isp.heads} does not divide channels={self.channels}")
-        if self.isp.pos_embed not in POS_EMBED_MODES:
-            raise ConfigurationError(f"isp.pos_embed: {self.isp.pos_embed!r} not in {POS_EMBED_MODES}")
+        _check_choice("isp.pos_embed", self.isp.pos_embed, POS_EMBED_MODES)
         _check_int("isp.blocks", self.isp.blocks, low=0)
 
         _check_int("cdi.heads", self.cdi.heads, low=1)
         if self.channels % self.cdi.heads:
             raise ConfigurationError(
                 f"cdi.heads: {self.cdi.heads} does not divide channels={self.channels}")
-        if not math.isfinite(self.cdi.lam) or self.cdi.lam < 0:
-            raise ConfigurationError(f"cdi.lambda: must be finite and >= 0, got {self.cdi.lam}")
+        _check_float("cdi.lambda", self.cdi.lam)
         self.cdi.levels = _check_levels("cdi.levels", self.cdi.levels)
 
         lvl = self.single_input_level()
@@ -199,76 +165,40 @@ class PipelineConfig:
                 f"variant: single_input level {lvl} not in cdi.levels={list(self.cdi.levels)}")
 
         _check_int("train.steps", self.train.steps, low=1)
-        if not math.isfinite(self.train.lr) or self.train.lr < 0:
-            raise ConfigurationError(f"train.lr: must be finite and >= 0, got {self.train.lr}")
+        _check_float("train.lr", self.train.lr)
         _check_int("train.channels", self.train.channels, low=1)
         self.train.base_hw = _check_hw("train.base_hw", self.train.base_hw)
         self.train.levels = _check_levels("train.levels", self.train.levels)
 
         _check_int("gradcheck.points", self.gradcheck.points, low=1)
-        _check_int("gradcheck.channels", self.gradcheck.channels, low=1)
-        _check_int("gradcheck.heads", self.gradcheck.heads, low=1)
-        if self.gradcheck.channels % self.gradcheck.heads:
-            raise ConfigurationError(
-                f"gradcheck.heads: {self.gradcheck.heads} does not divide "
-                f"gradcheck.channels={self.gradcheck.channels}")
-        self.gradcheck.base_hw = _check_hw("gradcheck.base_hw", self.gradcheck.base_hw)
-        self.gradcheck.levels = _check_levels("gradcheck.levels", self.gradcheck.levels)
-        if self.gradcheck.tolerance <= 0 or self.gradcheck.step <= 0:
-            raise ConfigurationError("gradcheck.tolerance and gradcheck.step must be positive")
+        _check_float("gradcheck.tolerance", self.gradcheck.tolerance, positive=True)
+        _check_float("gradcheck.step", self.gradcheck.step, positive=True)
 
         _check_int("complexity.channels", self.complexity.channels, low=1)
+        _check_list("complexity.dims", self.complexity.dims)
         dims = tuple(_check_hw(f"complexity.dims[{k}]", d) for k, d in enumerate(self.complexity.dims))
         self.complexity.dims = dims
         self.complexity.strides = _check_int_tuple("complexity.strides", self.complexity.strides, low=1)
         if len(self.complexity.strides) != len(dims):
             raise ConfigurationError(
-                f"complexity.strides: expected {len(dims)} entries, got {len(self.complexity.strides)}")
+                f"complexity.strides: expected one per complexity.dims entry ({len(dims)}), "
+                f"got {len(self.complexity.strides)}")
 
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "seed": self.seed,
-            "channels": self.channels,
-            "in_channels": self.in_channels,
-            "base_hw": list(self.base_hw),
-            "precision": self.precision,
-            "arf": {"tau": self.arf.tau, "mode": self.arf.mode},
-            "isp": {
-                "rates": list(self.isp.rates),
-                "heads": self.isp.heads,
-                "pos_embed": self.isp.pos_embed,
-                "blocks": self.isp.blocks,
-            },
-            "cdi": {
-                "heads": self.cdi.heads,
-                "lambda": self.cdi.lam,
-                "levels": list(self.cdi.levels),
-            },
-            "train": {
-                "steps": self.train.steps,
-                "lr": self.train.lr,
-                "channels": self.train.channels,
-                "base_hw": list(self.train.base_hw),
-                "levels": list(self.train.levels),
-            },
-            "gradcheck": {
-                "points": self.gradcheck.points,
-                "tolerance": self.gradcheck.tolerance,
-                "step": self.gradcheck.step,
-                "channels": self.gradcheck.channels,
-                "base_hw": list(self.gradcheck.base_hw),
-                "levels": list(self.gradcheck.levels),
-                "heads": self.gradcheck.heads,
-            },
-            "complexity": {
-                "dims": [list(d) for d in self.complexity.dims],
-                "channels": self.complexity.channels,
-                "strides": list(self.complexity.strides),
-            },
-        }
+        d = dataclasses.asdict(self)
+        d["cdi"] = {("lambda" if k == "lam" else k): v for k, v in d["cdi"].items()}
+        return d
+
+
+def fit_heads(heads: int, channels: int) -> int:
+    """The largest head count up to `heads` that divides `channels` (1 when
+    `channels` < 1, which validation then rejects)."""
+    h = max(1, min(heads, channels))
+    while channels % h:
+        h -= 1
+    return h
 
 
 def _check_int(path: str, v, low: int | None = None) -> int:
@@ -279,9 +209,26 @@ def _check_int(path: str, v, low: int | None = None) -> int:
     return v
 
 
-def _check_int_tuple(path: str, v, low: int) -> tuple[int, ...]:
+def _check_float(path: str, v, positive: bool = False) -> None:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigurationError(f"{path}: expected a number, got {v!r}")
+    if not math.isfinite(v) or v < 0 or (positive and v == 0):
+        raise ConfigurationError(
+            f"{path}: must be finite and {'> 0' if positive else '>= 0'}, got {v}")
+
+
+def _check_choice(path: str, v, choices: tuple[str, ...]) -> None:
+    if not isinstance(v, str) or v not in choices:
+        raise ConfigurationError(f"{path}: {v!r} not in {choices}")
+
+
+def _check_list(path: str, v) -> None:
     if not isinstance(v, (list, tuple)):
-        raise ConfigurationError(f"{path}: expected a list of integers, got {v!r}")
+        raise ConfigurationError(f"{path}: expected a list, got {v!r}")
+
+
+def _check_int_tuple(path: str, v, low: int) -> tuple[int, ...]:
+    _check_list(path, v)
     return tuple(_check_int(f"{path}[{k}]", x, low=low) for k, x in enumerate(v))
 
 
@@ -341,10 +288,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
             kwargs[key] = value
         else:
             raise ConfigurationError(f"{key}: unknown config key")
-    try:
-        return PipelineConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigurationError(str(exc)) from exc
+    return PipelineConfig(**kwargs)
 
 
 def _tuplify(v):
@@ -365,7 +309,3 @@ def load_config(path: str | Path | None) -> PipelineConfig:
     if raw is None:
         raw = {}
     return config_from_dict(raw)
-
-
-def dump_config(cfg: PipelineConfig) -> str:
-    return json.dumps(cfg.to_dict(), indent=2)

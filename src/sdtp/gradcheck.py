@@ -125,30 +125,28 @@ CaseFactory = Callable[[np.random.Generator], tuple[Callable[..., Tensor], list[
 _REGISTRY: dict[str, CaseFactory] = {}
 
 
-def register_case(name: str):
-    def deco(factory: CaseFactory) -> CaseFactory:
-        _REGISTRY[name] = factory
-        return factory
-    return deco
-
-
 def registered_cases() -> list[str]:
     _ensure_standard_cases()
     return list(_REGISTRY)
 
 
 def run_case(name: str, points: int = 10, tolerance: float = DEFAULT_TOLERANCE,
-             step: float = DEFAULT_STEP, seed: int = 0) -> GradCheckReport:
-    """Run one registered case at `points` seeded random points and fold the
-    per-point reports into a single worst-case report."""
-    _ensure_standard_cases()
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown gradcheck case {name!r}")
+             step: float = DEFAULT_STEP, seed: int = 0,
+             factory: CaseFactory | None = None) -> GradCheckReport:
+    """Run one case at `points` seeded random points and fold the per-point
+    reports into a single worst-case report.  The case is the registered
+    one named `name`, or `factory` when given (which never registers it,
+    as for the negative control)."""
+    if factory is None:
+        _ensure_standard_cases()
+        if name not in _REGISTRY:
+            raise KeyError(f"unknown gradcheck case {name!r}")
+        factory = _REGISTRY[name]
     folded = GradCheckReport(op=name, tolerance=tolerance)
     worst: dict[str, TensorCheck] = {}
     for k in range(points):
         rng = np.random.default_rng((seed, k))
-        fn, inputs = _REGISTRY[name](rng)
+        fn, inputs = factory(rng)
         rep = vjp_check(fn, inputs, tolerance=tolerance, step=step,
                         directions=2, seed=1000 + k, op_name=name)
         if rep.diagnostic is not None:
@@ -172,24 +170,16 @@ def run_all(names: list[str] | None = None, points: int = 10,
     return [run_case(n, points=points, tolerance=tolerance, step=step, seed=seed) for n in names]
 
 
-def register_corrupted_case() -> str:
-    """Register a deliberately wrong backward pass (negative control).
+def corrupted_linear(rng: np.random.Generator):
+    """A deliberately wrong backward pass (the negative control, never
+    registered): the forward is y = 2x but the recorded VJP claims the
+    factor is 2.5, so any sound checker must flag it."""
+    x = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
 
-    The forward is y = 2x but the recorded VJP claims the factor is 2.5,
-    so any sound checker must flag it.
-    """
-    name = "corrupted_linear"
+    def fn(x):
+        return Tensor._from_op(2.0 * x.data, (x,), lambda g: (2.5 * g,))
 
-    def factory(rng: np.random.Generator):
-        x = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
-
-        def fn(x):
-            return Tensor._from_op(2.0 * x.data, (x,), lambda g: (2.5 * g,))
-
-        return fn, [("x", x)]
-
-    _REGISTRY[name] = factory
-    return name
+    return fn, [("x", x)]
 
 
 _STANDARD_DONE = False
@@ -211,10 +201,13 @@ def _ensure_standard_cases() -> None:
     from . import cdi as D
     from . import pyramid as P
     from .arf import arf_op
-    from .config import PipelineConfig
+    from .config import CdiConfig, IspConfig, PipelineConfig
 
     def reg(name):
-        return register_case(name)
+        def deco(factory: CaseFactory) -> CaseFactory:
+            _REGISTRY[name] = factory
+            return factory
+        return deco
 
     @reg("matmul")
     def _(rng):
@@ -405,8 +398,9 @@ def _ensure_standard_cases() -> None:
 
     @reg("sdtp_pipeline")
     def _(rng):
-        cfg = PipelineConfig.for_gradcheck()
-        pipe = P.build_variant(cfg)
+        cfg = PipelineConfig(channels=8, in_channels=8, base_hw=(8, 8),
+                             isp=IspConfig(heads=2), cdi=CdiConfig(heads=2, levels=(4, 5)))
+        pipe = P.Pipeline(cfg)
         maps = {
             lvl: Tensor(rng.standard_normal((cfg.in_channels, h, w)), requires_grad=True)
             for lvl, (h, w) in cfg.level_dims().items()

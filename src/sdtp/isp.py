@@ -158,8 +158,7 @@ class IspBlock:
         hw = (x.shape[1], x.shape[2])
         tokens = T.map_to_tokens(x)
         normed_map = T.tokens_to_map(self.ln1(tokens), hw)
-        states = generate_states(normed_map, self.state_convs, self.rates,
-                                 pos_embed=self.pos_embedding(hw))
+        states = self.generate_states(normed_map)
         attended = T.add(mma(states, self.attn, mode=self.mode, tau=self.tau), tokens)
         out = T.add(self.mlp(self.ln2(attended)), attended)
         return T.tokens_to_map(out, hw)

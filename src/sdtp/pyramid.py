@@ -11,6 +11,7 @@ the same decoder vocabulary.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .cdi import CdiBlock
-from .config import ConfigurationError, PipelineConfig
+from .config import VARIANT_BASE_TAGS, PipelineConfig
 from .isp import IspBlock
 from .tensor import ContractViolation, Tensor
 
@@ -186,19 +187,6 @@ class Pipeline:
         return [p for _, p in self.named_params()]
 
 
-def build_variant(cfg: PipelineConfig) -> Pipeline:
-    """Construct a pipeline for the config's variant tag (validated by the
-    config itself); unknown tags never get this far."""
-    return Pipeline(cfg)
-
-
-def sdtp_forward(pyramid: FeaturePyramid, cfg: PipelineConfig | None = None
-                 ) -> tuple[dict[int, np.ndarray], float]:
-    """One-call forward pass: build the configured variant and run it."""
-    cfg = cfg or PipelineConfig()
-    return build_variant(cfg).forward(pyramid)
-
-
 def zero_enhancement_branches(pipe: Pipeline) -> None:
     """Zero every weight that feeds the transformer stages' outputs, which
     collapses the full pipeline onto the plain baseline structure exactly:
@@ -217,12 +205,13 @@ def zero_enhancement_branches(pipe: Pipeline) -> None:
 
 
 def cross_level_sensitivity(pipe: Pipeline, pyramid: FeaturePyramid,
+                            base: dict[int, np.ndarray],
                             delta: float = 0.5) -> tuple[list[int], np.ndarray]:
     """Max absolute output change per (source level, output level) when one
-    centre cell of the source level is nudged by delta.  Exact zeros mean
-    the output provably never saw that level."""
+    centre cell of the source level is nudged by delta; `base` holds the
+    pipeline's outputs on the unchanged pyramid.  Exact zeros mean the
+    output provably never saw that level."""
     levels = sorted(pyramid.levels)
-    base, _ = pipe.forward(pyramid)
     matrix = np.zeros((len(levels), len(levels)))
     for i, src in enumerate(levels):
         bumped = {lvl: arr.copy() for lvl, arr in pyramid.levels.items()}
@@ -232,6 +221,31 @@ def cross_level_sensitivity(pipe: Pipeline, pyramid: FeaturePyramid,
         for j, dst in enumerate(levels):
             matrix[i, j] = float(np.abs(outs[dst] - base[dst]).max())
     return levels, matrix
+
+
+def variant_rows(probe: PipelineConfig) -> list[dict]:
+    """Build and probe every variant of `probe` on its synthetic pyramid:
+    the base tags, then single_input_<level> per level.  One row each, with
+    its penalty, sensitivity matrix, cross-level verdict and parameter count."""
+    tags = list(VARIANT_BASE_TAGS) + [f"single_input_{lvl}" for lvl in probe.cdi.levels]
+    rows = []
+    for tag in tags:
+        cfg = dataclasses.replace(probe, variant=tag)
+        pipe = Pipeline(cfg)
+        pyr = synthetic_pyramid(cfg)
+        outs, dep = pipe.forward(pyr)
+        levels, sens = cross_level_sensitivity(pipe, pyr, outs)
+        off = sens.copy()
+        np.fill_diagonal(off, 0.0)
+        rows.append({
+            "variant": tag,
+            "dep_loss": dep,
+            "levels": levels,
+            "sensitivity": sens.tolist(),
+            "any_cross_level": bool(off.max() > 0.0),
+            "n_params": int(sum(p.size for p in pipe.params())),
+        })
+    return rows
 
 
 # ---------------------------------------------------------------------------

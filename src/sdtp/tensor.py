@@ -1,12 +1,11 @@
 """Dense-tensor kernels with reverse-mode differentiation.
 
 Everything downstream (attention, decoupling, the pyramid pipeline) is built
-from the operations in this module.  Arrays are float64 by default (float32
-is available behind ``set_default_dtype``).  Each operation is a pure
-function that records a node in a dynamically built graph; ``backward`` runs
-the vector-Jacobian products in reverse topological order.  The accumulation
-order is fixed by construction order, so identical inputs and seeds give
-bit-identical values and gradients.
+from the operations in this module.  Arrays are float64.  Each operation is
+a pure function that records a node in a dynamically built graph;
+``backward`` runs the vector-Jacobian products in reverse topological order.
+The accumulation order is fixed by construction order, so identical inputs
+and seeds give bit-identical values and gradients.
 """
 
 from __future__ import annotations
@@ -19,31 +18,17 @@ ALLOWED_KERNEL_SHAPES = {(1, 1), (3, 3), (3, 1), (1, 3)}
 
 LAYER_NORM_EPS = 1e-5
 
-_DEFAULT_DTYPE = np.dtype(np.float64)
-
 
 class ContractViolation(ValueError):
     """An operation was called with arguments that violate its contract."""
-
-
-def set_default_dtype(dtype) -> None:
-    """Select the working precision for newly created tensors."""
-    global _DEFAULT_DTYPE
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ContractViolation(f"unsupported dtype {dt}; use float32 or float64")
-    _DEFAULT_DTYPE = dt
-
-
-def default_dtype() -> np.dtype:
-    return _DEFAULT_DTYPE
 
 
 class Tensor:
     """A numpy array plus the graph bookkeeping needed for backward().
 
     Leaf tensors created with ``requires_grad=True`` receive gradients;
-    intermediate nodes are created internally by the operations below.
+    intermediate nodes are created internally by the operations below and
+    never hold one.
     Gradient buffers are never mutated in place, only rebound, so views
     returned by cheap VJPs (reshape, transpose) are safe to share.
     """
@@ -51,7 +36,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self.name = name
@@ -86,12 +71,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def backward(self, grad: np.ndarray | None = None) -> None:
         if grad is None:
             if self.data.size != 1:
@@ -112,13 +91,19 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen and p.requires_grad:
                     stack.append((p, False))
-        self.grad = np.asarray(grad, dtype=self.data.dtype)
+        # this pass's gradients; each node's entry is dropped once its VJP
+        # has run, and only leaves keep theirs, in .grad
+        grads = {id(self): np.asarray(grad, dtype=self.data.dtype)}
         for node in reversed(topo):
-            if node._vjp is None or node.grad is None:
+            g_node = grads.pop(id(node), None)
+            if g_node is None:
                 continue
-            for p, g in zip(node._parents, node._vjp(node.grad)):
+            if node._vjp is None:
+                node.grad = g_node if node.grad is None else node.grad + g_node
+                continue
+            for p, g in zip(node._parents, node._vjp(g_node)):
                 if p.requires_grad and g is not None:
-                    p.grad = g if p.grad is None else p.grad + g
+                    grads[id(p)] = g if id(p) not in grads else grads[id(p)] + g
 
     def __add__(self, other):
         return add(self, other)
@@ -209,12 +194,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return g @ b.data.T, a.data.T @ g
 
     return Tensor._from_op(out, (a, b), vjp)
-
-
-def transpose2d(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ContractViolation("transpose2d expects a rank-2 tensor")
-    return Tensor._from_op(a.data.T, (a,), lambda g: (g.T,))
 
 
 def permute(a: Tensor, axes: tuple[int, ...]) -> Tensor:

@@ -10,7 +10,6 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from sdtp import tensor as T
 from sdtp.arf import arf
 from sdtp.cdi import DecoupledPair, decouple_loss, recouple
 from sdtp.complexity import (
@@ -24,7 +23,7 @@ from sdtp.complexity import (
 from sdtp.config import CdiConfig, IspConfig, PipelineConfig
 from sdtp.gradcheck import registered_cases, run_all
 from sdtp.pyramid import (
-    build_variant,
+    Pipeline,
     cross_level_sensitivity,
     synthetic_pyramid,
     toy_train,
@@ -87,7 +86,6 @@ def test_criterion_02_activation_clips_and_boosts():
 def test_criterion_03_gradient_suite():
     """3: every registered op + end-to-end pipeline passes VJP checks."""
     with criterion(3, 60.0, "gradient checks: all registered ops + pipeline") as info:
-        T.set_default_dtype(np.float64)
         names = registered_cases()
         assert "sdtp_pipeline" in names
         reports = run_all(names, points=10, tolerance=1e-4, step=1e-5, seed=0)
@@ -156,14 +154,16 @@ def test_criterion_07_structural_findings():
     with criterion(7, 10.0, "cross-level sensitivity structure") as info:
         iso_cfg = small_pipeline_cfg("no_interaction", levels=(2, 3, 4, 5),
                                      base_hw=(16, 16))
-        iso = build_variant(iso_cfg)
-        levels, mat = cross_level_sensitivity(iso, synthetic_pyramid(iso_cfg))
+        iso = Pipeline(iso_cfg)
+        iso_pyr = synthetic_pyramid(iso_cfg)
+        levels, mat = cross_level_sensitivity(iso, iso_pyr, iso.forward(iso_pyr)[0])
         off = mat[~np.eye(len(levels), dtype=bool)]
         assert np.all(off == 0.0), "isolated variant leaked across levels"
 
         full_cfg = small_pipeline_cfg("sdtp", levels=(2, 3, 4, 5), base_hw=(16, 16))
-        full = build_variant(full_cfg)
-        levels2, mat2 = cross_level_sensitivity(full, synthetic_pyramid(full_cfg))
+        full = Pipeline(full_cfg)
+        full_pyr = synthetic_pyramid(full_cfg)
+        levels2, mat2 = cross_level_sensitivity(full, full_pyr, full.forward(full_pyr)[0])
         assert np.all(mat2 > 0.0), f"zero entries in sensitivity:\n{mat2}"
         i2, i5 = levels2.index(2), levels2.index(5)
         info["detail"] = (f"isolated off-diag all 0.0; full all >0 "
@@ -175,9 +175,9 @@ def test_criterion_08_degenerates_to_baseline():
     plain baseline holding the same lateral/smooth weights."""
     with criterion(8, 5.0, "zeroed branches reproduce the baseline") as info:
         cfg = small_pipeline_cfg("sdtp")
-        pipe = build_variant(cfg)
+        pipe = Pipeline(cfg)
         zero_enhancement_branches(pipe)
-        base = build_variant(small_pipeline_cfg("fpn_baseline"))
+        base = Pipeline(small_pipeline_cfg("fpn_baseline"))
         for lvl in pipe.levels:
             base.lateral[lvl].data = pipe.lateral[lvl].data.copy()
             base.smooth[lvl].data = pipe.smooth[lvl].data.copy()
@@ -197,7 +197,7 @@ def test_criterion_09_toy_optimization():
         assert cfg.train.steps == 200 and cfg.cdi.lam == 0.01
 
         def run():
-            pipe = build_variant(cfg)
+            pipe = Pipeline(cfg)
             pyr = synthetic_pyramid(cfg)
             return toy_train(pipe, pyr, steps=cfg.train.steps, lr=cfg.train.lr,
                              lam=cfg.cdi.lam)

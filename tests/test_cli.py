@@ -5,7 +5,6 @@ import json
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from sdtp.cli import main
@@ -39,14 +38,6 @@ def tiny_cfg(tmp_path):
     p = tmp_path / "tiny.yaml"
     p.write_text(TINY_CFG)
     return str(p)
-
-
-@pytest.fixture(autouse=True)
-def reset_dtype():
-    """Commands may switch the default dtype; restore float64 afterwards."""
-    yield
-    from sdtp import tensor as TE
-    TE.set_default_dtype(np.float64)
 
 
 class TestForward:
@@ -111,6 +102,16 @@ class TestGradcheck:
         text = capsys.readouterr().out
         assert "corrupted_linear" in text
         assert "worst offender: corrupted_linear" in text
+
+    def test_negative_control_leaves_registry_unchanged(self, tiny_cfg):
+        """The corrupted case runs without joining the registry, so a later
+        full run never meets it."""
+        from sdtp.gradcheck import registered_cases
+        before = registered_cases()
+        assert main(["gradcheck", "--config", tiny_cfg, "--ops", "arf",
+                     "--negative-control"]) == 1
+        assert registered_cases() == before
+        assert "corrupted_linear" not in before
 
     def test_unknown_op_is_config_error(self, tiny_cfg):
         assert main(["gradcheck", "--config", tiny_cfg, "--ops", "nope"]) == 2
@@ -209,6 +210,19 @@ class TestErrors:
         p = tmp_path / "bad.yaml"
         p.write_text("chanels: 8\n")
         assert main(["forward", "--config", str(p)]) == 2
+
+    @pytest.mark.parametrize("text, argv, field", [
+        ("arf:\n  tau: '2'\n", ["forward"], "arf.tau"),
+        ("variant: 3\n", ["forward"], "variant"),
+        ("", ["forward", "--variant", "single_input_x"], "variant"),
+        ("", ["variants", "--channels", "0"], "channels"),
+    ])
+    def test_malformed_value_names_field(self, tmp_path, capsys, text, argv, field):
+        """A mistyped value exits 2 with its dotted path, never a traceback."""
+        p = tmp_path / "c.yaml"
+        p.write_text(text)
+        assert main(argv + ["--config", str(p)]) == 2
+        assert f"configuration error: {field}:" in capsys.readouterr().err
 
 
 class TestEntryPoint:

@@ -2,19 +2,26 @@
 YAML loading, serialization round-trips, and the reserved-word alias."""
 
 import json
+from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from sdtp.cli import main
 from sdtp.config import (
+    ArfConfig,
     CdiConfig,
     ComplexityConfig,
     ConfigurationError,
     IspConfig,
     PipelineConfig,
     config_from_dict,
-    dump_config,
     load_config,
 )
+
+DEFAULT_YAML = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
 
 
 class TestDefaults:
@@ -166,24 +173,80 @@ class TestSerialization:
         assert back == cfg
 
     def test_dump_is_json(self):
-        """dump_config emits parseable JSON with the lambda alias."""
-        d = json.loads(dump_config(PipelineConfig()))
+        """to_dict dumps to JSON with the lambda alias in the field's place."""
+        d = json.loads(json.dumps(PipelineConfig().to_dict()))
         assert d["cdi"]["lambda"] == 0.01
         assert "lam" not in d["cdi"]
+        assert list(d["cdi"]) == ["heads", "lambda", "levels"]
+
+    def test_default_yaml_is_the_default_config(self):
+        """configs/default.yaml loads to PipelineConfig() and shows every field."""
+        raw = yaml.safe_load(DEFAULT_YAML.read_text())
+        assert config_from_dict(raw) == PipelineConfig()
+        assert leaf_paths(raw) == FIELD_PATHS
 
 
 class TestDerivedConfigs:
-    def test_for_gradcheck_small_dims(self):
-        """The gradcheck view shrinks dims but keeps structure knobs."""
-        base = PipelineConfig(arf=type(PipelineConfig().arf)(tau=3.0, mode="tanh"))
-        gc = PipelineConfig.for_gradcheck(base)
-        assert gc.channels == base.gradcheck.channels
-        assert gc.arf.tau == 3.0
-        assert gc.arf.mode == "tanh"
-        assert gc.cdi.levels == base.gradcheck.levels
+    def test_shrink_keeps_structure_knobs(self):
+        """shrink changes only the dims and the head counts they force."""
+        base = PipelineConfig(arf=ArfConfig(tau=3.0, mode="tanh"),
+                              isp=IspConfig(heads=8), cdi=CdiConfig(heads=4))
+        small = base.shrink(6, (8, 8), (4, 5))
+        assert (small.channels, small.in_channels, small.base_hw) == (6, 6, (8, 8))
+        assert small.cdi.levels == (4, 5)
+        assert (small.isp.heads, small.cdi.heads) == (6, 3)
+        assert small.arf == base.arf and small.isp.rates == base.isp.rates
+        assert small.cdi.lam == base.cdi.lam
+        small.arf.tau = 1.0
+        assert base.arf.tau == 3.0
+
+    def test_for_train_keeps_each_stage_heads(self):
+        """The toy run fits each stage's own head count, so cdi.heads acts."""
+        base = PipelineConfig(isp=IspConfig(heads=8), cdi=CdiConfig(heads=2))
+        toy = PipelineConfig.for_train(base)
+        assert (toy.isp.heads, toy.cdi.heads) == (8, 2)
 
     def test_for_train_fits_heads(self):
         """The train view picks a head count dividing the toy width."""
         cfg = PipelineConfig.for_train(PipelineConfig())
         assert cfg.channels == cfg.in_channels == PipelineConfig().train.channels
         assert cfg.channels % cfg.isp.heads == 0
+
+
+def leaf_paths(d: dict, prefix: str = "") -> list[str]:
+    """Dotted paths of the non-mapping values in a nested mapping."""
+    out = []
+    for k, v in d.items():
+        out += leaf_paths(v, f"{prefix}{k}.") if isinstance(v, dict) else [prefix + k]
+    return out
+
+
+# every config field by its YAML path, as config_from_dict reads it
+FIELD_PATHS = leaf_paths(PipelineConfig().to_dict())
+
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 300),
+                    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6))
+VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=4),
+                   st.lists(st.lists(st.integers(-1, 9), max_size=3), max_size=3),
+                   st.dictionaries(st.text(max_size=3), SCALARS, max_size=2))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(FIELD_PATHS), value=VALUES)
+def test_malformed_value_names_its_field(tmp_path, capsys, path, value):
+    """Property: one field set to any value either loads, or raises a
+    ConfigurationError naming that field, and the CLI then exits 2."""
+    head, _, tail = path.partition(".")
+    raw = {head: {tail: value}} if tail else {head: value}
+    try:
+        config_from_dict(raw)
+    except ConfigurationError as exc:
+        assert path in str(exc)
+    else:
+        return
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    capsys.readouterr()
+    assert main(["flops", "--config", str(cfg)]) == 2
+    assert path in capsys.readouterr().err

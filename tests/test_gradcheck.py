@@ -7,7 +7,7 @@ import pytest
 from sdtp import tensor as T
 from sdtp.gradcheck import (
     GradCheckReport,
-    register_corrupted_case,
+    corrupted_linear,
     registered_cases,
     run_all,
     run_case,
@@ -100,17 +100,14 @@ class TestRegistry:
         assert rep.passed
         assert sorted(e.name for e in rep.entries) == ["a", "b"]
 
-    def test_negative_control_registered_and_fails(self):
-        """The corrupted case registers under a stable name and fails."""
-        from sdtp import gradcheck as GC
-        name = register_corrupted_case()
-        try:
-            assert name == "corrupted_linear"
-            rep = run_case(name, points=2)
-            assert not rep.passed
-            assert rep.max_rel_err > 0.1
-        finally:
-            GC._REGISTRY.pop(name, None)  # keep the standard registry clean
+    def test_negative_control_fails_unregistered(self):
+        """The corrupted case runs from its factory, fails, and never joins
+        the registry."""
+        rep = run_case("corrupted_linear", points=2, factory=corrupted_linear)
+        assert rep.op == "corrupted_linear"
+        assert not rep.passed
+        assert rep.max_rel_err > 0.1
+        assert "corrupted_linear" not in registered_cases()
 
     def test_run_all_subset(self):
         """run_all on a subset returns one report per requested case."""

@@ -10,9 +10,7 @@ from sdtp.pyramid import (
     FeaturePyramid,
     Pipeline,
     TrainingDiverged,
-    build_variant,
     cross_level_sensitivity,
-    sdtp_forward,
     synthetic_pyramid,
     toy_train,
     zero_enhancement_branches,
@@ -78,7 +76,7 @@ class TestBaselineAgainstReference:
         """The plain baseline equals an independently coded pyramid network
         (1x1 laterals, nearest top-down, 3x3 smoothing)."""
         cfg = small_cfg(variant="fpn_baseline", channels=4, base_hw=(6, 6))
-        pipe = build_variant(cfg)
+        pipe = Pipeline(cfg)
         pyr = synthetic_pyramid(cfg, seed=7)
         got, dep = pipe.forward(pyr)
         lateral_w = {lvl: pipe.lateral[lvl].data for lvl in pipe.levels}
@@ -96,7 +94,7 @@ class TestVariants:
     def test_output_shapes_match_inputs(self, variant):
         """Every variant emits one map per level at the input dims."""
         cfg = small_cfg(variant=variant)
-        pipe = build_variant(cfg)
+        pipe = Pipeline(cfg)
         pyr = synthetic_pyramid(cfg)
         outs, dep = pipe.forward(pyr)
         for lvl, arr in pyr.levels.items():
@@ -107,8 +105,8 @@ class TestVariants:
         """Rebuilding the same config twice gives byte-equal outputs."""
         cfg = small_cfg()
         pyr = synthetic_pyramid(cfg)
-        a, da = build_variant(cfg).forward(pyr)
-        b, db = build_variant(cfg).forward(pyr)
+        a, da = Pipeline(cfg).forward(pyr)
+        b, db = Pipeline(cfg).forward(pyr)
         assert da == db
         for lvl in a:
             np.testing.assert_array_equal(a[lvl], b[lvl])
@@ -116,7 +114,7 @@ class TestVariants:
     def test_single_input_ignores_other_levels(self):
         """single_input_k output never changes when other levels change."""
         cfg = small_cfg(variant="single_input_5")
-        pipe = build_variant(cfg)
+        pipe = Pipeline(cfg)
         pyr = synthetic_pyramid(cfg)
         base, _ = pipe.forward(pyr)
         bumped = {lvl: arr.copy() for lvl, arr in pyr.levels.items()}
@@ -128,16 +126,9 @@ class TestVariants:
     def test_wrong_levels_rejected(self):
         """Forward refuses pyramids whose levels differ from the build."""
         cfg = small_cfg()
-        pipe = build_variant(cfg)
+        pipe = Pipeline(cfg)
         with pytest.raises(ContractViolation):
             pipe.forward_tensors({3: Tensor(np.zeros((8, 16, 16)))})
-
-    def test_sdtp_forward_one_call(self):
-        """The convenience wrapper builds and runs in one step."""
-        cfg = small_cfg()
-        outs, dep = sdtp_forward(synthetic_pyramid(cfg), cfg)
-        assert sorted(outs) == [4, 5]
-        assert dep > 0
 
 
 class TestDegeneracy:
@@ -146,10 +137,10 @@ class TestDegeneracy:
         byte-equal to the plain baseline holding the same lateral/smooth
         weights."""
         cfg = small_cfg(variant="sdtp")
-        pipe = build_variant(cfg)
+        pipe = Pipeline(cfg)
         zero_enhancement_branches(pipe)
         base_cfg = small_cfg(variant="fpn_baseline")
-        base = build_variant(base_cfg)
+        base = Pipeline(base_cfg)
         for lvl in pipe.levels:
             base.lateral[lvl].data = pipe.lateral[lvl].data.copy()
             base.smooth[lvl].data = pipe.smooth[lvl].data.copy()
@@ -160,12 +151,17 @@ class TestDegeneracy:
             np.testing.assert_array_equal(got[lvl], want[lvl])
 
 
+def probe(pipe, cfg):
+    pyr = synthetic_pyramid(cfg)
+    return cross_level_sensitivity(pipe, pyr, pipe.forward(pyr)[0])
+
+
 class TestSensitivityProbe:
     def test_no_interaction_offdiagonal_exactly_zero(self):
         """Per-level-only processing has provably zero cross-level effect."""
         cfg = small_cfg(variant="no_interaction")
-        pipe = build_variant(cfg)
-        levels, mat = cross_level_sensitivity(pipe, synthetic_pyramid(cfg))
+        pipe = Pipeline(cfg)
+        levels, mat = probe(pipe, cfg)
         off = mat[~np.eye(len(levels), dtype=bool)]
         assert np.all(off == 0.0)
         assert np.all(np.diag(mat) > 0)
@@ -174,16 +170,16 @@ class TestSensitivityProbe:
         """The full pipeline shows nonzero influence for every ordered pair,
         including shallowest -> deepest."""
         cfg = small_cfg(variant="sdtp")
-        pipe = build_variant(cfg)
-        levels, mat = cross_level_sensitivity(pipe, synthetic_pyramid(cfg))
+        pipe = Pipeline(cfg)
+        levels, mat = probe(pipe, cfg)
         assert np.all(mat > 0)
 
     def test_baseline_is_top_down_only(self):
         """The plain baseline pushes deep into shallow but never the
         reverse: the upper triangle (shallow source, deep output) is zero."""
         cfg = small_cfg(variant="fpn_baseline", levels=(3, 4, 5))
-        pipe = build_variant(cfg)
-        levels, mat = cross_level_sensitivity(pipe, synthetic_pyramid(cfg))
+        pipe = Pipeline(cfg)
+        levels, mat = probe(pipe, cfg)
         for i, src in enumerate(levels):
             for j, dst in enumerate(levels):
                 if dst > src:
@@ -196,7 +192,7 @@ class TestToyTraining:
     def test_loss_drops_and_trace_lengths(self):
         """A short run reduces the loss and records steps + 1 entries."""
         cfg = small_cfg()
-        pipe = build_variant(cfg)
+        pipe = Pipeline(cfg)
         pyr = synthetic_pyramid(cfg)
         trace = toy_train(pipe, pyr, steps=20, lr=0.1)
         assert len(trace.total) == 21
@@ -206,8 +202,8 @@ class TestToyTraining:
     def test_bit_reproducible(self):
         """Two identical runs produce identical traces."""
         cfg = small_cfg()
-        t1 = toy_train(build_variant(cfg), synthetic_pyramid(cfg), steps=10, lr=0.1)
-        t2 = toy_train(build_variant(cfg), synthetic_pyramid(cfg), steps=10, lr=0.1)
+        t1 = toy_train(Pipeline(cfg), synthetic_pyramid(cfg), steps=10, lr=0.1)
+        t2 = toy_train(Pipeline(cfg), synthetic_pyramid(cfg), steps=10, lr=0.1)
         assert t1.total == t2.total
         assert t1.task == t2.task
         assert t1.dep == t2.dep
@@ -216,10 +212,10 @@ class TestToyTraining:
         """The decoupling penalty stream is positive for the full pipeline
         and zero for the baseline."""
         cfg = small_cfg()
-        trace = toy_train(build_variant(cfg), synthetic_pyramid(cfg), steps=3, lr=0.05)
+        trace = toy_train(Pipeline(cfg), synthetic_pyramid(cfg), steps=3, lr=0.05)
         assert all(d > 0 for d in trace.dep)
         base_cfg = small_cfg(variant="fpn_baseline")
-        base_trace = toy_train(build_variant(base_cfg), synthetic_pyramid(base_cfg),
+        base_trace = toy_train(Pipeline(base_cfg), synthetic_pyramid(base_cfg),
                                steps=3, lr=0.05)
         assert all(d == 0.0 for d in base_trace.dep)
 
@@ -227,14 +223,14 @@ class TestToyTraining:
         """An absurd learning rate raises TrainingDiverged, not NaN output."""
         cfg = small_cfg()
         with pytest.raises(TrainingDiverged):
-            toy_train(build_variant(cfg), synthetic_pyramid(cfg), steps=60, lr=50.0)
+            toy_train(Pipeline(cfg), synthetic_pyramid(cfg), steps=60, lr=50.0)
 
     def test_channel_mismatch_rejected(self):
         """Identity regression requires in_channels == channels."""
         cfg = small_cfg()
         cfg.in_channels = 6
         cfg.validate()
-        pipe = build_variant(cfg)
+        pipe = Pipeline(cfg)
         pyr = synthetic_pyramid(cfg)
         with pytest.raises(ContractViolation):
             toy_train(pipe, pyr, steps=1)
@@ -245,7 +241,7 @@ class TestParams:
         """Every parameter has a unique name; the full variant includes the
         transformer stages' weights."""
         cfg = small_cfg()
-        pipe = build_variant(cfg)
+        pipe = Pipeline(cfg)
         names = [n for n, _ in pipe.named_params()]
         assert len(names) == len(set(names))
         joined = " ".join(names)
@@ -254,7 +250,7 @@ class TestParams:
 
     def test_baseline_param_count_smaller(self):
         """The plain baseline holds strictly fewer parameters."""
-        full = build_variant(small_cfg())
-        base = build_variant(small_cfg(variant="fpn_baseline"))
+        full = Pipeline(small_cfg())
+        base = Pipeline(small_cfg(variant="fpn_baseline"))
         n = lambda p: sum(t.data.size for t in p.params())
         assert n(base) < n(full)

@@ -128,6 +128,16 @@ class TestBackwardStructure:
         np.testing.assert_allclose(a.grad, 2 * a.data, rtol=1e-15, atol=1e-15)
         np.testing.assert_allclose(b.grad, 2 * b.data, rtol=1e-15, atol=1e-15)
 
+    def test_repeated_backward_adds_one_gradient_per_pass(self):
+        """A second backward() through the same graph adds exactly one more
+        gradient to the leaves; intermediate nodes carry nothing over."""
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        z = T.sum_all(T.mul(x, x))
+        z.backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+        z.backward()
+        np.testing.assert_array_equal(x.grad, [4.0, 8.0])
+
     def test_backward_rejects_non_scalar_without_seed(self):
         """Calling backward() on a non-scalar without a seed grad fails."""
         x = Tensor(rand(2, 2), requires_grad=True)
