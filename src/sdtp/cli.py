@@ -7,8 +7,8 @@ regression), variants (structural comparison of all ablation variants).
 
 Exit codes: 0 success, 1 check failure (gradient mismatch, contract
 violation, divergence), 2 configuration error.  Reports are deterministic
-for a fixed config and seed: wall-clock timings go to stderr only, never
-into the serialized report.
+for a fixed config and seed: wall-clock timings and peak memory go to
+stderr only, never into the serialized report.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -152,8 +153,16 @@ def cmd_forward(args) -> int:
     lines.append("any cross-level coupling: "
                  f"{report['cross_level_sensitivity']['any_cross_level']}")
     _emit(report, args, "\n".join(lines) + "\n")
-    print(f"forward wall time: {wall:.3f}s", file=sys.stderr)
+    print(f"forward wall time: {wall:.3f}s   peak RSS: {_peak_rss_mib():.1f} MiB",
+          file=sys.stderr)
     return 0
+
+
+def _peak_rss_mib() -> float:
+    """This process's peak resident set size so far (ru_maxrss counts KiB
+    on Linux and bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
 
 
 def cmd_gradcheck(args) -> int:

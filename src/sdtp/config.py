@@ -188,7 +188,7 @@ class PipelineConfig:
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
-        d["cdi"] = {("lambda" if k == "lam" else k): v for k, v in d["cdi"].items()}
+        d["cdi"] = {_SERIALIZED.get(k, k): v for k, v in d["cdi"].items()}
         return d
 
 
@@ -258,8 +258,9 @@ _SECTION_TYPES = {
     "complexity": ComplexityConfig,
 }
 
-# YAML key -> dataclass field for names Python reserves
-_KEY_ALIASES = {"lambda": "lam"}
+# dataclass field -> YAML key, for names Python reserves; the field name
+# itself is not a YAML key
+_SERIALIZED = {"lam": "lambda"}
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
@@ -272,15 +273,15 @@ def config_from_dict(raw: dict) -> PipelineConfig:
             if not isinstance(value, dict):
                 raise ConfigurationError(f"{key}: expected a mapping, got {value!r}")
             cls = _SECTION_TYPES[key]
-            sect_fields = {f.name for f in dataclasses.fields(cls)}
+            sect_fields = {_SERIALIZED.get(f.name, f.name): f.name
+                           for f in dataclasses.fields(cls)}
             sect_kwargs = {}
             for sk, sv in value.items():
-                fk = _KEY_ALIASES.get(sk, sk)
-                if fk not in sect_fields:
+                if sk not in sect_fields:
                     raise ConfigurationError(f"{key}.{sk}: unknown config key")
                 if isinstance(sv, list):
                     sv = _tuplify(sv)
-                sect_kwargs[fk] = sv
+                sect_kwargs[sect_fields[sk]] = sv
             kwargs[key] = cls(**sect_kwargs)
         elif key in top_fields:
             if isinstance(value, list):

@@ -80,7 +80,8 @@ def vjp_check(fn: Callable[..., Tensor], inputs: list[tuple[str, Tensor]],
         report.diagnostic = "non-finite forward output"
         return report
     upstream = rng.standard_normal(out.data.shape)
-    out.backward(upstream)
+    if out.requires_grad:  # else no input reaches the output: diagnosed below
+        out.backward(upstream)
 
     grads = []
     for name, t in inputs:
@@ -101,10 +102,11 @@ def vjp_check(fn: Callable[..., Tensor], inputs: list[tuple[str, Tensor]],
             nd = float(np.sqrt((d * d).sum()))
             if nd > 0:
                 d = d / nd
-            t.data = base + h * d
-            hi = float((fn(*tensors).data * upstream).sum())
-            t.data = base - h * d
-            lo = float((fn(*tensors).data * upstream).sum())
+            with T.no_grad():
+                t.data = base + h * d
+                hi = float((fn(*tensors).data * upstream).sum())
+                t.data = base - h * d
+                lo = float((fn(*tensors).data * upstream).sum())
             t.data = base
             numeric = (hi - lo) / (2.0 * h)
             analytic = float((g * d).sum())

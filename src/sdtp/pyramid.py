@@ -162,8 +162,10 @@ class Pipeline:
         return {lvl: outs[lvl] for lvl in sorted(outs)}, dep
 
     def forward(self, pyramid: FeaturePyramid) -> tuple[dict[int, np.ndarray], float]:
+        """Inference: forward_tensors without recording the backward graph."""
         maps = {lvl: Tensor(arr) for lvl, arr in pyramid.levels.items()}
-        outs, dep = self.forward_tensors(maps)
+        with T.no_grad():
+            outs, dep = self.forward_tensors(maps)
         return ({lvl: t.data for lvl, t in outs.items()},
                 float(dep.data) if dep is not None else 0.0)
 
@@ -318,7 +320,8 @@ def toy_train(pipe: Pipeline, pyramid: FeaturePyramid, steps: int = 200,
                     p.data = p.data - lr * p.grad
                 p.grad = None
 
-        evaluate()
+        with T.no_grad():
+            evaluate()
     if not np.isfinite(trace.total[-1]):
         raise TrainingDiverged(steps, trace.total[-1])
     return trace

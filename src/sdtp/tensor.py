@@ -5,10 +5,13 @@ from the operations in this module.  Arrays are float64.  Each operation is
 a pure function that records a node in a dynamically built graph;
 ``backward`` runs the vector-Jacobian products in reverse topological order.
 The accumulation order is fixed by construction order, so identical inputs
-and seeds give bit-identical values and gradients.
+and seeds give bit-identical values and gradients.  Inside ``no_grad()``
+operations record nothing, so inference holds no intermediate arrays.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 from scipy.special import erf
@@ -21,6 +24,27 @@ LAYER_NORM_EPS = 1e-5
 
 class ContractViolation(ValueError):
     """An operation was called with arguments that violate its contract."""
+
+
+# off inside no_grad(); one switch for the whole process (not thread-local)
+_RECORDING = True
+
+
+@contextmanager
+def no_grad():
+    """Run the enclosed operations without recording the backward graph.
+
+    Outputs keep no parents and no VJP closure, so each intermediate array
+    is freed once the next operation has consumed it.  Values are the same
+    as with recording on.  The previous state is restored on exit, also on
+    an exception, so scopes nest.
+    """
+    global _RECORDING
+    prev, _RECORDING = _RECORDING, False
+    try:
+        yield
+    finally:
+        _RECORDING = prev
 
 
 class Tensor:
@@ -49,7 +73,7 @@ class Tensor:
         out.data = data
         out.grad = None
         out.name = None
-        if any(p.requires_grad for p in parents):
+        if _RECORDING and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._vjp = vjp
@@ -72,6 +96,10 @@ class Tensor:
         return self.data.size
 
     def backward(self, grad: np.ndarray | None = None) -> None:
+        if not self.requires_grad:
+            raise ContractViolation(
+                "backward() on a tensor with no graph: no input requires grad, "
+                "or it was computed under no_grad()")
         if grad is None:
             if self.data.size != 1:
                 raise ContractViolation("backward() without a seed gradient needs a scalar output")

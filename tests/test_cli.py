@@ -216,6 +216,7 @@ class TestErrors:
         ("variant: 3\n", ["forward"], "variant"),
         ("", ["forward", "--variant", "single_input_x"], "variant"),
         ("", ["variants", "--channels", "0"], "channels"),
+        ("cdi:\n  lam: 0.5\n", ["forward"], "cdi.lam"),
     ])
     def test_malformed_value_names_field(self, tmp_path, capsys, text, argv, field):
         """A mistyped value exits 2 with its dotted path, never a traceback."""
@@ -239,3 +240,6 @@ class TestEntryPoint:
         assert "wall time" in proc.stderr
         assert "wall time" not in proc.stdout
         assert "wall" not in out.read_text()
+        # so does the process's peak resident memory
+        assert "peak RSS" in proc.stderr
+        assert "RSS" not in proc.stdout and "RSS" not in out.read_text()

@@ -117,6 +117,13 @@ class TestLoading:
         cfg = config_from_dict({"cdi": {"lambda": 0.25}})
         assert cfg.cdi.lam == 0.25
 
+    def test_field_name_lam_rejected(self):
+        """Only the serialised key 'lambda' sets the penalty weight; the
+        Python field name is an unknown key, so the two can never clash."""
+        for raw in ({"cdi": {"lam": 0.5}}, {"cdi": {"lambda": 0.25, "lam": 0.5}}):
+            with pytest.raises(ConfigurationError, match=r"cdi\.lam: unknown config key"):
+                config_from_dict(raw)
+
     def test_lists_become_tuples(self):
         cfg = config_from_dict({"isp": {"rates": [1, 2, 4]}, "base_hw": [16, 12]})
         assert cfg.isp.rates == (1, 2, 4)

@@ -55,6 +55,13 @@ class TestChecker:
         assert not rep.passed
         assert "x" in rep.diagnostic
 
+    def test_output_independent_of_inputs_diagnosed(self):
+        """An output that records no graph at all is diagnosed the same way."""
+        x = Tensor(np.zeros((2, 2)))
+        rep = vjp_check(lambda x: T.scale(Tensor(np.ones((2, 2))), 3.0), [("x", x)])
+        assert not rep.passed
+        assert rep.diagnostic == "no gradient reached input 'x'"
+
     def test_non_finite_forward_diagnosed(self):
         """NaN in the forward output becomes a diagnostic."""
         x = Tensor(np.ones((2, 2)))

@@ -131,6 +131,60 @@ class TestVariants:
             pipe.forward_tensors({3: Tensor(np.zeros((8, 16, 16)))})
 
 
+class TestInference:
+    def test_forward_records_no_graph(self, monkeypatch):
+        """Pipeline.forward runs forward_tensors inside no_grad: its
+        tensors keep no parents although every parameter requires grad."""
+        pipe = Pipeline(small_cfg())
+        seen = []
+        taped = pipe.forward_tensors
+
+        def spy(maps):
+            outs, dep = taped(maps)
+            seen.extend(list(outs.values()) + [dep])
+            return outs, dep
+
+        monkeypatch.setattr(pipe, "forward_tensors", spy)
+        pipe.forward(synthetic_pyramid(pipe.cfg))
+        assert seen and all(p.requires_grad for p in pipe.params())
+        assert all(not t.requires_grad and t._parents == () for t in seen)
+
+    def test_forward_matches_taped_forward(self):
+        """Outputs and penalty are bit-identical to a taped forward_tensors."""
+        cfg = small_cfg()
+        pipe = Pipeline(cfg)
+        pyr = synthetic_pyramid(cfg)
+        outs, dep = pipe.forward(pyr)
+        touts, tdep = pipe.forward_tensors(
+            {lvl: Tensor(arr) for lvl, arr in pyr.levels.items()})
+        assert tdep.requires_grad
+        assert dep == float(tdep.data)
+        for lvl in outs:
+            np.testing.assert_array_equal(outs[lvl], touts[lvl].data)
+
+    def test_forward_leaves_no_state_for_training(self):
+        """A taped pass right after Pipeline.forward gives the same parameter
+        gradients as on a pipeline that never ran an inference pass."""
+        cfg = small_cfg()
+        pyr = synthetic_pyramid(cfg)
+
+        def grads(pipe):
+            outs, dep = pipe.forward_tensors(
+                {lvl: Tensor(arr) for lvl, arr in pyr.levels.items()})
+            total = dep
+            for lvl in sorted(outs):
+                total = T.add(total, T.sum_all(T.mul(outs[lvl], outs[lvl])))
+            total.backward()
+            return [p.grad for p in pipe.params()]
+
+        fresh = grads(Pipeline(cfg))
+        used = Pipeline(cfg)
+        used.forward(pyr)
+        assert all(p.grad is None for p in used.params())
+        for a, b in zip(grads(used), fresh):
+            np.testing.assert_array_equal(a, b)
+
+
 class TestDegeneracy:
     def test_zeroed_branches_equal_baseline(self):
         """With enhancement branches zeroed, the full pipeline's output is

@@ -144,6 +144,14 @@ class TestBackwardStructure:
         with pytest.raises(ContractViolation):
             T.scale(x, 2.0).backward()
 
+    def test_backward_without_graph_raises(self):
+        """backward() on an output that recorded no graph is a contract
+        error, not a silent no-op that leaves every input without a grad."""
+        out = T.sum_all(Tensor(np.ones(3)))
+        with pytest.raises(ContractViolation, match="no graph"):
+            out.backward()
+        assert out.grad is None
+
     def test_no_grad_tensors_stay_clean(self):
         """Tensors with requires_grad=False never receive gradients."""
         x = Tensor(rand(2, 2), requires_grad=True)
@@ -169,6 +177,41 @@ class TestBackwardStructure:
         """matmul checks the contraction dimension."""
         with pytest.raises(ContractViolation):
             T.matmul(Tensor(rand(2, 3)), Tensor(rand(4, 2)))
+
+
+class TestNoGrad:
+    def test_ops_inside_record_no_graph(self):
+        """Inside the scope an op on grad-requiring parameters keeps no
+        parents and no VJP, and its output cannot be backpropagated."""
+        w = Tensor(rand(3, 3), requires_grad=True)
+        with T.no_grad():
+            out = T.sum_all(T.gelu(T.matmul(w, w)))
+        assert not out.requires_grad
+        assert out._parents == () and out._vjp is None
+        with pytest.raises(ContractViolation):
+            out.backward()
+        assert w.grad is None
+
+    def test_nested_scopes_restore_outer_state(self):
+        """Leaving an inner scope keeps the outer one in force; leaving the
+        outer one records graphs again."""
+        w = Tensor(rand(2, 2), requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert not T.scale(w, 2.0).requires_grad
+        assert T.scale(w, 2.0).requires_grad
+
+    def test_exception_restores_state(self):
+        """An exception raised inside the scope leaves recording on."""
+        w = Tensor(rand(2, 2), requires_grad=True)
+        with pytest.raises(ContractViolation):
+            with T.no_grad():
+                T.matmul(w, Tensor(rand(3, 2)))
+        out = T.sum_all(T.mul(w, w))
+        assert out.requires_grad
+        out.backward()
+        np.testing.assert_array_equal(w.grad, 2 * w.data)
 
 
 class TestDeterminism:
