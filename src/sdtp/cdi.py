@@ -9,7 +9,10 @@ pooling weights, and a 3x1 (resp. 1x3) convolution refines the pooled
 vector.  Grouped attention then runs over the vertical factors of all
 levels jointly, and separately over the horizontal factors, with shared
 projections, pre-norm, and residuals.  Recoupling broadcasts the refined
-factors back to (c, h, w) by addition, an outer-sum expansion.
+factors back to (c, h, w) by addition, an outer-sum expansion.  A token
+MLP (pre-norm, residual) refines the recoupled map; its layer norm and
+first projection are computed from the factors (outer_sum_ln_linear), so
+the (h*w, c) recoupled token matrix is never built.
 
 The decoupling penalty measures, per level, the Frobenius distance between
 the original map and the outer-sum of its raw (pre-attention) factors; the
@@ -163,8 +166,9 @@ class CdiBlock:
     """One round of cross-level interaction over a dict of (c, h, w) maps.
 
     Per level: decouple -> grouped attention over vertical factors of all
-    levels (pre-norm, residual) and likewise horizontal -> recouple ->
-    token MLP (pre-norm, residual) -> add back onto the input map.  The
+    levels (pre-norm, residual) and likewise horizontal -> token MLP on
+    the recoupled factors (pre-norm, residual) -> add the recoupled map and
+    the MLP output back onto the input map.  The
     final residual means zeroing the refinement convs together with the
     attention and MLP output projections turns the whole block into an
     exact identity.  Returns (updated maps, decoupling penalty), the
@@ -202,12 +206,12 @@ class CdiBlock:
         h_hat = [T.add(t, a) for t, a in zip(th, attn_h)]
 
         outs: dict[int, Tensor] = {}
-        for lvl, p, v, hh in zip(levels, pairs, v_hat, h_hat):
+        for lvl, v, hh in zip(levels, v_hat, h_hat):
             c, h, w = maps[lvl].shape
+            # the MLP reads the factors; the recoupled map is built only for the residual
+            delta = self.mlp(T.OuterSum(v, hh, self.ln_m))
             recoupled = recouple(DecoupledPair(y=_tokens_y(v, h), x=_tokens_x(hh, w), level=lvl))
-            r_tok = T.map_to_tokens(recoupled)
-            refined = T.add(r_tok, self.mlp(self.ln_m(r_tok)))
-            outs[lvl] = T.add(maps[lvl], T.tokens_to_map(refined, (h, w)))
+            outs[lvl] = T.add(T.add(maps[lvl], recoupled), T.tokens_to_map(delta, (h, w)))
         return outs, dep
 
     def params(self) -> list[Tensor]:

@@ -272,6 +272,14 @@ def _ensure_standard_cases() -> None:
         params = list(zip(names, mlp.params()))
         return (lambda x, *ps: mlp(x)), [("x", x)] + params
 
+    @reg("outer_sum_ln_linear")
+    def _(rng):
+        names = ["y", "x", "gain", "bias", "w", "b"]
+        shapes = [(3, 5), (4, 5), (5,), (5,), (5, 7), (7,)]
+        inputs = [(n, Tensor(rng.standard_normal(s), requires_grad=True))
+                  for n, s in zip(names, shapes)]
+        return T.outer_sum_ln_linear, inputs
+
     @reg("resample_nearest")
     def _(rng):
         x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)

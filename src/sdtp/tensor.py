@@ -12,6 +12,7 @@ operations record nothing, so inference holds no intermediate arrays.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -408,6 +409,70 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
     return Tensor._from_op(out, (x, gain, bias), vjp)
 
 
+def outer_sum_ln_linear(y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w: Tensor, b: Tensor,
+                        eps: float = LAYER_NORM_EPS) -> Tensor:
+    """Linear(LayerNorm(y_i + x_j)) for every pair of factor rows, computed
+    without expanding the (h*w, c) outer sum.
+
+    y: (h, c) and x: (w, c) token matrices; row i*w + j of the (h*w, d)
+    output (map_to_tokens order) is layer_norm(y_i + x_j, gain, bias) @ w + b.
+    The row mean of y_i + x_j is the sum of the factors' row means.  With
+    centred factors yc, xc the row variance is
+    (|yc_i|^2 + |xc_j|^2 + 2 <yc_i, xc_j>) / c, one (h, c) @ (c, w) product
+    for all h*w rows.  The projection is linear, so the output is
+    inv_ij * (A_i + B_j) + b' with A = yc @ gw, B = xc @ gw, gw = gain * w
+    (row-scaled) and b' = bias @ w + b.
+    """
+    if y.ndim != 2 or x.ndim != 2 or y.shape[1] != x.shape[1]:
+        raise ContractViolation(f"outer_sum_ln_linear factors must be (h, c) and (w, c), "
+                                f"got {y.shape} and {x.shape}")
+    h, c = y.shape
+    nw = x.shape[0]
+    if gain.shape != (c,) or bias.shape != (c,):
+        raise ContractViolation("outer_sum_ln_linear gain/bias must have length c")
+    if w.ndim != 2 or w.shape[0] != c or b.shape != (w.shape[1],):
+        raise ContractViolation(f"outer_sum_ln_linear weight must be ({c}, d) with a "
+                                f"length-d bias, got {w.shape} and {b.shape}")
+    d = w.shape[1]
+    yc = y.data - y.data.mean(axis=1, keepdims=True)
+    xc = x.data - x.data.mean(axis=1, keepdims=True)
+    var = 2.0 * (yc @ xc.T)
+    var += (yc * yc).sum(axis=1)[:, None]
+    var += (xc * xc).sum(axis=1)[None, :]
+    var /= c
+    # an exactly cancelling pair y_i = -x_j can round slightly below zero
+    np.maximum(var, 0.0, out=var)
+    inv = 1.0 / np.sqrt(var + eps)
+    gw = gain.data[:, None] * w.data
+    a_f = yc @ gw
+    b_f = xc @ gw
+    b_out = bias.data @ w.data + b.data
+    out = np.empty((h, nw, d))
+    for i in range(h):  # one (w, d) slab at a time, so each is written once while in cache
+        np.add(a_f[i], b_f, out=out[i])
+        out[i] *= inv[i][:, None]
+        out[i] += b_out
+
+    def vjp(g):
+        g3 = g.reshape(h, nw, d)
+        gb = g.sum(axis=0)
+        # weighted row and column sums of the cotangent over the h x w grid
+        ga = np.matmul(inv[:, None, :], g3)[:, 0, :]
+        gbf = np.matmul(inv.T[:, None, :], g3.transpose(1, 0, 2))[:, 0, :]
+        ginv = (np.matmul(g3, a_f[:, :, None])[:, :, 0]
+                + np.matmul(g3.transpose(1, 0, 2), b_f[:, :, None])[:, :, 0].T)
+        gv = (-1.0 / c) * inv ** 3 * ginv       # (2 / c) * d(loss)/d(var)
+        gyc = gv.sum(axis=1)[:, None] * yc + gv @ xc + ga @ gw.T
+        gxc = gv.sum(axis=0)[:, None] * xc + gv.T @ yc + gbf @ gw.T
+        ggw = yc.T @ ga + xc.T @ gbf
+        gy = gyc - gyc.mean(axis=1, keepdims=True)
+        gx = gxc - gxc.mean(axis=1, keepdims=True)
+        gw_full = gain.data[:, None] * ggw + np.outer(bias.data, gb)
+        return gy, gx, (ggw * w.data).sum(axis=1), w.data @ gb, gw_full, gb
+
+    return Tensor._from_op(out.reshape(h * nw, d), (y, x, gain, bias, w, b), vjp)
+
+
 def map_to_tokens(x: Tensor) -> Tensor:
     """(c, h, w) feature map -> (h*w, c) token matrix, row-major positions."""
     if x.ndim != 3:
@@ -483,8 +548,21 @@ class LayerNorm:
         return [self.gain, self.bias]
 
 
+@dataclass
+class OuterSum:
+    """The token matrix ln(y_i + x_j), rows in map_to_tokens order, kept as
+    its (h, c) and (w, c) factors and the LayerNorm to apply."""
+
+    y: Tensor
+    x: Tensor
+    ln: LayerNorm
+
+
 class Mlp:
-    """Two affine maps with a GELU between; hidden width = round(ratio * d)."""
+    """Two affine maps with a GELU between; hidden width = round(ratio * d).
+
+    The input is a token matrix, or an OuterSum, whose normalisation and
+    first map are computed from its factors (outer_sum_ln_linear)."""
 
     def __init__(self, rng: np.random.Generator, d: int, hidden_ratio: float = 4.0,
                  name: str = "mlp"):
@@ -494,8 +572,12 @@ class Mlp:
         self.lin1 = Linear(rng, d, hidden, name=f"{name}.lin1")
         self.lin2 = Linear(rng, hidden, d, name=f"{name}.lin2")
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.lin2(gelu(self.lin1(x)))
+    def __call__(self, x: Tensor | OuterSum) -> Tensor:
+        if isinstance(x, OuterSum):
+            hidden = outer_sum_ln_linear(x.y, x.x, x.ln.gain, x.ln.bias, self.lin1.w, self.lin1.b)
+        else:
+            hidden = self.lin1(x)
+        return self.lin2(gelu(hidden))
 
     def params(self) -> list[Tensor]:
         return self.lin1.params() + self.lin2.params()

@@ -225,6 +225,18 @@ class TestBlock:
         for lvl in maps:
             np.testing.assert_array_equal(outs[lvl].data, maps[lvl].data)
 
+    def test_residual_adds_recoupled_factors(self):
+        """With the attention and MLP output projections zeroed, each level
+        gains exactly the recoupled raw factors of its own map."""
+        blk = CdiBlock(np.random.default_rng(0), 4, n_heads=2)
+        for p in (blk.attn_v.wo, blk.attn_h.wo, blk.mlp.lin2.w, blk.mlp.lin2.b):
+            T.zero_(p)
+        maps = self.make_maps()
+        outs, _ = blk(maps)
+        for lvl in maps:
+            pair = decouple(maps[lvl], blk.dec, level=lvl)
+            np.testing.assert_array_equal(outs[lvl].data, maps[lvl].data + recouple(pair).data)
+
     def test_penalty_uses_raw_factors(self):
         """The reported penalty equals decouple_loss on the raw decoupled
         factors of the inputs (pre-attention)."""
@@ -247,6 +259,37 @@ class TestBlock:
         loss.backward()
         for p in blk.params():
             assert p.grad is not None
+
+    def test_gradients_match_dense_first_layer(self, monkeypatch):
+        """Outputs, input and parameter gradients equal those of the same
+        block whose MLP first layer runs densely on the recoupled tokens,
+        mlp.lin1(ln_m(map_to_tokens(recouple(...))))."""
+        def run(blk):
+            rng = np.random.default_rng(5)
+            maps = {4: Tensor(rng.standard_normal((4, 4, 6)), requires_grad=True),
+                    5: Tensor(rng.standard_normal((4, 2, 3)), requires_grad=True)}
+            outs, dep = blk(maps)
+            loss = dep
+            for o in outs.values():
+                loss = T.add(loss, T.mean_all(T.mul(o, o)))
+            loss.backward()
+            return [o.data for o in outs.values()] + [t.grad for t in maps.values()] + \
+                [p.grad for p in blk.params()]
+
+        factored = run(CdiBlock(np.random.default_rng(0), 4, n_heads=2))
+        blk = CdiBlock(np.random.default_rng(0), 4, n_heads=2)
+
+        def dense(y, x, gain, bias, w, b):
+            assert (gain, bias, w, b) == (blk.ln_m.gain, blk.ln_m.bias,
+                                          blk.mlp.lin1.w, blk.mlp.lin1.b)
+            (h, c), wd = y.shape, x.shape[0]
+            pair = DecoupledPair(y=T.reshape(T.permute(y, (1, 0)), (c, h, 1)),
+                                 x=T.reshape(T.permute(x, (1, 0)), (c, 1, wd)), level=0)
+            return blk.mlp.lin1(blk.ln_m(T.map_to_tokens(recouple(pair))))
+
+        monkeypatch.setattr(T, "outer_sum_ln_linear", dense)
+        for got, want in zip(factored, run(blk)):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
     def test_channel_mismatch_rejected(self):
         """Maps must match the block's channel width."""

@@ -214,6 +214,81 @@ class TestNoGrad:
         np.testing.assert_array_equal(w.grad, 2 * w.data)
 
 
+def dense_outer_sum_ln_linear(y, x, gain, bias, w, b):
+    """Loop oracle: materialise r_ij = y_i + x_j, normalise, project."""
+    r = (y[:, None, :] + x[None, :, :]).reshape(-1, y.shape[1])
+    return naive_matmul(naive_layer_norm(r, gain, bias), w) + b
+
+
+class TestOuterSumLnLinear:
+    def factors(self, h, w, c=5, d=7, seed=0):
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal((h, c)), rng.standard_normal((w, c)),
+                rng.standard_normal(c), rng.standard_normal(c),
+                rng.standard_normal((c, d)), rng.standard_normal(d))
+
+    def check(self, y, x, gain, bias, w, b):
+        got = T.outer_sum_ln_linear(*map(Tensor, (y, x, gain, bias, w, b))).data
+        want = dense_outer_sum_ln_linear(y, x, gain, bias, w, b)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("h,w", [(3, 4), (1, 4), (3, 1), (1, 1), (6, 2)])
+    def test_matches_dense_oracle(self, h, w):
+        """Rows i*w + j equal Linear(LayerNorm(y_i + x_j)) of the loop oracle."""
+        self.check(*self.factors(h, w, seed=h * 10 + w))
+
+    def test_exact_cancellation_zero_variance(self):
+        """y_i = -x_j makes that row's variance exactly 0: the row is the
+        projected LN bias."""
+        y, x, gain, bias, w, b = self.factors(3, 4)
+        y[1] = -x[2]
+        self.check(y, x, gain, bias, w, b)
+
+    def test_zero_factors(self):
+        """All-zero factors give the projected LN bias on every row."""
+        y, x, gain, bias, w, b = self.factors(3, 4)
+        self.check(np.zeros_like(y), np.zeros_like(x), gain, bias, w, b)
+
+    def test_gradients_match_dense_ops(self):
+        """The hand-written VJP equals backprop through the materialised
+        outer sum, layer_norm and matmul."""
+        h, wd = 3, 4
+        arrays = self.factors(h, wd, seed=5)
+        upstream = np.random.default_rng(6).standard_normal((h * wd, 7))
+
+        def grads(fn):
+            ts = [Tensor(a, requires_grad=True) for a in arrays]
+            fn(*ts).backward(upstream)
+            return [t.grad for t in ts]
+
+        def dense(y, x, gain, bias, w, b):
+            c = y.shape[1]
+            r = T.add(T.reshape(y, (h, 1, c)), T.reshape(x, (1, wd, c)))
+            ln = T.layer_norm(T.reshape(r, (h * wd, c)), gain, bias)
+            return T.add(T.matmul(ln, w), b)
+
+        for got, want in zip(grads(T.outer_sum_ln_linear), grads(dense)):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+
+    def test_graph_keeps_no_token_sized_array(self):
+        """Besides the output, the recorded VJP holds nothing as large as
+        the (h*w, c) token matrix."""
+        h, wd, c = 6, 5, 4
+        ts = [Tensor(a, requires_grad=True) for a in self.factors(h, wd, c=c, d=8)]
+        out = T.outer_sum_ln_linear(*ts)
+        held = [cell.cell_contents for cell in out._vjp.__closure__]
+        assert all(a.size < h * wd * c for a in held if isinstance(a, np.ndarray))
+
+    def test_shape_contract(self):
+        """Factors must share their width with the gain, bias and weight rows."""
+        y, x, gain, bias, w, b = map(Tensor, self.factors(3, 4))
+        with pytest.raises(ContractViolation):
+            T.outer_sum_ln_linear(y, Tensor(rand(4, 6)), gain, bias, w, b)
+        with pytest.raises(ContractViolation):
+            T.outer_sum_ln_linear(y, x, gain, bias, Tensor(rand(6, 7)), b)
+
+
 class TestDeterminism:
     def test_repeated_backward_is_bit_identical(self):
         """The same graph built twice yields byte-equal gradients."""
