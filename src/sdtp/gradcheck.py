@@ -275,7 +275,7 @@ def _ensure_standard_cases() -> None:
     @reg("outer_sum_ln_linear")
     def _(rng):
         names = ["y", "x", "gain", "bias", "w", "b"]
-        shapes = [(3, 5), (4, 5), (5,), (5,), (5, 7), (7,)]
+        shapes = [(2, 5), (3, 5), (5,), (5,), (5, 7), (7,)]
         inputs = [(n, Tensor(rng.standard_normal(s), requires_grad=True))
                   for n, s in zip(names, shapes)]
         return T.outer_sum_ln_linear, inputs

@@ -320,9 +320,9 @@ def tanh_t(a: Tensor) -> Tensor:
 def softmax_rows(a: Tensor) -> Tensor:
     """Softmax along the last axis, stabilised by row-max subtraction."""
     x = a.data
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = x - x.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def vjp(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
@@ -356,14 +356,18 @@ def conv2d(x: Tensor, w: Tensor, dilation: int | tuple[int, int] = 1) -> Tensor:
 
     ph = (kh - 1) * dh // 2
     pw = (kw - 1) * dw // 2
-    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw)))
-    out = np.zeros((out_c, h, wd), dtype=x.data.dtype)
+    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw))) if ph or pw else x.data
+    out = np.empty((out_c, h, wd), dtype=x.data.dtype)
+    out_flat = out.reshape(out_c, h * wd)
     # per-tap weight slices are strided; BLAS needs them contiguous
     taps = [[np.ascontiguousarray(w.data[:, :, a, b]) for b in range(kw)] for a in range(kh)]
     for a in range(kh):
         for b in range(kw):
             patch = xp[:, a * dh: a * dh + h, b * dw: b * dw + wd].reshape(c_in, h * wd)
-            out += (taps[a][b] @ patch).reshape(out_c, h, wd)
+            if a == b == 0:
+                np.matmul(taps[a][b], patch, out=out_flat)
+            else:
+                out_flat += taps[a][b] @ patch
 
     def vjp(g):
         gflat = np.ascontiguousarray(g.reshape(out_c, h * wd))
@@ -416,12 +420,16 @@ def outer_sum_ln_linear(y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w: Ten
 
     y: (h, c) and x: (w, c) token matrices; row i*w + j of the (h*w, d)
     output (map_to_tokens order) is layer_norm(y_i + x_j, gain, bias) @ w + b.
-    The row mean of y_i + x_j is the sum of the factors' row means.  With
-    centred factors yc, xc the row variance is
-    (|yc_i|^2 + |xc_j|^2 + 2 <yc_i, xc_j>) / c, one (h, c) @ (c, w) product
-    for all h*w rows.  The projection is linear, so the output is
+    The row mean of y_i + x_j is the sum of the factors' row means, so the
+    centred row is yc_i + xc_j with centred factors yc, xc; its variance is
+    the mean of its squares, formed one (w, c) slab at a time as in
+    layer_norm.  The projection is linear, so the output is
     inv_ij * (A_i + B_j) + b' with A = yc @ gw, B = xc @ gw, gw = gain * w
     (row-scaled) and b' = bias @ w + b.
+
+    Where the factors nearly cancel (|yc_i| + |xc_j| = kappa * |yc_i + xc_j|
+    with kappa >> 1), A_i + B_j cancels too, and the output agrees with the
+    dense path to about 1e-16 * kappa relative instead of to rounding.
     """
     if y.ndim != 2 or x.ndim != 2 or y.shape[1] != x.shape[1]:
         raise ContractViolation(f"outer_sum_ln_linear factors must be (h, c) and (w, c), "
@@ -434,14 +442,16 @@ def outer_sum_ln_linear(y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w: Ten
         raise ContractViolation(f"outer_sum_ln_linear weight must be ({c}, d) with a "
                                 f"length-d bias, got {w.shape} and {b.shape}")
     d = w.shape[1]
-    yc = y.data - y.data.mean(axis=1, keepdims=True)
-    xc = x.data - x.data.mean(axis=1, keepdims=True)
-    var = 2.0 * (yc @ xc.T)
-    var += (yc * yc).sum(axis=1)[:, None]
-    var += (xc * xc).sum(axis=1)[None, :]
+    # sums over c then one division: the same values as ndarray.mean, with
+    # less per-call overhead (the op also runs at tiny sizes in gradcheck)
+    yc = y.data - y.data.sum(axis=1, keepdims=True) / c
+    xc = x.data - x.data.sum(axis=1, keepdims=True) / c
+    var = np.empty((h, nw))
+    for i in range(h):
+        sq = yc[i] + xc
+        sq *= sq
+        sq.sum(axis=1, out=var[i])
     var /= c
-    # an exactly cancelling pair y_i = -x_j can round slightly below zero
-    np.maximum(var, 0.0, out=var)
     inv = 1.0 / np.sqrt(var + eps)
     gw = gain.data[:, None] * w.data
     a_f = yc @ gw
@@ -449,9 +459,10 @@ def outer_sum_ln_linear(y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w: Ten
     b_out = bias.data @ w.data + b.data
     out = np.empty((h, nw, d))
     for i in range(h):  # one (w, d) slab at a time, so each is written once while in cache
-        np.add(a_f[i], b_f, out=out[i])
-        out[i] *= inv[i][:, None]
-        out[i] += b_out
+        slab = out[i]
+        np.add(a_f[i], b_f, out=slab)
+        slab *= inv[i][:, None]
+        slab += b_out
 
     def vjp(g):
         g3 = g.reshape(h, nw, d)

@@ -250,6 +250,23 @@ class TestOuterSumLnLinear:
         y, x, gain, bias, w, b = self.factors(3, 4)
         self.check(np.zeros_like(y), np.zeros_like(x), gain, bias, w, b)
 
+    @pytest.mark.parametrize("scale", [1e1, 1e3])
+    def test_large_nearly_cancelling_factors(self, scale):
+        """y_i = -x_j + 1e-3 * noise with factors of size `scale`: the
+        factors exceed their sum by kappa ~ scale / 1e-3, and the op keeps
+        the dense path's 1e-12 bound up to kappa = 1e4, beyond that within
+        1e-16 * kappa (the variance is formed from centred squares, so only
+        the projection A_i + B_j cancels)."""
+        y, x, gain, bias, w, b = self.factors(3, 4, seed=7)
+        x = scale * x
+        noise = np.random.default_rng(8).standard_normal(y.shape)
+        y = -x[[0, 2, 3]] + 1e-3 * noise
+        got = T.outer_sum_ln_linear(*map(Tensor, (y, x, gain, bias, w, b))).data
+        want = dense_outer_sum_ln_linear(y, x, gain, bias, w, b)
+        kappa = scale / 1e-3
+        bound = 1e-12 * max(1.0, kappa / 1e4)
+        assert np.abs(got - want).max() <= bound * max(1.0, np.abs(want).max())
+
     def test_gradients_match_dense_ops(self):
         """The hand-written VJP equals backprop through the materialised
         outer sum, layer_norm and matmul."""
