@@ -2,7 +2,7 @@
 with verifiable gradients, an analytic attention-cost model, and a CLI for
 synthetic-pyramid experiments."""
 
-from .arf import ArfParams, arf, arf_grad, arf_op, arf_vjp
+from .arf import arf, arf_grad, arf_op
 from .attention import AttentionWeights, attention_weights, multi_head_attention
 from .cdi import (CdiBlock, DecoupledPair, DecoupleWeights, decouple,
                   decouple_loss, mga, recouple, total_loss)
@@ -19,7 +19,7 @@ from .tensor import ContractViolation, Tensor
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArfParams", "arf", "arf_grad", "arf_op", "arf_vjp",
+    "arf", "arf_grad", "arf_op",
     "AttentionWeights", "attention_weights", "multi_head_attention",
     "CdiBlock", "DecoupledPair", "DecoupleWeights", "decouple",
     "decouple_loss", "mga", "recouple", "total_loss",

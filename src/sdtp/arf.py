@@ -11,22 +11,14 @@ of being redistributed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import ContractViolation, Tensor
 
 
-@dataclass(frozen=True)
-class ArfParams:
-    """Temperature for the refinement gate; tau >= 0, default 2."""
-
-    tau: float = 2.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.tau) or self.tau < 0:
-            raise ContractViolation(f"arf tau must be finite and >= 0, got {self.tau}")
+def _check_tau(tau: float) -> None:
+    if not np.isfinite(tau) or tau < 0:
+        raise ContractViolation(f"arf tau must be finite and >= 0, got {tau}")
 
 
 def arf(x: np.ndarray, tau: float = 2.0) -> np.ndarray:
@@ -38,7 +30,7 @@ def arf(x: np.ndarray, tau: float = 2.0) -> np.ndarray:
     Values are clipped to zero for x <= 0 and lie in [0, 1); note that
     for x beyond ~19 the result rounds to exactly 1.0 in float64.
     """
-    ArfParams(tau=float(tau))
+    _check_tau(tau)
     x = np.asarray(x, dtype=np.float64)
     pos = x > 0
     xs = np.where(pos, x, 1.0)  # dummy on the clipped branch to avoid overflow
@@ -54,7 +46,7 @@ def arf_grad(x: np.ndarray, tau: float = 2.0) -> np.ndarray:
     the derivative simplifies to 2(u + v) / (1 + v)^2, which recovers
     sech^2 at tau = 0.
     """
-    ArfParams(tau=float(tau))
+    _check_tau(tau)
     x = np.asarray(x, dtype=np.float64)
     pos = x > 0
     xs = np.where(pos, x, 1.0)
@@ -64,15 +56,7 @@ def arf_grad(x: np.ndarray, tau: float = 2.0) -> np.ndarray:
     return np.where(pos, g, 0.0)
 
 
-def arf_vjp(x: np.ndarray, tau: float, upstream: np.ndarray) -> np.ndarray:
-    """Pull an upstream cotangent back through the gate."""
-    upstream = np.asarray(upstream)
-    if upstream.shape != np.shape(x):
-        raise ContractViolation(f"arf_vjp shape mismatch: x {np.shape(x)} vs upstream {upstream.shape}")
-    return upstream * arf_grad(x, tau)
-
-
 def arf_op(t: Tensor, tau: float = 2.0) -> Tensor:
-    """Differentiable-graph wrapper around arf/arf_vjp."""
+    """The gate as a graph op; its VJP is upstream * arf_grad."""
     out = arf(t.data, tau)
-    return Tensor._from_op(out, (t,), lambda g: (arf_vjp(t.data, tau, g),))
+    return Tensor._from_op(out, (t,), lambda g: (g * arf_grad(t.data, tau),))

@@ -87,10 +87,10 @@ def decouple(x: Tensor, weights: DecoupleWeights, level: int = 0) -> DecoupledPa
         raise ContractViolation(
             f"decouple channel mismatch: map has {x.shape[0]}, weights expect {weights.c}")
     att_v = _softmax_axis(T.conv2d(x, weights.logit_v), axis=2)
-    pooled_v = T.sum_axis(T.mul(att_v, x), axis=2, keepdims=True)          # (c, h, 1)
+    pooled_v = T.sum_axis(T.mul(att_v, x), axis=2)  # (c, h, 1)
     y = T.conv2d(pooled_v, weights.refine_v)
     att_h = _softmax_axis(T.conv2d(x, weights.logit_h), axis=1)
-    pooled_h = T.sum_axis(T.mul(att_h, x), axis=1, keepdims=True)          # (c, 1, w)
+    pooled_h = T.sum_axis(T.mul(att_h, x), axis=1)  # (c, 1, w)
     xf = T.conv2d(pooled_h, weights.refine_h)
     return DecoupledPair(y=y, x=xf, level=level)
 
@@ -119,13 +119,11 @@ def decouple_loss(maps: list[Tensor], pairs: list[DecoupledPair]) -> Tensor:
     return total if total is not None else Tensor(0.0)
 
 
-def total_loss(task_loss, dep_loss, lam: float = 0.01):
+def total_loss(task_loss: Tensor, dep_loss: Tensor, lam: float = 0.01) -> Tensor:
     """Training objective: task loss plus lambda-weighted decoupling penalty."""
     if lam < 0 or not np.isfinite(lam):
         raise ContractViolation(f"lambda must be finite and >= 0, got {lam}")
-    if isinstance(task_loss, Tensor) or isinstance(dep_loss, Tensor):
-        return T.add(task_loss, T.scale(T.as_tensor(dep_loss), lam))
-    return float(task_loss) + lam * float(dep_loss)
+    return T.add(task_loss, T.scale(dep_loss, lam))
 
 
 def mga(token_sets: list[Tensor], weights: AttentionWeights, mode: str = "arf",
@@ -176,8 +174,7 @@ class CdiBlock:
     """
 
     def __init__(self, rng: np.random.Generator, c: int, n_heads: int = 8,
-                 mode: str = "arf", tau: float = 2.0, hidden_ratio: float = 4.0,
-                 name: str = "cdi"):
+                 mode: str = "arf", tau: float = 2.0, name: str = "cdi"):
         self.c = c
         self.mode = mode
         self.tau = tau
@@ -187,7 +184,7 @@ class CdiBlock:
         self.attn_v = attention_weights(rng, c, n_heads, name=f"{name}.attn_v")
         self.attn_h = attention_weights(rng, c, n_heads, name=f"{name}.attn_h")
         self.ln_m = T.LayerNorm(c, name=f"{name}.ln_m")
-        self.mlp = T.Mlp(rng, c, hidden_ratio=hidden_ratio, name=f"{name}.mlp")
+        self.mlp = T.Mlp(rng, c, name=f"{name}.mlp")
 
     def __call__(self, maps: dict[int, Tensor]) -> tuple[dict[int, Tensor], Tensor]:
         levels = sorted(maps)

@@ -34,7 +34,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", default=None, help="YAML/JSON config file")
     sp.add_argument("--seed", type=int, default=None, help="override config seed")
     sp.add_argument("--out", default=None, help="write the JSON report here")
-    sp.add_argument("--format", choices=("table", "csv", "json"), default="table",
+    sp.add_argument("--format", choices=("table", "json"), default="table",
                     help="stdout format")
 
 
@@ -54,8 +54,12 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--negative-control", action="store_true",
                     help="include a deliberately corrupted gradient (must fail)")
 
-    fl = sub.add_parser("flops", help="analytic attention-cost tables")
+    # flops alone renders csv, so its --format replaces the common one
+    fl = sub.add_parser("flops", help="analytic attention-cost tables",
+                        conflict_handler="resolve")
     _add_common(fl)
+    fl.add_argument("--format", choices=("table", "csv", "json"), default="table",
+                    help="stdout format")
 
     tr = sub.add_parser("train", help="toy identity-regression training run")
     _add_common(tr)
@@ -78,17 +82,12 @@ def _load(args) -> PipelineConfig:
     return cfg
 
 
-def _emit(report: dict, args, table_text: str) -> None:
+def _emit(report: dict, args, table_text: str, csv_text: str | None = None) -> None:
+    """Print the report in the --format asked for, and write it to --out."""
     payload = json.dumps(report, indent=2) + "\n"
-    if args.format == "json":
-        sys.stdout.write(payload)
-    elif args.format == "csv" and "csv" in report.get("_renders", {}):
-        sys.stdout.write(report["_renders"]["csv"])
-    else:
-        sys.stdout.write(table_text)
+    sys.stdout.write({"table": table_text, "csv": csv_text, "json": payload}[args.format])
     if args.out:
-        body = {k: v for k, v in report.items() if k != "_renders"}
-        Path(args.out).write_text(json.dumps(body, indent=2) + "\n")
+        Path(args.out).write_text(payload)
 
 
 def _flops_renders(table: dict) -> tuple[str, str]:
@@ -218,9 +217,8 @@ def cmd_flops(args) -> int:
         "config": cfg.to_dict(),
         "seed": cfg.seed,
         "flops": table,
-        "_renders": {"csv": csv},
     }
-    _emit(report, args, text)
+    _emit(report, args, text, csv)
     return 0
 
 

@@ -15,12 +15,20 @@ from typing import Callable
 
 import numpy as np
 
+from . import attention as AT
+from . import cdi as D
+from . import isp as I
+from . import pyramid as P
 from . import tensor as T
+from .arf import arf_op
+from .config import CdiConfig, IspConfig, PipelineConfig
 from .tensor import Tensor
 
 DEFAULT_TOLERANCE = 1e-4
 DEFAULT_STEP = 1e-5
 REL_ERR_FLOOR = 1e-8
+# random directions per input tensor
+DIRECTIONS = 2
 
 
 @dataclass
@@ -59,7 +67,7 @@ def _rel_err(analytic: float, numeric: float) -> float:
 
 def vjp_check(fn: Callable[..., Tensor], inputs: list[tuple[str, Tensor]],
               tolerance: float = DEFAULT_TOLERANCE, step: float = DEFAULT_STEP,
-              directions: int = 2, seed: int = 0, op_name: str = "op") -> GradCheckReport:
+              seed: int = 0, op_name: str = "op") -> GradCheckReport:
     """Check fn's backward pass at the given point.
 
     For each input tensor x and random direction d, the directional
@@ -97,7 +105,7 @@ def vjp_check(fn: Callable[..., Tensor], inputs: list[tuple[str, Tensor]],
         base = t.data.copy()
         h = step * max(1.0, float(np.abs(base).max()) if base.size else 1.0)
         worst = 0.0
-        for _ in range(max(1, directions)):
+        for _ in range(DIRECTIONS):
             d = rng.standard_normal(base.shape)
             nd = float(np.sqrt((d * d).sum()))
             if nd > 0:
@@ -127,8 +135,14 @@ CaseFactory = Callable[[np.random.Generator], tuple[Callable[..., Tensor], list[
 _REGISTRY: dict[str, CaseFactory] = {}
 
 
+def _register(name: str) -> Callable[[CaseFactory], CaseFactory]:
+    def deco(factory: CaseFactory) -> CaseFactory:
+        _REGISTRY[name] = factory
+        return factory
+    return deco
+
+
 def registered_cases() -> list[str]:
-    _ensure_standard_cases()
     return list(_REGISTRY)
 
 
@@ -140,7 +154,6 @@ def run_case(name: str, points: int = 10, tolerance: float = DEFAULT_TOLERANCE,
     one named `name`, or `factory` when given (which never registers it,
     as for the negative control)."""
     if factory is None:
-        _ensure_standard_cases()
         if name not in _REGISTRY:
             raise KeyError(f"unknown gradcheck case {name!r}")
         factory = _REGISTRY[name]
@@ -150,7 +163,7 @@ def run_case(name: str, points: int = 10, tolerance: float = DEFAULT_TOLERANCE,
         rng = np.random.default_rng((seed, k))
         fn, inputs = factory(rng)
         rep = vjp_check(fn, inputs, tolerance=tolerance, step=step,
-                        directions=2, seed=1000 + k, op_name=name)
+                        seed=1000 + k, op_name=name)
         if rep.diagnostic is not None:
             folded.diagnostic = f"point {k}: {rep.diagnostic}"
             folded.passed = False
@@ -166,7 +179,6 @@ def run_case(name: str, points: int = 10, tolerance: float = DEFAULT_TOLERANCE,
 def run_all(names: list[str] | None = None, points: int = 10,
             tolerance: float = DEFAULT_TOLERANCE, step: float = DEFAULT_STEP,
             seed: int = 0) -> list[GradCheckReport]:
-    _ensure_standard_cases()
     if names is None:
         names = registered_cases()
     return [run_case(n, points=points, tolerance=tolerance, step=step, seed=seed) for n in names]
@@ -184,253 +196,252 @@ def corrupted_linear(rng: np.random.Generator):
     return fn, [("x", x)]
 
 
-_STANDARD_DONE = False
-
-
-def _ensure_standard_cases() -> None:
-    """Populate the registry with one case per differentiable operation.
-
-    Imports happen lazily so this module stays importable from anywhere
-    in the package without cycles.
-    """
-    global _STANDARD_DONE
-    if _STANDARD_DONE:
-        return
-    _STANDARD_DONE = True
-
-    from . import attention as AT
-    from . import isp as I
-    from . import cdi as D
-    from . import pyramid as P
-    from .arf import arf_op
-    from .config import CdiConfig, IspConfig, PipelineConfig
-
-    def reg(name):
-        def deco(factory: CaseFactory) -> CaseFactory:
-            _REGISTRY[name] = factory
-            return factory
-        return deco
-
-    @reg("matmul")
-    def _(rng):
-        a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        b = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-        return (lambda a, b: T.matmul(a, b)), [("a", a), ("b", b)]
-
-    @reg("conv2d_1x1")
-    def _(rng):
-        x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
-        w = Tensor(rng.standard_normal((2, 3, 1, 1)), requires_grad=True)
-        return (lambda x, w: T.conv2d(x, w)), [("x", x), ("w", w)]
-
-    @reg("conv2d_3x3")
-    def _(rng):
-        x = Tensor(rng.standard_normal((3, 5, 4)), requires_grad=True)
-        w = Tensor(rng.standard_normal((2, 3, 3, 3)), requires_grad=True)
-        return (lambda x, w: T.conv2d(x, w)), [("x", x), ("w", w)]
-
-    @reg("conv2d_3x3_dilated")
-    def _(rng):
-        x = Tensor(rng.standard_normal((2, 6, 6)), requires_grad=True)
-        w = Tensor(rng.standard_normal((2, 2, 3, 3)), requires_grad=True)
-        return (lambda x, w: T.conv2d(x, w, dilation=2)), [("x", x), ("w", w)]
-
-    @reg("conv2d_3x1")
-    def _(rng):
-        x = Tensor(rng.standard_normal((3, 6, 1)), requires_grad=True)
-        w = Tensor(rng.standard_normal((3, 3, 3, 1)), requires_grad=True)
-        return (lambda x, w: T.conv2d(x, w)), [("x", x), ("w", w)]
-
-    @reg("conv2d_1x3")
-    def _(rng):
-        x = Tensor(rng.standard_normal((3, 1, 6)), requires_grad=True)
-        w = Tensor(rng.standard_normal((3, 3, 1, 3)), requires_grad=True)
-        return (lambda x, w: T.conv2d(x, w)), [("x", x), ("w", w)]
-
-    @reg("layer_norm")
-    def _(rng):
-        x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
-        g = Tensor(rng.standard_normal(6), requires_grad=True)
-        b = Tensor(rng.standard_normal(6), requires_grad=True)
-        return (lambda x, g, b: T.layer_norm(x, g, b)), [("x", x), ("gain", g), ("bias", b)]
-
-    @reg("gelu")
-    def _(rng):
-        x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-        return (lambda x: T.gelu(x)), [("x", x)]
-
-    @reg("softmax_rows")
-    def _(rng):
-        x = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
-        return (lambda x: T.softmax_rows(x)), [("x", x)]
-
-    @reg("mlp")
-    def _(rng):
-        mlp = T.Mlp(rng, 5, hidden_ratio=2.0)
-        x = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
-        names = ["w1", "b1", "w2", "b2"]
-        params = list(zip(names, mlp.params()))
-        return (lambda x, *ps: mlp(x)), [("x", x)] + params
-
-    @reg("outer_sum_ln_linear")
-    def _(rng):
-        names = ["y", "x", "gain", "bias", "w", "b"]
-        shapes = [(2, 5), (3, 5), (5,), (5,), (5, 7), (7,)]
-        inputs = [(n, Tensor(rng.standard_normal(s), requires_grad=True))
-                  for n, s in zip(names, shapes)]
-        return T.outer_sum_ln_linear, inputs
-
-    @reg("resample_nearest")
-    def _(rng):
-        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-        return (lambda x: T.resample_nearest(x, (5, 7))), [("x", x)]
-
-    @reg("frobenius_norm")
-    def _(rng):
-        x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
-        return (lambda x: T.frobenius_norm(x)), [("x", x)]
-
-    @reg("arf")
-    def _(rng):
-        # keep points away from the x=0 kink where the subgradient is one-sided
-        data = rng.standard_normal((4, 5))
-        data = np.where(np.abs(data) < 0.1, data + 0.25, data)
-        x = Tensor(data, requires_grad=True)
-        return (lambda x: arf_op(x, tau=2.0)), [("x", x)]
-
-    @reg("attention_core_softmax")
-    def _(rng):
-        w = AT.attention_weights(rng, c=8, n_heads=2)
-        q = Tensor(rng.standard_normal((5, 8)), requires_grad=True)
-        kv = Tensor(rng.standard_normal((7, 8)), requires_grad=True)
-        names = ["wq", "wk", "wv", "wo"]
-        params = list(zip(names, w.params()))
-        fn = lambda q, kv, *ps: AT.multi_head_attention(q, [kv], w, mode="softmax")
-        return fn, [("q", q), ("kv", kv)] + params
-
-    @reg("attention_core_arf")
-    def _(rng):
-        w = AT.attention_weights(rng, c=8, n_heads=2)
-        q = Tensor(rng.standard_normal((5, 8)), requires_grad=True)
-        kv = Tensor(rng.standard_normal((7, 8)), requires_grad=True)
-        params = list(zip(["wq", "wk", "wv", "wo"], w.params()))
-        fn = lambda q, kv, *ps: AT.multi_head_attention(q, [kv], w, mode="arf", tau=2.0)
-        return fn, [("q", q), ("kv", kv)] + params
-
-    @reg("generate_states")
-    def _(rng):
-        blk = I.IspBlock(rng, c=6, rates=(1, 2), n_heads=2, pos_embed="sinusoidal")
-        x = Tensor(rng.standard_normal((6, 4, 4)), requires_grad=True)
-        params = [(f"conv_r{r}", w) for r, w in zip(blk.rates, blk.state_convs)]
-
-        def fn(x, *ps):
-            states = blk.generate_states(x)
-            return T.concat(states.token_matrices(), axis=0)
-
-        return fn, [("x", x)] + params
-
-    @reg("mma")
-    def _(rng):
-        blk = I.IspBlock(rng, c=6, rates=(1, 3), n_heads=2, pos_embed="sinusoidal")
-        x = Tensor(rng.standard_normal((6, 3, 3)), requires_grad=True)
-        params = [(f"conv_r{r}", w) for r, w in zip(blk.rates, blk.state_convs)]
-        params += list(zip(["wq", "wk", "wv", "wo"], blk.attn.params()))
-
-        def fn(x, *ps):
-            return I.mma(blk.generate_states(x), blk.attn, mode=blk.mode, tau=blk.tau)
-
-        return fn, [("x", x)] + params
-
-    @reg("isp_block")
-    def _(rng):
-        blk = I.IspBlock(rng, c=6, rates=(1, 2), n_heads=2, pos_embed="sinusoidal")
-        x = Tensor(rng.standard_normal((6, 3, 3)), requires_grad=True)
-        params = [(n, p) for n, p in _named(blk.params())]
-        return (lambda x, *ps: blk(x)), [("x", x)] + params
-
-    @reg("decouple")
-    def _(rng):
-        w = D.DecoupleWeights(rng, c=5)
-        x = Tensor(rng.standard_normal((5, 4, 6)), requires_grad=True)
-        params = [(n, p) for n, p in _named(w.params())]
-
-        def fn(x, *ps):
-            pair = D.decouple(x, w)
-            return T.add(T.sum_all(T.mul(pair.y, pair.y)), T.sum_all(T.mul(pair.x, pair.x)))
-
-        return fn, [("x", x)] + params
-
-    @reg("recouple")
-    def _(rng):
-        y = Tensor(rng.standard_normal((4, 5, 1)), requires_grad=True)
-        x = Tensor(rng.standard_normal((4, 1, 6)), requires_grad=True)
-        return (lambda y, x: D.recouple(D.DecoupledPair(y=y, x=x, level=2))), [("y", y), ("x", x)]
-
-    @reg("mga")
-    def _(rng):
-        w = AT.attention_weights(rng, c=6, n_heads=2)
-        t1 = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
-        t2 = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
-        params = list(zip(["wq", "wk", "wv", "wo"], w.params()))
-
-        def fn(t1, t2, *ps):
-            outs = D.mga([t1, t2], w, mode="softmax")
-            return T.concat(outs, axis=0)
-
-        return fn, [("t1", t1), ("t2", t2)] + params
-
-    @reg("decouple_loss")
-    def _(rng):
-        w = D.DecoupleWeights(rng, c=4)
-        x1 = Tensor(rng.standard_normal((4, 3, 5)), requires_grad=True)
-        x2 = Tensor(rng.standard_normal((4, 2, 3)), requires_grad=True)
-        params = [(n, p) for n, p in _named(w.params())]
-
-        def fn(x1, x2, *ps):
-            pairs = [D.decouple(x1, w), D.decouple(x2, w)]
-            return D.decouple_loss([x1, x2], pairs)
-
-        return fn, [("x1", x1), ("x2", x2)] + params
-
-    @reg("cdi_block")
-    def _(rng):
-        blk = D.CdiBlock(rng, c=6, n_heads=2, mode="softmax")
-        x4 = Tensor(rng.standard_normal((6, 4, 4)), requires_grad=True)
-        x5 = Tensor(rng.standard_normal((6, 2, 2)), requires_grad=True)
-        params = [(n, p) for n, p in _named(blk.params())]
-
-        def fn(x4, x5, *ps):
-            outs, dep = blk({4: x4, 5: x5})
-            stacked = T.concat([T.map_to_tokens(outs[4]), T.map_to_tokens(outs[5])], axis=0)
-            return T.add(T.sum_all(T.mul(stacked, stacked)), dep)
-
-        return fn, [("x4", x4), ("x5", x5)] + params
-
-    @reg("sdtp_pipeline")
-    def _(rng):
-        cfg = PipelineConfig(channels=8, in_channels=8, base_hw=(8, 8),
-                             isp=IspConfig(heads=2), cdi=CdiConfig(heads=2, levels=(4, 5)))
-        pipe = P.Pipeline(cfg)
-        maps = {
-            lvl: Tensor(rng.standard_normal((cfg.in_channels, h, w)), requires_grad=True)
-            for lvl, (h, w) in cfg.level_dims().items()
-        }
-        inputs = [(f"c{lvl}", t) for lvl, t in maps.items()]
-        params = [(n, p) for n, p in pipe.named_params()]
-
-        def fn(*ts):
-            level_maps = {lvl: t for (lvl, _), t in zip(sorted(maps.items()), ts[: len(maps)])}
-            outs, dep = pipe.forward_tensors(level_maps)
-            total = dep if dep is not None else Tensor(0.0)
-            for lvl in sorted(outs):
-                total = T.add(total, T.mean_all(T.mul(outs[lvl], outs[lvl])))
-            return total
-
-        return fn, inputs + params
-
-
 def _named(params: list[Tensor]) -> list[tuple[str, Tensor]]:
     out = []
     for k, p in enumerate(params):
         out.append((p.name or f"p{k}", p))
     return out
+
+
+# the standard cases, one per differentiable operation plus the whole
+# pipeline, registered at import in report order
+
+@_register("matmul")
+def _(rng):
+    a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    b = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+    return (lambda a, b: T.matmul(a, b)), [("a", a), ("b", b)]
+
+
+@_register("conv2d_1x1")
+def _(rng):
+    x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
+    w = Tensor(rng.standard_normal((2, 3, 1, 1)), requires_grad=True)
+    return (lambda x, w: T.conv2d(x, w)), [("x", x), ("w", w)]
+
+
+@_register("conv2d_3x3")
+def _(rng):
+    x = Tensor(rng.standard_normal((3, 5, 4)), requires_grad=True)
+    w = Tensor(rng.standard_normal((2, 3, 3, 3)), requires_grad=True)
+    return (lambda x, w: T.conv2d(x, w)), [("x", x), ("w", w)]
+
+
+@_register("conv2d_3x3_dilated")
+def _(rng):
+    x = Tensor(rng.standard_normal((2, 6, 6)), requires_grad=True)
+    w = Tensor(rng.standard_normal((2, 2, 3, 3)), requires_grad=True)
+    return (lambda x, w: T.conv2d(x, w, dilation=2)), [("x", x), ("w", w)]
+
+
+@_register("conv2d_3x1")
+def _(rng):
+    x = Tensor(rng.standard_normal((3, 6, 1)), requires_grad=True)
+    w = Tensor(rng.standard_normal((3, 3, 3, 1)), requires_grad=True)
+    return (lambda x, w: T.conv2d(x, w)), [("x", x), ("w", w)]
+
+
+@_register("conv2d_1x3")
+def _(rng):
+    x = Tensor(rng.standard_normal((3, 1, 6)), requires_grad=True)
+    w = Tensor(rng.standard_normal((3, 3, 1, 3)), requires_grad=True)
+    return (lambda x, w: T.conv2d(x, w)), [("x", x), ("w", w)]
+
+
+@_register("layer_norm")
+def _(rng):
+    x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+    g = Tensor(rng.standard_normal(6), requires_grad=True)
+    b = Tensor(rng.standard_normal(6), requires_grad=True)
+    return (lambda x, g, b: T.layer_norm(x, g, b)), [("x", x), ("gain", g), ("bias", b)]
+
+
+@_register("gelu")
+def _(rng):
+    x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+    return (lambda x: T.gelu(x)), [("x", x)]
+
+
+@_register("softmax_rows")
+def _(rng):
+    x = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+    return (lambda x: T.softmax_rows(x)), [("x", x)]
+
+
+@_register("mlp")
+def _(rng):
+    mlp = T.Mlp(rng, 5, hidden_ratio=2.0)
+    x = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+    names = ["w1", "b1", "w2", "b2"]
+    params = list(zip(names, mlp.params()))
+    return (lambda x, *ps: mlp(x)), [("x", x)] + params
+
+
+@_register("outer_sum_ln_linear")
+def _(rng):
+    names = ["y", "x", "gain", "bias", "w", "b"]
+    shapes = [(2, 5), (3, 5), (5,), (5,), (5, 7), (7,)]
+    inputs = [(n, Tensor(rng.standard_normal(s), requires_grad=True))
+              for n, s in zip(names, shapes)]
+    return T.outer_sum_ln_linear, inputs
+
+
+@_register("resample_nearest")
+def _(rng):
+    x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    return (lambda x: T.resample_nearest(x, (5, 7))), [("x", x)]
+
+
+@_register("frobenius_norm")
+def _(rng):
+    x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
+    return (lambda x: T.frobenius_norm(x)), [("x", x)]
+
+
+@_register("arf")
+def _(rng):
+    # keep points away from the x=0 kink where the subgradient is one-sided
+    data = rng.standard_normal((4, 5))
+    data = np.where(np.abs(data) < 0.1, data + 0.25, data)
+    x = Tensor(data, requires_grad=True)
+    return (lambda x: arf_op(x, tau=2.0)), [("x", x)]
+
+
+@_register("attention_core_softmax")
+def _(rng):
+    w = AT.attention_weights(rng, c=8, n_heads=2)
+    q = Tensor(rng.standard_normal((5, 8)), requires_grad=True)
+    kv = Tensor(rng.standard_normal((7, 8)), requires_grad=True)
+    names = ["wq", "wk", "wv", "wo"]
+    params = list(zip(names, w.params()))
+    fn = lambda q, kv, *ps: AT.multi_head_attention(q, [kv], w, mode="softmax")
+    return fn, [("q", q), ("kv", kv)] + params
+
+
+@_register("attention_core_arf")
+def _(rng):
+    w = AT.attention_weights(rng, c=8, n_heads=2)
+    q = Tensor(rng.standard_normal((5, 8)), requires_grad=True)
+    kv = Tensor(rng.standard_normal((7, 8)), requires_grad=True)
+    params = list(zip(["wq", "wk", "wv", "wo"], w.params()))
+    fn = lambda q, kv, *ps: AT.multi_head_attention(q, [kv], w, mode="arf", tau=2.0)
+    return fn, [("q", q), ("kv", kv)] + params
+
+
+@_register("generate_states")
+def _(rng):
+    blk = I.IspBlock(rng, c=6, rates=(1, 2), n_heads=2, pos_embed="sinusoidal")
+    x = Tensor(rng.standard_normal((6, 4, 4)), requires_grad=True)
+    params = [(f"conv_r{r}", w) for r, w in zip(blk.rates, blk.state_convs)]
+
+    def fn(x, *ps):
+        states = blk.generate_states(x)
+        return T.concat(states.token_matrices(), axis=0)
+
+    return fn, [("x", x)] + params
+
+
+@_register("mma")
+def _(rng):
+    blk = I.IspBlock(rng, c=6, rates=(1, 3), n_heads=2, pos_embed="sinusoidal")
+    x = Tensor(rng.standard_normal((6, 3, 3)), requires_grad=True)
+    params = [(f"conv_r{r}", w) for r, w in zip(blk.rates, blk.state_convs)]
+    params += list(zip(["wq", "wk", "wv", "wo"], blk.attn.params()))
+
+    def fn(x, *ps):
+        return I.mma(blk.generate_states(x), blk.attn, mode=blk.mode, tau=blk.tau)
+
+    return fn, [("x", x)] + params
+
+
+@_register("isp_block")
+def _(rng):
+    blk = I.IspBlock(rng, c=6, rates=(1, 2), n_heads=2, pos_embed="sinusoidal")
+    x = Tensor(rng.standard_normal((6, 3, 3)), requires_grad=True)
+    params = [(n, p) for n, p in _named(blk.params())]
+    return (lambda x, *ps: blk(x)), [("x", x)] + params
+
+
+@_register("decouple")
+def _(rng):
+    w = D.DecoupleWeights(rng, c=5)
+    x = Tensor(rng.standard_normal((5, 4, 6)), requires_grad=True)
+    params = [(n, p) for n, p in _named(w.params())]
+
+    def fn(x, *ps):
+        pair = D.decouple(x, w)
+        return T.add(T.sum_all(T.mul(pair.y, pair.y)), T.sum_all(T.mul(pair.x, pair.x)))
+
+    return fn, [("x", x)] + params
+
+
+@_register("recouple")
+def _(rng):
+    y = Tensor(rng.standard_normal((4, 5, 1)), requires_grad=True)
+    x = Tensor(rng.standard_normal((4, 1, 6)), requires_grad=True)
+    return (lambda y, x: D.recouple(D.DecoupledPair(y=y, x=x, level=2))), [("y", y), ("x", x)]
+
+
+@_register("mga")
+def _(rng):
+    w = AT.attention_weights(rng, c=6, n_heads=2)
+    t1 = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+    t2 = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
+    params = list(zip(["wq", "wk", "wv", "wo"], w.params()))
+
+    def fn(t1, t2, *ps):
+        outs = D.mga([t1, t2], w, mode="softmax")
+        return T.concat(outs, axis=0)
+
+    return fn, [("t1", t1), ("t2", t2)] + params
+
+
+@_register("decouple_loss")
+def _(rng):
+    w = D.DecoupleWeights(rng, c=4)
+    x1 = Tensor(rng.standard_normal((4, 3, 5)), requires_grad=True)
+    x2 = Tensor(rng.standard_normal((4, 2, 3)), requires_grad=True)
+    params = [(n, p) for n, p in _named(w.params())]
+
+    def fn(x1, x2, *ps):
+        pairs = [D.decouple(x1, w), D.decouple(x2, w)]
+        return D.decouple_loss([x1, x2], pairs)
+
+    return fn, [("x1", x1), ("x2", x2)] + params
+
+
+@_register("cdi_block")
+def _(rng):
+    blk = D.CdiBlock(rng, c=6, n_heads=2, mode="softmax")
+    x4 = Tensor(rng.standard_normal((6, 4, 4)), requires_grad=True)
+    x5 = Tensor(rng.standard_normal((6, 2, 2)), requires_grad=True)
+    params = [(n, p) for n, p in _named(blk.params())]
+
+    def fn(x4, x5, *ps):
+        outs, dep = blk({4: x4, 5: x5})
+        stacked = T.concat([T.map_to_tokens(outs[4]), T.map_to_tokens(outs[5])], axis=0)
+        return T.add(T.sum_all(T.mul(stacked, stacked)), dep)
+
+    return fn, [("x4", x4), ("x5", x5)] + params
+
+
+@_register("sdtp_pipeline")
+def _(rng):
+    cfg = PipelineConfig(channels=8, in_channels=8, base_hw=(8, 8),
+                         isp=IspConfig(heads=2), cdi=CdiConfig(heads=2, levels=(4, 5)))
+    pipe = P.Pipeline(cfg)
+    maps = {
+        lvl: Tensor(rng.standard_normal((cfg.in_channels, h, w)), requires_grad=True)
+        for lvl, (h, w) in cfg.level_dims().items()
+    }
+    inputs = [(f"c{lvl}", t) for lvl, t in maps.items()]
+    params = [(n, p) for n, p in pipe.named_params()]
+
+    def fn(*ts):
+        level_maps = {lvl: t for (lvl, _), t in zip(sorted(maps.items()), ts[: len(maps)])}
+        outs, total = pipe.forward_tensors(level_maps)
+        for lvl in sorted(outs):
+            total = T.add(total, T.mean_all(T.mul(outs[lvl], outs[lvl])))
+        return total
+
+    return fn, inputs + params

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import AttentionWeights, attention_weights, multi_head_attention
-from .config import ConfigurationError
+from .config import POS_EMBED_MODES, ConfigurationError
 from .tensor import ContractViolation, Tensor
 
 
@@ -117,10 +117,11 @@ class IspBlock:
 
     def __init__(self, rng: np.random.Generator, c: int, rates: tuple[int, ...] = (1, 3, 6),
                  n_heads: int = 8, pos_embed: str = "sinusoidal", mode: str = "arf",
-                 tau: float = 2.0, hidden_ratio: float = 4.0, name: str = "isp",
-                 hw: tuple[int, int] | None = None):
+                 tau: float = 2.0, name: str = "isp", hw: tuple[int, int] | None = None):
         if not rates or rates[0] != 1:
             raise ConfigurationError(f"dilation rates must start with 1, got {list(rates)}")
+        if pos_embed not in POS_EMBED_MODES:
+            raise ConfigurationError(f"pos_embed {pos_embed!r} not in {POS_EMBED_MODES}")
         self.c = c
         self.rates = tuple(rates)
         self.pos_mode = pos_embed
@@ -129,24 +130,25 @@ class IspBlock:
         self.state_convs = [
             T.conv_param(rng, c, c, 3, 3, name=f"{name}.state_conv_r{r}") for r in self.rates
         ]
-        self.learned_pos: dict[tuple[int, int], Tensor] = {}
-        self._pos_rng = np.random.default_rng(rng.integers(2**63))
+        # drawn in every mode, so the weights below do not depend on it
+        pos_rng = np.random.default_rng(rng.integers(2**63))
+        self.learned_pos: Tensor | None = None
+        if pos_embed == "learned":
+            if hw is None:
+                raise ContractViolation("a learned position code needs the map dims hw")
+            self.learned_pos = T.uniform_param(pos_rng, (c, *hw), c,
+                                               name=f"pos_{hw[0]}x{hw[1]}")
         self.ln1 = T.LayerNorm(c, name=f"{name}.ln1")
         self.ln2 = T.LayerNorm(c, name=f"{name}.ln2")
         self.attn = attention_weights(rng, c, n_heads, name=f"{name}.attn")
-        self.mlp = T.Mlp(rng, c, hidden_ratio=hidden_ratio, name=f"{name}.mlp")
-        if pos_embed == "learned" and hw is not None:
-            self.pos_embedding(hw)  # eager so params() is complete before any forward
+        self.mlp = T.Mlp(rng, c, name=f"{name}.mlp")
 
     def pos_embedding(self, hw: tuple[int, int]) -> Tensor | np.ndarray | None:
-        if self.pos_mode == "none":
-            return None
+        """The position code for (h, w) maps; generate_states rejects a
+        learned code built for other dims."""
         if self.pos_mode == "sinusoidal":
             return sinusoidal_embedding_2d(self.c, *hw)
-        if hw not in self.learned_pos:
-            self.learned_pos[hw] = T.uniform_param(
-                self._pos_rng, (self.c, *hw), self.c, name=f"pos_{hw[0]}x{hw[1]}")
-        return self.learned_pos[hw]
+        return self.learned_pos
 
     def generate_states(self, x: Tensor) -> ReceptiveStates:
         return generate_states(x, self.state_convs, self.rates,
@@ -165,7 +167,7 @@ class IspBlock:
 
     def params(self) -> list[Tensor]:
         ps = list(self.state_convs)
-        ps += list(self.learned_pos.values())
+        ps += [self.learned_pos] if self.learned_pos is not None else []
         ps += self.ln1.params() + self.ln2.params()
         ps += self.attn.params() + self.mlp.params()
         return ps

@@ -18,10 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .cdi import CdiBlock
+from .cdi import CdiBlock, total_loss
 from .config import VARIANT_BASE_TAGS, PipelineConfig
 from .isp import IspBlock
 from .tensor import ContractViolation, Tensor
+
+# the nudge cross_level_sensitivity adds to one input cell
+SENSITIVITY_DELTA = 0.5
 
 
 @dataclass
@@ -117,7 +120,9 @@ class Pipeline:
 
     # -- forward ------------------------------------------------------------
 
-    def forward_tensors(self, maps: dict[int, Tensor]) -> tuple[dict[int, Tensor], Tensor | None]:
+    def forward_tensors(self, maps: dict[int, Tensor]) -> tuple[dict[int, Tensor], Tensor]:
+        """Outputs per level and the decoupling penalty, Tensor(0.0) for
+        variants without a CDI stage."""
         if sorted(maps) != sorted(self.levels):
             raise ContractViolation(
                 f"pipeline built for levels {sorted(self.levels)}, got {sorted(maps)}")
@@ -133,11 +138,12 @@ class Pipeline:
                 lvl: T.resample_nearest(src, (maps[lvl].shape[1], maps[lvl].shape[2]))
                 for lvl in self.levels
             }
-            return {lvl: T.conv2d(outs[lvl], self.smooth[lvl]) for lvl in self.levels}, None
+            outs = {lvl: T.conv2d(outs[lvl], self.smooth[lvl]) for lvl in self.levels}
+            return outs, Tensor(0.0)
 
         lat = {lvl: T.conv2d(maps[lvl], self.lateral[lvl]) for lvl in self.levels}
         deepest = max(self.levels)
-        dep: Tensor | None = None
+        dep = Tensor(0.0)
 
         if self.variant == "sdtp":
             x = lat[deepest]
@@ -166,8 +172,7 @@ class Pipeline:
         maps = {lvl: Tensor(arr) for lvl, arr in pyramid.levels.items()}
         with T.no_grad():
             outs, dep = self.forward_tensors(maps)
-        return ({lvl: t.data for lvl, t in outs.items()},
-                float(dep.data) if dep is not None else 0.0)
+        return {lvl: t.data for lvl, t in outs.items()}, float(dep.data)
 
     # -- parameters ----------------------------------------------------------
 
@@ -207,18 +212,17 @@ def zero_enhancement_branches(pipe: Pipeline) -> None:
 
 
 def cross_level_sensitivity(pipe: Pipeline, pyramid: FeaturePyramid,
-                            base: dict[int, np.ndarray],
-                            delta: float = 0.5) -> tuple[list[int], np.ndarray]:
+                            base: dict[int, np.ndarray]) -> tuple[list[int], np.ndarray]:
     """Max absolute output change per (source level, output level) when one
-    centre cell of the source level is nudged by delta; `base` holds the
-    pipeline's outputs on the unchanged pyramid.  Exact zeros mean the
-    output provably never saw that level."""
+    centre cell of the source level is nudged by SENSITIVITY_DELTA; `base`
+    holds the pipeline's outputs on the unchanged pyramid.  Exact zeros mean
+    the output provably never saw that level."""
     levels = sorted(pyramid.levels)
     matrix = np.zeros((len(levels), len(levels)))
     for i, src in enumerate(levels):
         bumped = {lvl: arr.copy() for lvl, arr in pyramid.levels.items()}
         _, h, w = bumped[src].shape
-        bumped[src][0, h // 2, w // 2] += delta
+        bumped[src][0, h // 2, w // 2] += SENSITIVITY_DELTA
         outs, _ = pipe.forward(FeaturePyramid(levels=bumped))
         for j, dst in enumerate(levels):
             matrix[i, j] = float(np.abs(outs[dst] - base[dst]).max())
@@ -301,8 +305,7 @@ def toy_train(pipe: Pipeline, pyramid: FeaturePyramid, steps: int = 200,
             term = T.mean_all(T.mul(diff, diff))
             task = term if task is None else T.add(task, term)
         task = T.scale(task, 1.0 / len(outs))
-        dep = dep if dep is not None else Tensor(0.0)
-        total = T.add(task, T.scale(dep, lam))
+        total = total_loss(task, dep, lam)
         trace.task.append(float(task.data))
         trace.dep.append(float(dep.data))
         trace.total.append(float(total.data))

@@ -134,27 +134,6 @@ class Tensor:
                 if p.requires_grad and g is not None:
                     grads[id(p)] = g if id(p) not in grads else grads[id(p)] + g
 
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad}{tag})"
@@ -277,15 +256,10 @@ def mean_all(a: Tensor) -> Tensor:
     return Tensor._from_op(out, (a,), lambda g: (np.broadcast_to(g / n, a.data.shape),))
 
 
-def sum_axis(a: Tensor, axis: int, keepdims: bool = True) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape),)
-
-    return Tensor._from_op(out, (a,), vjp)
+def sum_axis(a: Tensor, axis: int) -> Tensor:
+    """Sum along one axis, which is kept with length 1."""
+    out = a.data.sum(axis=axis, keepdims=True)
+    return Tensor._from_op(out, (a,), lambda g: (np.broadcast_to(g, a.data.shape),))
 
 
 def frobenius_norm(a: Tensor) -> Tensor:
@@ -386,7 +360,7 @@ def conv2d(x: Tensor, w: Tensor, dilation: int | tuple[int, int] = 1) -> Tensor:
     return Tensor._from_op(out, (x, w), vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalise each row of a token matrix to zero mean / unit variance,
     then apply a learned per-dimension affine."""
     if x.ndim != 2:
@@ -397,7 +371,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
 
@@ -413,8 +387,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
     return Tensor._from_op(out, (x, gain, bias), vjp)
 
 
-def outer_sum_ln_linear(y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w: Tensor, b: Tensor,
-                        eps: float = LAYER_NORM_EPS) -> Tensor:
+def outer_sum_ln_linear(y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w: Tensor,
+                        b: Tensor) -> Tensor:
     """Linear(LayerNorm(y_i + x_j)) for every pair of factor rows, computed
     without expanding the (h*w, c) outer sum.
 
@@ -452,7 +426,7 @@ def outer_sum_ln_linear(y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w: Ten
         sq *= sq
         sq.sum(axis=1, out=var[i])
     var /= c
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     gw = gain.data[:, None] * w.data
     a_f = yc @ gw
     b_f = xc @ gw
@@ -532,19 +506,17 @@ def uniform_param(rng: np.random.Generator, shape, fan_in: int, name: str | None
 
 
 class Linear:
-    """Affine map on token rows: y = x @ W + b (bias optional)."""
+    """Affine map on token rows: y = x @ W + b."""
 
-    def __init__(self, rng: np.random.Generator, d_in: int, d_out: int,
-                 bias: bool = True, name: str = "linear"):
+    def __init__(self, rng: np.random.Generator, d_in: int, d_out: int, name: str = "linear"):
         self.w = uniform_param(rng, (d_in, d_out), d_in, name=f"{name}.w")
-        self.b = uniform_param(rng, (d_out,), d_in, name=f"{name}.b") if bias else None
+        self.b = uniform_param(rng, (d_out,), d_in, name=f"{name}.b")
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = matmul(x, self.w)
-        return add(out, self.b) if self.b is not None else out
+        return add(matmul(x, self.w), self.b)
 
     def params(self) -> list[Tensor]:
-        return [self.w] + ([self.b] if self.b is not None else [])
+        return [self.w, self.b]
 
 
 class LayerNorm:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdtp.arf import ArfParams, arf, arf_grad, arf_vjp
+from sdtp.arf import arf, arf_grad, arf_op
+from sdtp.tensor import ContractViolation, Tensor
 
 GRID = np.linspace(-10.0, 10.0, 10001)
 
@@ -103,21 +104,26 @@ class TestDerivative:
         assert float(arf_grad(np.array(0.0), 2.0)) == 0.0
 
     def test_vjp_scales_upstream(self):
-        """vjp is elementwise upstream * derivative."""
+        """arf_op's backward is elementwise upstream * derivative."""
         x = np.array([0.3, 1.2, -0.7])
         up = np.array([2.0, -1.0, 3.0])
-        np.testing.assert_array_equal(arf_vjp(x, 2.0, up), up * arf_grad(x, 2.0))
+        t = Tensor(x, requires_grad=True)
+        arf_op(t, tau=2.0).backward(up)
+        np.testing.assert_array_equal(t.grad, up * arf_grad(x, 2.0))
 
 
 class TestParams:
     def test_negative_tau_rejected(self):
-        """tau must be nonnegative."""
-        with pytest.raises(ValueError):
-            ArfParams(tau=-0.1)
+        """tau must be finite and nonnegative."""
+        for fn in (arf, arf_grad):
+            for tau in (-0.1, np.nan):
+                with pytest.raises(ContractViolation):
+                    fn(np.array([0.5]), tau=tau)
 
     def test_defaults(self):
         """Default offset is 2."""
-        assert ArfParams().tau == 2.0
+        x = np.array([-1.0, 0.5, 3.0])
+        np.testing.assert_array_equal(arf(x), arf(x, tau=2.0))
 
 
 @settings(max_examples=60, deadline=None)

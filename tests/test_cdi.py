@@ -159,12 +159,12 @@ class TestPenalty:
             decouple_loss([Tensor(np.zeros((2, 2, 2)))], [])
 
     def test_total_loss_combination(self):
-        """total = task + lambda * penalty, floats or tensors."""
-        assert total_loss(2.0, 10.0, lam=0.01) == pytest.approx(2.1)
+        """total = task + lambda * penalty, on Tensors."""
+        assert float(total_loss(Tensor(2.0), Tensor(10.0), lam=0.01).data) == pytest.approx(2.1)
         t = total_loss(Tensor(2.0), Tensor(10.0), lam=0.5)
         assert float(t.data) == pytest.approx(7.0)
         with pytest.raises(ContractViolation):
-            total_loss(1.0, 1.0, lam=-0.5)
+            total_loss(Tensor(1.0), Tensor(1.0), lam=-0.5)
 
 
 class TestGroupedAttention:

@@ -162,6 +162,25 @@ class TestFlops:
         main(["flops", "--config", tiny_cfg, "--out", str(out)])
         assert "_renders" not in json.loads(out.read_text())
 
+    def test_json_stdout_equals_report_file(self, tiny_cfg, tmp_path, capsys):
+        """--format json prints exactly the --out body, nothing private."""
+        out = tmp_path / "fl.json"
+        assert main(["flops", "--config", tiny_cfg, "--format", "json",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
+
+class TestFormats:
+    @pytest.mark.parametrize("argv", [
+        ["forward"], ["gradcheck", "--ops", "gelu"], ["train"],
+        ["variants", "--channels", "8", "--base-hw", "8", "8"],
+    ])
+    def test_csv_only_offered_by_flops(self, tiny_cfg, argv):
+        """Only flops has a csv rendering; elsewhere argparse refuses it."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", tiny_cfg, "--format", "csv"])
+        assert exc.value.code == 2
+
 
 class TestTrain:
     def test_loss_drops(self, tiny_cfg, tmp_path):

@@ -162,6 +162,31 @@ class TestBlock:
         names = [p.name for p in blk.params()]
         assert any("pos_3x3" in (n or "") for n in names)
 
+    def test_learned_embedding_needs_hw(self):
+        """The learned position code has no default dims to be built at."""
+        with pytest.raises(ContractViolation):
+            IspBlock(np.random.default_rng(0), 4, rates=(1, 2), n_heads=2,
+                     pos_embed="learned")
+
+    def test_learned_embedding_fixed_dims(self):
+        """A forward at other dims raises, naming both shapes, and adds no
+        parameter."""
+        blk = IspBlock(np.random.default_rng(0), 4, rates=(1, 2), n_heads=2,
+                       pos_embed="learned", hw=(3, 3))
+        before = blk.params()
+        assert blk(Tensor(RNG.standard_normal((4, 3, 3)))).shape == (4, 3, 3)
+        with pytest.raises(ContractViolation, match=r"\(4, 3, 3\).*\(4, 5, 4\)"):
+            blk(Tensor(RNG.standard_normal((4, 5, 4))))
+        after = blk.params()
+        assert len(after) == len(before)
+        assert all(a is b for a, b in zip(after, before))
+
+    def test_unknown_embedding_mode_rejected(self):
+        """A misspelt mode is refused, not run without a position code."""
+        with pytest.raises(ConfigurationError):
+            IspBlock(np.random.default_rng(0), 4, rates=(1, 2), n_heads=2,
+                     pos_embed="sinusoid")
+
     def test_none_embedding_mode(self):
         """pos_embed='none' runs without any positional code."""
         blk = IspBlock(np.random.default_rng(0), 4, rates=(1, 2), n_heads=2,

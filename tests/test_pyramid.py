@@ -123,6 +123,17 @@ class TestVariants:
         for lvl in base:
             np.testing.assert_array_equal(outs[lvl], base[lvl])
 
+    @pytest.mark.parametrize("variant", ["fpn_baseline", "single_input_4"])
+    def test_penalty_is_zero_tensor_without_cdi(self, variant):
+        """Variants without a CDI stage still return their penalty as a
+        Tensor, valued 0."""
+        cfg = small_cfg(variant=variant)
+        pyr = synthetic_pyramid(cfg)
+        _, dep = Pipeline(cfg).forward_tensors(
+            {lvl: Tensor(arr) for lvl, arr in pyr.levels.items()})
+        assert isinstance(dep, Tensor)
+        assert float(dep.data) == 0.0
+
     def test_wrong_levels_rejected(self):
         """Forward refuses pyramids whose levels differ from the build."""
         cfg = small_cfg()
