@@ -27,7 +27,7 @@ from .tensor import ContractViolation, Tensor
 
 
 @dataclass
-class AttentionWeights:
+class AttentionWeights(T.Module):
     """Bias-free projection matrices; heads are column blocks of each."""
 
     wq: Tensor
@@ -49,9 +49,6 @@ class AttentionWeights:
     def c(self) -> int:
         return self.wq.shape[0]
 
-    def params(self) -> list[Tensor]:
-        return [self.wq, self.wk, self.wv, self.wo]
-
 
 def attention_weights(rng: np.random.Generator, c: int, n_heads: int,
                       name: str = "attn") -> AttentionWeights:
@@ -71,9 +68,11 @@ def apply_activation(scores: Tensor, mode: str, tau: float) -> Tensor:
     raise ConfigurationError(f"unknown attention activation mode {mode!r}")
 
 
-def _project(tokens: Tensor, w: Tensor) -> Tensor:
-    record_macs(tokens.shape[0] * w.shape[0] * w.shape[1])
-    return T.matmul(tokens, w)
+def _matmul(a: Tensor, b: Tensor) -> Tensor:
+    """T.matmul that reports its multiply-accumulates, read from the
+    operand shapes, to record_macs."""
+    record_macs(a.shape[0] * a.shape[1] * b.shape[1])
+    return T.matmul(a, b)
 
 
 def multi_head_attention(queries: Tensor, keys_values: list[Tensor],
@@ -95,23 +94,20 @@ def multi_head_attention(queries: Tensor, keys_values: list[Tensor],
                 f"key/value tokens must share embed width {c}, got {t.shape}")
 
     source = keys_values[0] if len(keys_values) == 1 else T.concat(keys_values, axis=0)
-    q_full = _project(queries, weights.wq)
-    k_full = _project(source, weights.wk)
-    v_full = _project(source, weights.wv)
+    q_full = _matmul(queries, weights.wq)
+    k_full = _matmul(source, weights.wk)
+    v_full = _matmul(source, weights.wv)
 
     d_head = c // weights.n_heads
     inv_sqrt = 1.0 / np.sqrt(float(d_head))
-    n_q, n_k = q_full.shape[0], k_full.shape[0]
     head_outs = []
     for h in range(weights.n_heads):
         lo = h * d_head
         q = T.narrow(q_full, 1, lo, d_head)
         k = T.narrow(k_full, 1, lo, d_head)
         v = T.narrow(v_full, 1, lo, d_head)
-        record_macs(n_q * n_k * d_head)
-        scores = T.scale(T.matmul(q, T.permute(k, (1, 0))), inv_sqrt)
+        scores = T.scale(_matmul(q, T.permute(k, (1, 0))), inv_sqrt)
         w = apply_activation(scores, mode, tau)
-        record_macs(n_q * n_k * d_head)
-        head_outs.append(T.matmul(w, v))
+        head_outs.append(_matmul(w, v))
     merged = head_outs[0] if len(head_outs) == 1 else T.concat(head_outs, axis=1)
-    return _project(merged, weights.wo)
+    return _matmul(merged, weights.wo)

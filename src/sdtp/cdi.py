@@ -45,7 +45,7 @@ class DecoupledPair:
             raise ContractViolation(f"horizontal factor must be (c, 1, w), got {self.x.shape}")
 
 
-class DecoupleWeights:
+class DecoupleWeights(T.Module):
     """Shared-across-levels weights for the decoupling step: one 1x1 logit
     conv and one refinement conv per axis."""
 
@@ -55,9 +55,6 @@ class DecoupleWeights:
         self.logit_h = T.conv_param(rng, c, c, 1, 1, name=f"{name}.logit_h")
         self.refine_v = T.conv_param(rng, c, c, 3, 1, name=f"{name}.refine_v")
         self.refine_h = T.conv_param(rng, c, c, 1, 3, name=f"{name}.refine_h")
-
-    def params(self) -> list[Tensor]:
-        return [self.logit_v, self.logit_h, self.refine_v, self.refine_h]
 
 
 def _softmax_axis(x: Tensor, axis: int) -> Tensor:
@@ -142,25 +139,7 @@ def mga(token_sets: list[Tensor], weights: AttentionWeights, mode: str = "arf",
             for q in token_sets]
 
 
-def _y_tokens(y: Tensor) -> Tensor:
-    c, h, _ = y.shape
-    return T.reshape(T.permute(y, (1, 2, 0)), (h, c))
-
-
-def _tokens_y(t: Tensor, h: int) -> Tensor:
-    return T.permute(T.reshape(t, (h, 1, t.shape[1])), (2, 0, 1))
-
-
-def _x_tokens(x: Tensor) -> Tensor:
-    c, _, w = x.shape
-    return T.reshape(T.permute(x, (2, 1, 0)), (w, c))
-
-
-def _tokens_x(t: Tensor, w: int) -> Tensor:
-    return T.permute(T.reshape(t, (w, 1, t.shape[1])), (2, 1, 0))
-
-
-class CdiBlock:
+class CdiBlock(T.Module):
     """One round of cross-level interaction over a dict of (c, h, w) maps.
 
     Per level: decouple -> grouped attention over vertical factors of all
@@ -195,8 +174,9 @@ class CdiBlock:
         pairs = [decouple(maps[lvl], self.dec, level=lvl) for lvl in levels]
         dep = decouple_loss([maps[lvl] for lvl in levels], pairs)
 
-        tv = [_y_tokens(p.y) for p in pairs]
-        th = [_x_tokens(p.x) for p in pairs]
+        # a (c, h, 1) factor is a map of h tokens, a (c, 1, w) one of w
+        tv = [T.map_to_tokens(p.y) for p in pairs]
+        th = [T.map_to_tokens(p.x) for p in pairs]
         attn_v = mga([self.ln_v(t) for t in tv], self.attn_v, mode=self.mode, tau=self.tau)
         attn_h = mga([self.ln_h(t) for t in th], self.attn_h, mode=self.mode, tau=self.tau)
         v_hat = [T.add(t, a) for t, a in zip(tv, attn_v)]
@@ -207,13 +187,7 @@ class CdiBlock:
             c, h, w = maps[lvl].shape
             # the MLP reads the factors; the recoupled map is built only for the residual
             delta = self.mlp(T.OuterSum(v, hh, self.ln_m))
-            recoupled = recouple(DecoupledPair(y=_tokens_y(v, h), x=_tokens_x(hh, w), level=lvl))
+            recoupled = recouple(DecoupledPair(y=T.tokens_to_map(v, (h, 1)),
+                                               x=T.tokens_to_map(hh, (1, w)), level=lvl))
             outs[lvl] = T.add(T.add(maps[lvl], recoupled), T.tokens_to_map(delta, (h, w)))
         return outs, dep
-
-    def params(self) -> list[Tensor]:
-        ps = self.dec.params()
-        ps += self.ln_v.params() + self.ln_h.params()
-        ps += self.attn_v.params() + self.attn_h.params()
-        ps += self.ln_m.params() + self.mlp.params()
-        return ps

@@ -167,8 +167,10 @@ def _peak_rss_mib() -> float:
 def cmd_gradcheck(args) -> int:
     cfg = _load(args)
     names = GC.registered_cases()
-    if args.ops:
+    if args.ops is not None:
         wanted = [s.strip() for s in args.ops.split(",") if s.strip()]
+        if not wanted:
+            raise ConfigurationError(f"--ops {args.ops!r} selects no case; known: {names}")
         unknown = [w for w in wanted if w not in names]
         if unknown:
             raise ConfigurationError(f"--ops: unknown case(s) {unknown}; known: {names}")

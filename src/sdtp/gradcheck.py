@@ -29,6 +29,8 @@ DEFAULT_STEP = 1e-5
 REL_ERR_FLOOR = 1e-8
 # random directions per input tensor
 DIRECTIONS = 2
+# step divisions by 4 tried on a failing direction
+MAX_REFINEMENTS = 8
 
 
 @dataclass
@@ -65,6 +67,20 @@ def _rel_err(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), REL_ERR_FLOOR)
 
 
+def _central_difference(fn: Callable[..., Tensor], tensors: list[Tensor], t: Tensor,
+                        base: np.ndarray, d: np.ndarray, h: float,
+                        upstream: np.ndarray) -> float:
+    """Derivative of <upstream, fn(...)> along d at t = base, by a central
+    difference of step h; t is left at base."""
+    with T.no_grad():
+        t.data = base + h * d
+        hi = float((fn(*tensors).data * upstream).sum())
+        t.data = base - h * d
+        lo = float((fn(*tensors).data * upstream).sum())
+    t.data = base
+    return (hi - lo) / (2.0 * h)
+
+
 def vjp_check(fn: Callable[..., Tensor], inputs: list[tuple[str, Tensor]],
               tolerance: float = DEFAULT_TOLERANCE, step: float = DEFAULT_STEP,
               seed: int = 0, op_name: str = "op") -> GradCheckReport:
@@ -75,6 +91,15 @@ def vjp_check(fn: Callable[..., Tensor], inputs: list[tuple[str, Tensor]],
     with a central difference of size step * max(1, max|x|) and compared
     against <grad_x, d> from the recorded backward pass.  Relative error
     uses |a - n| / max(|a|, |n|, 1e-8).
+
+    A kink of fn (the refinement gate's, at 0) closer to the point than the
+    step skews the difference by O(1), however right the VJP is.  So a
+    direction that fails is estimated again with the step divided by 4, up
+    to MAX_REFINEMENTS times, until two successive estimates agree within
+    the tolerance, and the VJP is judged against the finer one; a wrong VJP
+    disagrees with it too.  If no two estimates agree, the report carries a
+    "non-differentiable point" diagnostic.  A direction that passes costs
+    no extra evaluation.
     """
     report = GradCheckReport(op=op_name, tolerance=tolerance)
     rng = np.random.default_rng(seed)
@@ -90,39 +115,48 @@ def vjp_check(fn: Callable[..., Tensor], inputs: list[tuple[str, Tensor]],
     upstream = rng.standard_normal(out.data.shape)
     if out.requires_grad:  # else no input reaches the output: diagnosed below
         out.backward(upstream)
+    grads = [t.grad for t in tensors]
+    for t in tensors:
+        t.grad = None
 
-    grads = []
-    for name, t in inputs:
-        if t.grad is None:
+    for (name, _), g in zip(inputs, grads):
+        if g is None:
             report.diagnostic = f"no gradient reached input {name!r}"
             return report
-        if not np.all(np.isfinite(t.grad)):
+        if not np.all(np.isfinite(g)):
             report.diagnostic = f"non-finite gradient for input {name!r}"
             return report
-        grads.append(t.grad)
 
     for (name, t), g in zip(inputs, grads):
         base = t.data.copy()
         h = step * max(1.0, float(np.abs(base).max()) if base.size else 1.0)
-        worst = 0.0
+        worst, worst_step = 0.0, h
         for _ in range(DIRECTIONS):
             d = rng.standard_normal(base.shape)
             nd = float(np.sqrt((d * d).sum()))
             if nd > 0:
                 d = d / nd
-            with T.no_grad():
-                t.data = base + h * d
-                hi = float((fn(*tensors).data * upstream).sum())
-                t.data = base - h * d
-                lo = float((fn(*tensors).data * upstream).sum())
-            t.data = base
-            numeric = (hi - lo) / (2.0 * h)
             analytic = float((g * d).sum())
-            worst = max(worst, _rel_err(analytic, numeric))
-        report.entries.append(TensorCheck(name=name, rel_err=worst, step=h))
+            hd = h
+            numeric = _central_difference(fn, tensors, t, base, d, hd, upstream)
+            err = _rel_err(analytic, numeric)
+            if err >= tolerance:
+                for _ in range(MAX_REFINEMENTS):
+                    coarse, hd = numeric, hd / 4.0
+                    numeric = _central_difference(fn, tensors, t, base, d, hd, upstream)
+                    if _rel_err(numeric, coarse) < tolerance:
+                        err = _rel_err(analytic, numeric)
+                        break
+                else:
+                    report.diagnostic = (
+                        f"non-differentiable point: central differences for input {name!r} "
+                        f"still disagree after {MAX_REFINEMENTS} step refinements "
+                        f"(step {h:.1e} down to {hd:.1e})")
+                    return report
+            if err > worst:
+                worst, worst_step = err, hd
+        report.entries.append(TensorCheck(name=name, rel_err=worst, step=worst_step))
 
-    for t in tensors:
-        t.grad = None
     report.passed = report.max_rel_err < tolerance
     return report
 
@@ -194,13 +228,6 @@ def corrupted_linear(rng: np.random.Generator):
         return Tensor._from_op(2.0 * x.data, (x,), lambda g: (2.5 * g,))
 
     return fn, [("x", x)]
-
-
-def _named(params: list[Tensor]) -> list[tuple[str, Tensor]]:
-    out = []
-    for k, p in enumerate(params):
-        out.append((p.name or f"p{k}", p))
-    return out
 
 
 # the standard cases, one per differentiable operation plus the whole
@@ -358,21 +385,19 @@ def _(rng):
 def _(rng):
     blk = I.IspBlock(rng, c=6, rates=(1, 2), n_heads=2, pos_embed="sinusoidal")
     x = Tensor(rng.standard_normal((6, 3, 3)), requires_grad=True)
-    params = [(n, p) for n, p in _named(blk.params())]
-    return (lambda x, *ps: blk(x)), [("x", x)] + params
+    return (lambda x, *ps: blk(x)), [("x", x)] + blk.named_params()
 
 
 @_register("decouple")
 def _(rng):
     w = D.DecoupleWeights(rng, c=5)
     x = Tensor(rng.standard_normal((5, 4, 6)), requires_grad=True)
-    params = [(n, p) for n, p in _named(w.params())]
 
     def fn(x, *ps):
         pair = D.decouple(x, w)
         return T.add(T.sum_all(T.mul(pair.y, pair.y)), T.sum_all(T.mul(pair.x, pair.x)))
 
-    return fn, [("x", x)] + params
+    return fn, [("x", x)] + w.named_params()
 
 
 @_register("recouple")
@@ -401,13 +426,12 @@ def _(rng):
     w = D.DecoupleWeights(rng, c=4)
     x1 = Tensor(rng.standard_normal((4, 3, 5)), requires_grad=True)
     x2 = Tensor(rng.standard_normal((4, 2, 3)), requires_grad=True)
-    params = [(n, p) for n, p in _named(w.params())]
 
     def fn(x1, x2, *ps):
         pairs = [D.decouple(x1, w), D.decouple(x2, w)]
         return D.decouple_loss([x1, x2], pairs)
 
-    return fn, [("x1", x1), ("x2", x2)] + params
+    return fn, [("x1", x1), ("x2", x2)] + w.named_params()
 
 
 @_register("cdi_block")
@@ -415,14 +439,13 @@ def _(rng):
     blk = D.CdiBlock(rng, c=6, n_heads=2, mode="softmax")
     x4 = Tensor(rng.standard_normal((6, 4, 4)), requires_grad=True)
     x5 = Tensor(rng.standard_normal((6, 2, 2)), requires_grad=True)
-    params = [(n, p) for n, p in _named(blk.params())]
 
     def fn(x4, x5, *ps):
         outs, dep = blk({4: x4, 5: x5})
         stacked = T.concat([T.map_to_tokens(outs[4]), T.map_to_tokens(outs[5])], axis=0)
         return T.add(T.sum_all(T.mul(stacked, stacked)), dep)
 
-    return fn, [("x4", x4), ("x5", x5)] + params
+    return fn, [("x4", x4), ("x5", x5)] + blk.named_params()
 
 
 @_register("sdtp_pipeline")
@@ -435,7 +458,6 @@ def _(rng):
         for lvl, (h, w) in cfg.level_dims().items()
     }
     inputs = [(f"c{lvl}", t) for lvl, t in maps.items()]
-    params = [(n, p) for n, p in pipe.named_params()]
 
     def fn(*ts):
         level_maps = {lvl: t for (lvl, _), t in zip(sorted(maps.items()), ts[: len(maps)])}
@@ -444,4 +466,4 @@ def _(rng):
             total = T.add(total, T.mean_all(T.mul(outs[lvl], outs[lvl])))
         return total
 
-    return fn, inputs + params
+    return fn, inputs + pipe.named_params()

@@ -111,7 +111,7 @@ def mma(states: ReceptiveStates, weights: AttentionWeights, mode: str = "arf",
     return multi_head_attention(tokens[0], tokens, weights, mode=mode, tau=tau)
 
 
-class IspBlock:
+class IspBlock(T.Module):
     """Pre-norm transformer block whose attention is the multi-receptive
     attention above; input and output are (c, h, w) maps."""
 
@@ -137,7 +137,7 @@ class IspBlock:
             if hw is None:
                 raise ContractViolation("a learned position code needs the map dims hw")
             self.learned_pos = T.uniform_param(pos_rng, (c, *hw), c,
-                                               name=f"pos_{hw[0]}x{hw[1]}")
+                                               name=f"{name}.pos_{hw[0]}x{hw[1]}")
         self.ln1 = T.LayerNorm(c, name=f"{name}.ln1")
         self.ln2 = T.LayerNorm(c, name=f"{name}.ln2")
         self.attn = attention_weights(rng, c, n_heads, name=f"{name}.attn")
@@ -164,10 +164,3 @@ class IspBlock:
         attended = T.add(mma(states, self.attn, mode=self.mode, tau=self.tau), tokens)
         out = T.add(self.mlp(self.ln2(attended)), attended)
         return T.tokens_to_map(out, hw)
-
-    def params(self) -> list[Tensor]:
-        ps = list(self.state_convs)
-        ps += [self.learned_pos] if self.learned_pos is not None else []
-        ps += self.ln1.params() + self.ln2.params()
-        ps += self.attn.params() + self.mlp.params()
-        return ps

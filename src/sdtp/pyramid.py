@@ -83,7 +83,7 @@ def synthetic_pyramid(cfg: PipelineConfig, seed: int | None = None) -> FeaturePy
     return FeaturePyramid(levels=levels)
 
 
-class Pipeline:
+class Pipeline(T.Module):
     """A built variant: parameters plus a forward pass over level maps."""
 
     def __init__(self, cfg: PipelineConfig):
@@ -173,25 +173,6 @@ class Pipeline:
         with T.no_grad():
             outs, dep = self.forward_tensors(maps)
         return {lvl: t.data for lvl, t in outs.items()}, float(dep.data)
-
-    # -- parameters ----------------------------------------------------------
-
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        out: list[tuple[str, Tensor]] = []
-        for lvl in self.levels:
-            out.append((f"lateral_{lvl}", self.lateral[lvl]))
-        for k, blk in enumerate(self.isp_blocks):
-            out += [(p.name or f"isp{k}_p{i}", p) for i, p in enumerate(blk.params())]
-        if self.cdi is not None:
-            out += [(p.name or f"cdi_p{i}", p) for i, p in enumerate(self.cdi.params())]
-        if self.dilated is not None:
-            out.append(("dilated_deepest", self.dilated))
-        for lvl in self.levels:
-            out.append((f"smooth_{lvl}", self.smooth[lvl]))
-        return out
-
-    def params(self) -> list[Tensor]:
-        return [p for _, p in self.named_params()]
 
 
 def zero_enhancement_branches(pipe: Pipeline) -> None:

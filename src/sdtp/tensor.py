@@ -505,7 +505,39 @@ def uniform_param(rng: np.random.Generator, shape, fan_in: int, name: str | None
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True, name=name)
 
 
-class Linear:
+class Module:
+    """Base of every layer that owns parameters.
+
+    params() walks the instance's attributes in assignment order and
+    collects each Tensor, descending into nested Modules and into the
+    items of lists and tuples and the values of dicts; any other attribute
+    (a width, a config, a mode string) is skipped.  The order is the order
+    toy_train updates in and vjp_check draws directions in, so reordering
+    attribute assignments changes reports.
+    """
+
+    def params(self) -> list[Tensor]:
+        out: list[Tensor] = []
+        _collect_params(vars(self).values(), out)
+        return out
+
+    def named_params(self) -> list[tuple[str, Tensor]]:
+        return [(p.name, p) for p in self.params()]
+
+
+def _collect_params(values, out: list[Tensor]) -> None:
+    for v in values:
+        if isinstance(v, Tensor):
+            out.append(v)
+        elif isinstance(v, Module):
+            _collect_params(vars(v).values(), out)
+        elif isinstance(v, (list, tuple)):
+            _collect_params(v, out)
+        elif isinstance(v, dict):
+            _collect_params(v.values(), out)
+
+
+class Linear(Module):
     """Affine map on token rows: y = x @ W + b."""
 
     def __init__(self, rng: np.random.Generator, d_in: int, d_out: int, name: str = "linear"):
@@ -515,20 +547,14 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return add(matmul(x, self.w), self.b)
 
-    def params(self) -> list[Tensor]:
-        return [self.w, self.b]
 
-
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, d: int, name: str = "ln"):
         self.gain = Tensor(np.ones(d), requires_grad=True, name=f"{name}.gain")
         self.bias = Tensor(np.zeros(d), requires_grad=True, name=f"{name}.bias")
 
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gain, self.bias)
-
-    def params(self) -> list[Tensor]:
-        return [self.gain, self.bias]
 
 
 @dataclass
@@ -541,7 +567,7 @@ class OuterSum:
     ln: LayerNorm
 
 
-class Mlp:
+class Mlp(Module):
     """Two affine maps with a GELU between; hidden width = round(ratio * d).
 
     The input is a token matrix, or an OuterSum, whose normalisation and
@@ -561,9 +587,6 @@ class Mlp:
         else:
             hidden = self.lin1(x)
         return self.lin2(gelu(hidden))
-
-    def params(self) -> list[Tensor]:
-        return self.lin1.params() + self.lin2.params()
 
 
 def conv_param(rng: np.random.Generator, out_c: int, in_c: int, kh: int, kw: int,

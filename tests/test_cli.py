@@ -116,6 +116,17 @@ class TestGradcheck:
     def test_unknown_op_is_config_error(self, tiny_cfg):
         assert main(["gradcheck", "--config", tiny_cfg, "--ops", "nope"]) == 2
 
+    @pytest.mark.parametrize("ops", [",", "", " , "])
+    def test_empty_op_selection_is_config_error(self, tiny_cfg, tmp_path, capsys, ops):
+        """An --ops value that selects no case checks nothing, so it must
+        not report a pass."""
+        out = tmp_path / "gc.json"
+        rc = main(["gradcheck", "--config", tiny_cfg, "--ops", ops, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "--ops" in err
+        assert not out.exists()
+
     def test_report_structure(self, tiny_cfg, tmp_path):
         out = tmp_path / "gc.json"
         rc = main(["gradcheck", "--config", tiny_cfg, "--ops", "gelu",

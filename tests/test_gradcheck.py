@@ -4,7 +4,10 @@ negative control, report structure, and full registry coverage."""
 import numpy as np
 import pytest
 
+from sdtp import attention as AT
+from sdtp import gradcheck as GC
 from sdtp import tensor as T
+from sdtp.arf import arf, arf_grad, arf_op
 from sdtp.gradcheck import (
     GradCheckReport,
     corrupted_linear,
@@ -121,3 +124,70 @@ class TestRegistry:
         reps = run_all(["gelu", "arf"], points=2)
         assert [r.op for r in reps] == ["gelu", "arf"]
         assert all(r.passed for r in reps)
+
+
+# (config seed, case, point k) where an input of the refinement gate sits
+# closer to its kink at 0 than the base step reaches, so the first central
+# difference straddles the kink; `sdtp gradcheck --seed N` failed there
+KINK_POINTS = [(4, "mma", 5), (12, "isp_block", 8), (14, "sdtp_pipeline", 9)]
+
+
+def _check_point(seed, case, k, factory=None):
+    """vjp_check at one point of run_case(case, seed=seed), alone."""
+    fn, inputs = (factory or GC._REGISTRY[case])(np.random.default_rng((seed, k)))
+    return vjp_check(fn, inputs, seed=1000 + k, op_name=case)
+
+
+def _flipped_arf_op(t, tau=2.0):
+    """arf_op with the sign of its VJP flipped."""
+    return Tensor._from_op(arf(t.data, tau), (t,), lambda g: (-g * arf_grad(t.data, tau),))
+
+
+class TestKink:
+    @pytest.mark.parametrize("seed,case,k", KINK_POINTS)
+    def test_kink_point_passes(self, seed, case, k):
+        """A direction whose difference straddles the kink is estimated again
+        at smaller steps, and the right VJP passes against that estimate."""
+        rep = _check_point(seed, case, k)
+        assert rep.diagnostic is None
+        assert rep.passed, rep.to_dict()
+
+    @pytest.mark.parametrize("seed,case,k", KINK_POINTS)
+    def test_negative_control_fails_at_kink_point(self, seed, case, k):
+        rep = _check_point(seed, case, k, factory=corrupted_linear)
+        assert not rep.passed
+        assert rep.max_rel_err == pytest.approx(0.2, rel=1e-6)
+
+    @pytest.mark.parametrize("seed,case,k", KINK_POINTS)
+    def test_flipped_arf_vjp_fails_at_kink_point(self, monkeypatch, seed, case, k):
+        """The refined estimate still exposes a wrong VJP of the gate."""
+        monkeypatch.setattr(AT, "arf_op", _flipped_arf_op)
+        rep = _check_point(seed, case, k)
+        assert rep.diagnostic is None
+        assert not rep.passed
+        assert rep.max_rel_err > 0.1
+
+    def test_unsettled_differences_diagnosed(self):
+        """Kinks at geometrically shrinking distances from the point make
+        every step refinement cross one more of them, so no two estimates
+        agree: a named diagnostic, not a pass and not a plain mismatch."""
+        h = GC.DEFAULT_STEP
+        kinks = 0.5 + 1.5 * h * 4.0 ** -np.arange(1, GC.MAX_REFINEMENTS + 2)
+        x = Tensor(np.array([0.5]))
+        rep = vjp_check(lambda x: T.sum_all(arf_op(T.sub(x, Tensor(kinks)))), [("x", x)])
+        assert not rep.passed
+        assert rep.diagnostic.startswith("non-differentiable point")
+        assert "'x'" in rep.diagnostic
+
+    def test_passing_directions_cost_no_extra_evaluation(self):
+        """A smooth function is evaluated once for the backward pass and
+        twice per direction, with no refinement."""
+        calls = [0]
+
+        def fn(x):
+            calls[0] += 1
+            return T.mul(x, x)
+
+        x = Tensor(np.random.default_rng(0).standard_normal((3, 3)))
+        assert vjp_check(fn, [("x", x)]).passed
+        assert calls[0] == 1 + 2 * GC.DIRECTIONS

@@ -303,15 +303,44 @@ class TestToyTraining:
 
 class TestParams:
     def test_named_params_unique_and_complete(self):
-        """Every parameter has a unique name; the full variant includes the
-        transformer stages' weights."""
-        cfg = small_cfg()
-        pipe = Pipeline(cfg)
-        names = [n for n, _ in pipe.named_params()]
-        assert len(names) == len(set(names))
-        joined = " ".join(names)
-        assert "lateral_4" in joined and "smooth_5" in joined
+        """Every parameter has a unique name, in every variant and with two
+        ISP blocks that each learn a position code; the full variant
+        includes the transformer stages' weights."""
+        import dataclasses
+        from sdtp.config import VARIANT_BASE_TAGS
+        tags = list(VARIANT_BASE_TAGS) + ["single_input_4", "single_input_5"]
+        cfgs = [small_cfg(variant=tag) for tag in tags]
+        learned = small_cfg()
+        learned.isp = dataclasses.replace(learned.isp, blocks=2, pos_embed="learned")
+        learned.validate()
+        for cfg in cfgs + [learned]:
+            names = [n for n, _ in Pipeline(cfg).named_params()]
+            assert len(names) == len(set(names)), (cfg.variant, cfg.isp)
+            assert "lateral_4" in names and "smooth_5" in names
+        joined = " ".join(n for n, _ in Pipeline(small_cfg()).named_params())
         assert "isp0" in joined and "cdi" in joined
+        learned_names = [n for n, _ in Pipeline(learned).named_params()]
+        assert "isp0.pos_4x4" in learned_names and "isp1.pos_4x4" in learned_names
+
+    def test_named_params_order(self):
+        """The exact parameter list at the sdtp_pipeline gradcheck case's
+        config.  vjp_check draws each input's directions in this order and
+        toy_train updates in it, so a reordered attribute would change the
+        gradcheck and train reports."""
+        from sdtp.config import CdiConfig, IspConfig
+        cfg = PipelineConfig(channels=8, in_channels=8, base_hw=(8, 8),
+                             isp=IspConfig(heads=2), cdi=CdiConfig(heads=2, levels=(4, 5)))
+        names = [n for n, _ in Pipeline(cfg).named_params()]
+        isp = (["isp0.state_conv_r1", "isp0.state_conv_r3", "isp0.state_conv_r6"]
+               + [f"isp0.{ln}.{p}" for ln in ("ln1", "ln2") for p in ("gain", "bias")]
+               + [f"isp0.attn.{w}" for w in ("wq", "wk", "wv", "wo")]
+               + [f"isp0.mlp.{lin}.{p}" for lin in ("lin1", "lin2") for p in ("w", "b")])
+        cdi = ([f"cdi.decouple.{w}" for w in ("logit_v", "logit_h", "refine_v", "refine_h")]
+               + [f"cdi.{ln}.{p}" for ln in ("ln_v", "ln_h") for p in ("gain", "bias")]
+               + [f"cdi.{a}.{w}" for a in ("attn_v", "attn_h") for w in ("wq", "wk", "wv", "wo")]
+               + ["cdi.ln_m.gain", "cdi.ln_m.bias"]
+               + [f"cdi.mlp.{lin}.{p}" for lin in ("lin1", "lin2") for p in ("w", "b")])
+        assert names == ["lateral_4", "lateral_5"] + isp + cdi + ["smooth_4", "smooth_5"]
 
     def test_baseline_param_count_smaller(self):
         """The plain baseline holds strictly fewer parameters."""

@@ -306,6 +306,38 @@ class TestOuterSumLnLinear:
             T.outer_sum_ln_linear(y, x, gain, bias, Tensor(rand(6, 7)), b)
 
 
+class TestModule:
+    def test_params_walk_in_assignment_order(self):
+        """params() collects Tensors from attributes, nested Modules, lists,
+        tuples and dict values, in the order the attributes were set."""
+        def p(name):
+            return Tensor(np.zeros(1), requires_grad=True, name=name)
+
+        class Inner(T.Module):
+            def __init__(self):
+                self.c = p("c")
+                self.d = p("d")
+
+        class Holder:  # not a Module: its tensor is not a parameter
+            def __init__(self):
+                self.hidden = p("hidden")
+
+        class Outer(T.Module):
+            def __init__(self):
+                self.width = 3
+                self.a = p("a")
+                self.items = [p("b"), Inner()]
+                self.pair = (p("e"), None)
+                self.table = {9: p("f"), 1: p("g")}
+                self.holder = Holder()
+                self.h = p("h")
+
+        m = Outer()
+        assert [t.name for t in m.params()] == ["a", "b", "c", "d", "e", "f", "g", "h"]
+        assert m.params()[0] is m.a
+        assert m.named_params() == [(t.name, t) for t in m.params()]
+
+
 class TestDeterminism:
     def test_repeated_backward_is_bit_identical(self):
         """The same graph built twice yields byte-equal gradients."""
