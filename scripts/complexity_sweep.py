@@ -20,7 +20,7 @@ import sys
 
 sys.path.insert(0, "src")  # allow running from a source checkout
 
-from sdtp.complexity import LevelDims, flops_decoupled, flops_full, flops_strided
+from sdtp.complexity import LevelDims, flops_table
 
 
 def parse_resolution(text: str) -> tuple[int, int]:
@@ -55,16 +55,15 @@ def main(argv=None) -> int:
           f"{'full/decoupled':>15} {'strided/decoupled':>18}")
     for h, w in args.resolutions:
         dims = level_dims(h, w, args.channels, args.strides)
-        f = flops_full(dims)
-        s = flops_strided(dims)
-        d = flops_decoupled(dims)
+        table = flops_table(dims)
+        f, s, d = (table["totals"][k] for k in ("full", "strided", "decoupled"))
         rows.append({
             "input": [h, w],
             "levels": [{"h": dd.h, "w": dd.w, "c": dd.c, "s": dd.s} for dd in dims],
             "full": f, "strided": s, "decoupled": d,
             "full_over_decoupled": f / d,
             "strided_over_decoupled": s / d,
-            "ordering_ok": d < s < f,
+            "ordering_ok": table["ordering_ok"],
         })
         print(f"{h:>5}x{w:<6} {f:>18} {s:>16} {d:>14} {f / d:>15.1f} {s / d:>18.2f}")
 

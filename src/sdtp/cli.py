@@ -174,6 +174,9 @@ def cmd_gradcheck(args) -> int:
         unknown = [w for w in wanted if w not in names]
         if unknown:
             raise ConfigurationError(f"--ops: unknown case(s) {unknown}; known: {names}")
+        repeated = sorted({w for w in wanted if wanted.count(w) > 1})
+        if repeated:
+            raise ConfigurationError(f"--ops: case(s) {repeated} named more than once")
         names = wanted
 
     gc = cfg.gradcheck

@@ -21,11 +21,11 @@ from . import isp as I
 from . import pyramid as P
 from . import tensor as T
 from .arf import arf_op
-from .config import CdiConfig, IspConfig, PipelineConfig
+from .config import CdiConfig, GradCheckConfig, IspConfig, PipelineConfig
 from .tensor import Tensor
 
-DEFAULT_TOLERANCE = 1e-4
-DEFAULT_STEP = 1e-5
+DEFAULT_TOLERANCE = GradCheckConfig.tolerance
+DEFAULT_STEP = GradCheckConfig.step
 REL_ERR_FLOOR = 1e-8
 # random directions per input tensor
 DIRECTIONS = 2
@@ -180,8 +180,8 @@ def registered_cases() -> list[str]:
     return list(_REGISTRY)
 
 
-def run_case(name: str, points: int = 10, tolerance: float = DEFAULT_TOLERANCE,
-             step: float = DEFAULT_STEP, seed: int = 0,
+def run_case(name: str, points: int = GradCheckConfig.points,
+             tolerance: float = DEFAULT_TOLERANCE, step: float = DEFAULT_STEP, seed: int = 0,
              factory: CaseFactory | None = None) -> GradCheckReport:
     """Run one case at `points` seeded random points and fold the per-point
     reports into a single worst-case report.  The case is the registered
@@ -210,7 +210,7 @@ def run_case(name: str, points: int = 10, tolerance: float = DEFAULT_TOLERANCE,
     return folded
 
 
-def run_all(names: list[str] | None = None, points: int = 10,
+def run_all(names: list[str] | None = None, points: int = GradCheckConfig.points,
             tolerance: float = DEFAULT_TOLERANCE, step: float = DEFAULT_STEP,
             seed: int = 0) -> list[GradCheckReport]:
     if names is None:
@@ -222,7 +222,7 @@ def corrupted_linear(rng: np.random.Generator):
     """A deliberately wrong backward pass (the negative control, never
     registered): the forward is y = 2x but the recorded VJP claims the
     factor is 2.5, so any sound checker must flag it."""
-    x = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+    x = Tensor(rng.standard_normal((3, 3)))
 
     def fn(x):
         return Tensor._from_op(2.0 * x.data, (x,), lambda g: (2.5 * g,))
@@ -230,99 +230,57 @@ def corrupted_linear(rng: np.random.Generator):
     return fn, [("x", x)]
 
 
+def _op_case(name: str, op: Callable[..., Tensor], **shapes: tuple[int, ...]) -> None:
+    """Register a case that draws one standard-normal input per keyword, in
+    keyword order, and applies op to them.  op must look its T.<op> up when
+    called, so that a wrapper installed later (the bench tracer) sees it."""
+    def factory(rng):
+        return op, [(n, Tensor(rng.standard_normal(s))) for n, s in shapes.items()]
+    _register(name)(factory)
+
+
+def _attention_params(w: AT.AttentionWeights) -> list[tuple[str, Tensor]]:
+    return list(zip(["wq", "wk", "wv", "wo"], w.params()))
+
+
+def _attention_core(mode: str) -> CaseFactory:
+    def factory(rng):
+        w = AT.attention_weights(rng, c=8, n_heads=2)
+        q = Tensor(rng.standard_normal((5, 8)))
+        kv = Tensor(rng.standard_normal((7, 8)))
+        fn = lambda q, kv, *ps: AT.multi_head_attention(q, [kv], w, mode=mode, tau=2.0)
+        return fn, [("q", q), ("kv", kv)] + _attention_params(w)
+    return factory
+
+
 # the standard cases, one per differentiable operation plus the whole
-# pipeline, registered at import in report order
+# pipeline, registered at import in report order; vjp_check marks every
+# input as requiring a gradient
 
-@_register("matmul")
-def _(rng):
-    a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    b = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-    return (lambda a, b: T.matmul(a, b)), [("a", a), ("b", b)]
-
-
-@_register("conv2d_1x1")
-def _(rng):
-    x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
-    w = Tensor(rng.standard_normal((2, 3, 1, 1)), requires_grad=True)
-    return (lambda x, w: T.conv2d(x, w)), [("x", x), ("w", w)]
-
-
-@_register("conv2d_3x3")
-def _(rng):
-    x = Tensor(rng.standard_normal((3, 5, 4)), requires_grad=True)
-    w = Tensor(rng.standard_normal((2, 3, 3, 3)), requires_grad=True)
-    return (lambda x, w: T.conv2d(x, w)), [("x", x), ("w", w)]
-
-
-@_register("conv2d_3x3_dilated")
-def _(rng):
-    x = Tensor(rng.standard_normal((2, 6, 6)), requires_grad=True)
-    w = Tensor(rng.standard_normal((2, 2, 3, 3)), requires_grad=True)
-    return (lambda x, w: T.conv2d(x, w, dilation=2)), [("x", x), ("w", w)]
-
-
-@_register("conv2d_3x1")
-def _(rng):
-    x = Tensor(rng.standard_normal((3, 6, 1)), requires_grad=True)
-    w = Tensor(rng.standard_normal((3, 3, 3, 1)), requires_grad=True)
-    return (lambda x, w: T.conv2d(x, w)), [("x", x), ("w", w)]
-
-
-@_register("conv2d_1x3")
-def _(rng):
-    x = Tensor(rng.standard_normal((3, 1, 6)), requires_grad=True)
-    w = Tensor(rng.standard_normal((3, 3, 1, 3)), requires_grad=True)
-    return (lambda x, w: T.conv2d(x, w)), [("x", x), ("w", w)]
-
-
-@_register("layer_norm")
-def _(rng):
-    x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
-    g = Tensor(rng.standard_normal(6), requires_grad=True)
-    b = Tensor(rng.standard_normal(6), requires_grad=True)
-    return (lambda x, g, b: T.layer_norm(x, g, b)), [("x", x), ("gain", g), ("bias", b)]
-
-
-@_register("gelu")
-def _(rng):
-    x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-    return (lambda x: T.gelu(x)), [("x", x)]
-
-
-@_register("softmax_rows")
-def _(rng):
-    x = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
-    return (lambda x: T.softmax_rows(x)), [("x", x)]
+_op_case("matmul", lambda a, b: T.matmul(a, b), a=(3, 4), b=(4, 5))
+_op_case("conv2d_1x1", lambda x, w: T.conv2d(x, w), x=(3, 4, 5), w=(2, 3, 1, 1))
+_op_case("conv2d_3x3", lambda x, w: T.conv2d(x, w), x=(3, 5, 4), w=(2, 3, 3, 3))
+_op_case("conv2d_3x3_dilated", lambda x, w: T.conv2d(x, w, dilation=2), x=(2, 6, 6), w=(2, 2, 3, 3))
+_op_case("conv2d_3x1", lambda x, w: T.conv2d(x, w), x=(3, 6, 1), w=(3, 3, 3, 1))
+_op_case("conv2d_1x3", lambda x, w: T.conv2d(x, w), x=(3, 1, 6), w=(3, 3, 1, 3))
+_op_case("layer_norm", lambda x, g, b: T.layer_norm(x, g, b), x=(4, 6), gain=(6,), bias=(6,))
+_op_case("gelu", lambda x: T.gelu(x), x=(4, 5))
+_op_case("softmax_rows", lambda x: T.softmax_rows(x), x=(3, 5))
 
 
 @_register("mlp")
 def _(rng):
     mlp = T.Mlp(rng, 5, hidden_ratio=2.0)
-    x = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+    x = Tensor(rng.standard_normal((3, 5)))
     names = ["w1", "b1", "w2", "b2"]
     params = list(zip(names, mlp.params()))
     return (lambda x, *ps: mlp(x)), [("x", x)] + params
 
 
-@_register("outer_sum_ln_linear")
-def _(rng):
-    names = ["y", "x", "gain", "bias", "w", "b"]
-    shapes = [(2, 5), (3, 5), (5,), (5,), (5, 7), (7,)]
-    inputs = [(n, Tensor(rng.standard_normal(s), requires_grad=True))
-              for n, s in zip(names, shapes)]
-    return T.outer_sum_ln_linear, inputs
-
-
-@_register("resample_nearest")
-def _(rng):
-    x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-    return (lambda x: T.resample_nearest(x, (5, 7))), [("x", x)]
-
-
-@_register("frobenius_norm")
-def _(rng):
-    x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
-    return (lambda x: T.frobenius_norm(x)), [("x", x)]
+_op_case("outer_sum_ln_linear", lambda *ts: T.outer_sum_ln_linear(*ts),
+         y=(2, 5), x=(3, 5), gain=(5,), bias=(5,), w=(5, 7), b=(7,))
+_op_case("resample_nearest", lambda x: T.resample_nearest(x, (5, 7)), x=(2, 3, 4))
+_op_case("frobenius_norm", lambda x: T.frobenius_norm(x), x=(3, 4, 5))
 
 
 @_register("arf")
@@ -330,35 +288,17 @@ def _(rng):
     # keep points away from the x=0 kink where the subgradient is one-sided
     data = rng.standard_normal((4, 5))
     data = np.where(np.abs(data) < 0.1, data + 0.25, data)
-    x = Tensor(data, requires_grad=True)
-    return (lambda x: arf_op(x, tau=2.0)), [("x", x)]
+    return (lambda x: arf_op(x, tau=2.0)), [("x", Tensor(data))]
 
 
-@_register("attention_core_softmax")
-def _(rng):
-    w = AT.attention_weights(rng, c=8, n_heads=2)
-    q = Tensor(rng.standard_normal((5, 8)), requires_grad=True)
-    kv = Tensor(rng.standard_normal((7, 8)), requires_grad=True)
-    names = ["wq", "wk", "wv", "wo"]
-    params = list(zip(names, w.params()))
-    fn = lambda q, kv, *ps: AT.multi_head_attention(q, [kv], w, mode="softmax")
-    return fn, [("q", q), ("kv", kv)] + params
-
-
-@_register("attention_core_arf")
-def _(rng):
-    w = AT.attention_weights(rng, c=8, n_heads=2)
-    q = Tensor(rng.standard_normal((5, 8)), requires_grad=True)
-    kv = Tensor(rng.standard_normal((7, 8)), requires_grad=True)
-    params = list(zip(["wq", "wk", "wv", "wo"], w.params()))
-    fn = lambda q, kv, *ps: AT.multi_head_attention(q, [kv], w, mode="arf", tau=2.0)
-    return fn, [("q", q), ("kv", kv)] + params
+_register("attention_core_softmax")(_attention_core("softmax"))
+_register("attention_core_arf")(_attention_core("arf"))
 
 
 @_register("generate_states")
 def _(rng):
     blk = I.IspBlock(rng, c=6, rates=(1, 2), n_heads=2, pos_embed="sinusoidal")
-    x = Tensor(rng.standard_normal((6, 4, 4)), requires_grad=True)
+    x = Tensor(rng.standard_normal((6, 4, 4)))
     params = [(f"conv_r{r}", w) for r, w in zip(blk.rates, blk.state_convs)]
 
     def fn(x, *ps):
@@ -371,9 +311,9 @@ def _(rng):
 @_register("mma")
 def _(rng):
     blk = I.IspBlock(rng, c=6, rates=(1, 3), n_heads=2, pos_embed="sinusoidal")
-    x = Tensor(rng.standard_normal((6, 3, 3)), requires_grad=True)
+    x = Tensor(rng.standard_normal((6, 3, 3)))
     params = [(f"conv_r{r}", w) for r, w in zip(blk.rates, blk.state_convs)]
-    params += list(zip(["wq", "wk", "wv", "wo"], blk.attn.params()))
+    params += _attention_params(blk.attn)
 
     def fn(x, *ps):
         return I.mma(blk.generate_states(x), blk.attn, mode=blk.mode, tau=blk.tau)
@@ -384,14 +324,14 @@ def _(rng):
 @_register("isp_block")
 def _(rng):
     blk = I.IspBlock(rng, c=6, rates=(1, 2), n_heads=2, pos_embed="sinusoidal")
-    x = Tensor(rng.standard_normal((6, 3, 3)), requires_grad=True)
+    x = Tensor(rng.standard_normal((6, 3, 3)))
     return (lambda x, *ps: blk(x)), [("x", x)] + blk.named_params()
 
 
 @_register("decouple")
 def _(rng):
     w = D.DecoupleWeights(rng, c=5)
-    x = Tensor(rng.standard_normal((5, 4, 6)), requires_grad=True)
+    x = Tensor(rng.standard_normal((5, 4, 6)))
 
     def fn(x, *ps):
         pair = D.decouple(x, w)
@@ -400,32 +340,28 @@ def _(rng):
     return fn, [("x", x)] + w.named_params()
 
 
-@_register("recouple")
-def _(rng):
-    y = Tensor(rng.standard_normal((4, 5, 1)), requires_grad=True)
-    x = Tensor(rng.standard_normal((4, 1, 6)), requires_grad=True)
-    return (lambda y, x: D.recouple(D.DecoupledPair(y=y, x=x, level=2))), [("y", y), ("x", x)]
+_op_case("recouple", lambda y, x: D.recouple(D.DecoupledPair(y=y, x=x, level=2)),
+         y=(4, 5, 1), x=(4, 1, 6))
 
 
 @_register("mga")
 def _(rng):
     w = AT.attention_weights(rng, c=6, n_heads=2)
-    t1 = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
-    t2 = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
-    params = list(zip(["wq", "wk", "wv", "wo"], w.params()))
+    t1 = Tensor(rng.standard_normal((4, 6)))
+    t2 = Tensor(rng.standard_normal((3, 6)))
 
     def fn(t1, t2, *ps):
         outs = D.mga([t1, t2], w, mode="softmax")
         return T.concat(outs, axis=0)
 
-    return fn, [("t1", t1), ("t2", t2)] + params
+    return fn, [("t1", t1), ("t2", t2)] + _attention_params(w)
 
 
 @_register("decouple_loss")
 def _(rng):
     w = D.DecoupleWeights(rng, c=4)
-    x1 = Tensor(rng.standard_normal((4, 3, 5)), requires_grad=True)
-    x2 = Tensor(rng.standard_normal((4, 2, 3)), requires_grad=True)
+    x1 = Tensor(rng.standard_normal((4, 3, 5)))
+    x2 = Tensor(rng.standard_normal((4, 2, 3)))
 
     def fn(x1, x2, *ps):
         pairs = [D.decouple(x1, w), D.decouple(x2, w)]
@@ -437,8 +373,8 @@ def _(rng):
 @_register("cdi_block")
 def _(rng):
     blk = D.CdiBlock(rng, c=6, n_heads=2, mode="softmax")
-    x4 = Tensor(rng.standard_normal((6, 4, 4)), requires_grad=True)
-    x5 = Tensor(rng.standard_normal((6, 2, 2)), requires_grad=True)
+    x4 = Tensor(rng.standard_normal((6, 4, 4)))
+    x5 = Tensor(rng.standard_normal((6, 2, 2)))
 
     def fn(x4, x5, *ps):
         outs, dep = blk({4: x4, 5: x5})
@@ -454,7 +390,7 @@ def _(rng):
                          isp=IspConfig(heads=2), cdi=CdiConfig(heads=2, levels=(4, 5)))
     pipe = P.Pipeline(cfg)
     maps = {
-        lvl: Tensor(rng.standard_normal((cfg.in_channels, h, w)), requires_grad=True)
+        lvl: Tensor(rng.standard_normal((cfg.in_channels, h, w)))
         for lvl, (h, w) in cfg.level_dims().items()
     }
     inputs = [(f"c{lvl}", t) for lvl, t in maps.items()]

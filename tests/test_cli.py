@@ -127,6 +127,17 @@ class TestGradcheck:
         assert "configuration error" in err and "--ops" in err
         assert not out.exists()
 
+    def test_repeated_op_is_config_error(self, tiny_cfg, tmp_path, capsys):
+        """A case named twice in --ops would run and be reported twice."""
+        out = tmp_path / "gc.json"
+        rc = main(["gradcheck", "--config", tiny_cfg, "--ops", "arf,arf,gelu",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "--ops" in err and "'arf'" in err
+        assert "'gelu'" not in err
+        assert not out.exists()
+
     def test_report_structure(self, tiny_cfg, tmp_path):
         out = tmp_path / "gc.json"
         rc = main(["gradcheck", "--config", tiny_cfg, "--ops", "gelu",

@@ -3,6 +3,8 @@ negative control, report structure, and full registry coverage."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdtp import attention as AT
 from sdtp import gradcheck as GC
@@ -18,13 +20,14 @@ from sdtp.gradcheck import (
 )
 from sdtp.tensor import Tensor
 
-EXPECTED_CASES = {
+# in registration order, which is the report order
+EXPECTED_CASES = [
     "matmul", "conv2d_1x1", "conv2d_3x3", "conv2d_3x3_dilated", "conv2d_3x1",
     "conv2d_1x3", "layer_norm", "gelu", "softmax_rows", "mlp", "outer_sum_ln_linear",
     "resample_nearest", "frobenius_norm", "arf", "attention_core_softmax",
     "attention_core_arf", "generate_states", "mma", "isp_block", "decouple",
     "recouple", "mga", "decouple_loss", "cdi_block", "sdtp_pipeline",
-}
+]
 
 
 class TestChecker:
@@ -97,8 +100,9 @@ class TestChecker:
 
 class TestRegistry:
     def test_expected_cases_registered(self):
-        """Every differentiable op plus the end-to-end pipeline is covered."""
-        assert EXPECTED_CASES <= set(registered_cases())
+        """Every differentiable op plus the end-to-end pipeline is covered,
+        in the order that the report and the bench's case rotation follow."""
+        assert registered_cases() == EXPECTED_CASES
 
     def test_run_case_unknown_name(self):
         with pytest.raises(KeyError):
@@ -124,6 +128,15 @@ class TestRegistry:
         reps = run_all(["gelu", "arf"], points=2)
         assert [r.op for r in reps] == ["gelu", "arf"]
         assert all(r.passed for r in reps)
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_every_case_passes_at_drawn_seeds(seed):
+    """Every registered case passes at the default tolerance and step at a
+    point drawn from other config seeds than the CLI's default."""
+    for r in run_all(points=1, seed=seed):
+        assert r.passed, r.to_dict()
 
 
 # (config seed, case, point k) where an input of the refinement gate sits
