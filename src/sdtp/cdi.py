@@ -10,9 +10,13 @@ vector.  Grouped attention then runs over the vertical factors of all
 levels jointly, and separately over the horizontal factors, with shared
 projections, pre-norm, and residuals.  Recoupling broadcasts the refined
 factors back to (c, h, w) by addition, an outer-sum expansion.  A token
-MLP (pre-norm, residual) refines the recoupled map; its layer norm and
-first projection are computed from the factors (outer_sum_ln_linear), so
-the (h*w, c) recoupled token matrix is never built.
+MLP (pre-norm, residual) refines the recoupled map.  It runs as one op on
+the factors (outer_sum_mlp): its layer norm and first projection come
+from the factors as in outer_sum_ln_linear, and GELU and the second
+projection run a few factor rows at a time, so neither the (h*w, c)
+recoupled token matrix nor the (h*w, 4c) hidden array is built.  The op's
+VJP keeps only factor-sized arrays and rebuilds the hidden array when the
+backward pass reaches it.
 
 The decoupling penalty measures, per level, the Frobenius distance between
 the original map and the outer-sum of its raw (pre-attention) factors; the

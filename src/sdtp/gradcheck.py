@@ -279,6 +279,9 @@ def _(rng):
 
 _op_case("outer_sum_ln_linear", lambda *ts: T.outer_sum_ln_linear(*ts),
          y=(2, 5), x=(3, 5), gain=(5,), bias=(5,), w=(5, 7), b=(7,))
+# h = 9 factor rows: one full 8-row slab and a partial one
+_op_case("outer_sum_mlp", lambda *ts: T.outer_sum_mlp(*ts),
+         y=(9, 3), x=(2, 3), gain=(3,), bias=(3,), w1=(3, 6), b1=(6,), w2=(6, 3), b2=(3,))
 _op_case("resample_nearest", lambda x: T.resample_nearest(x, (5, 7)), x=(2, 3, 4))
 _op_case("frobenius_norm", lambda x: T.frobenius_norm(x), x=(3, 4, 5))
 

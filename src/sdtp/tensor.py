@@ -273,17 +273,21 @@ def frobenius_norm(a: Tensor) -> Tensor:
     return Tensor._from_op(out, (a,), vjp)
 
 
+def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal cdf; gelu(x) = x * _gelu_cdf(x)."""
+    return 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+
+
+def _gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """d gelu / dx at x, given cdf = _gelu_cdf(x)."""
+    return cdf + x * (np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi))
+
+
 def gelu(a: Tensor) -> Tensor:
     """Exact-erf gaussian error linear unit."""
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-    out = x * cdf
-
-    def vjp(g):
-        pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-        return (g * (cdf + x * pdf),)
-
-    return Tensor._from_op(out, (a,), vjp)
+    cdf = _gelu_cdf(x)
+    return Tensor._from_op(x * cdf, (a,), lambda g: (g * _gelu_slope(x, cdf),))
 
 
 def tanh_t(a: Tensor) -> Tensor:
@@ -387,6 +391,71 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return Tensor._from_op(out, (x, gain, bias), vjp)
 
 
+def _outer_sum_ln_factors(op: str, y: Tensor, x: Tensor, gain: Tensor, bias: Tensor,
+                          w: Tensor, b: Tensor) -> tuple[np.ndarray, ...]:
+    """Check the arguments of Linear(LayerNorm(y_i + x_j)) and return its
+    factor-side arrays (yc, xc, inv, gw, A, B, b'), as outer_sum_ln_linear
+    names them; op names the caller in contract errors."""
+    if y.ndim != 2 or x.ndim != 2 or y.shape[1] != x.shape[1]:
+        raise ContractViolation(f"{op} factors must be (h, c) and (w, c), "
+                                f"got {y.shape} and {x.shape}")
+    h, c = y.shape
+    nw = x.shape[0]
+    if gain.shape != (c,) or bias.shape != (c,):
+        raise ContractViolation(f"{op} gain/bias must have length c")
+    if w.ndim != 2 or w.shape[0] != c or b.shape != (w.shape[1],):
+        raise ContractViolation(f"{op} weight must be ({c}, d) with a "
+                                f"length-d bias, got {w.shape} and {b.shape}")
+    # sums over c then one division: the same values as ndarray.mean, with
+    # less per-call overhead (the op also runs at tiny sizes in gradcheck)
+    yc = y.data - y.data.sum(axis=1, keepdims=True) / c
+    xc = x.data - x.data.sum(axis=1, keepdims=True) / c
+    var = np.empty((h, nw))
+    for i in range(h):
+        sq = yc[i] + xc
+        sq *= sq
+        sq.sum(axis=1, out=var[i])
+    var /= c
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    gw = gain.data[:, None] * w.data
+    return yc, xc, inv, gw, yc @ gw, xc @ gw, bias.data @ w.data + b.data
+
+
+def _outer_sum_ln_rows(factors: tuple[np.ndarray, ...], i0: int, out: np.ndarray) -> None:
+    """Write rows i0, i0 + 1, ... of the (h, w, d) Linear(LayerNorm(y_i + x_j))
+    into the (k, w, d) out, one (w, d) slab at a time, so each is written
+    once while in cache."""
+    _, _, inv, _, a_f, b_f, b_out = factors
+    for i, slab in enumerate(out, start=i0):
+        np.add(a_f[i], b_f, out=slab)
+        slab *= inv[i][:, None]
+        slab += b_out
+
+
+def _outer_sum_ln_vjp(factors: tuple[np.ndarray, ...], g: np.ndarray, gain: Tensor,
+                      bias: Tensor, w: Tensor) -> tuple[np.ndarray, ...]:
+    """Gradients of outer_sum_ln_linear's (y, x, gain, bias, w, b) for the
+    (h*w, d) cotangent g."""
+    yc, xc, inv, gw, a_f, b_f, _ = factors
+    h, nw = inv.shape
+    c, d = w.shape
+    g3 = g.reshape(h, nw, d)
+    gb = g.sum(axis=0)
+    # weighted row and column sums of the cotangent over the h x w grid
+    ga = np.matmul(inv[:, None, :], g3)[:, 0, :]
+    gbf = np.matmul(inv.T[:, None, :], g3.transpose(1, 0, 2))[:, 0, :]
+    ginv = (np.matmul(g3, a_f[:, :, None])[:, :, 0]
+            + np.matmul(g3.transpose(1, 0, 2), b_f[:, :, None])[:, :, 0].T)
+    gv = (-1.0 / c) * inv ** 3 * ginv       # (2 / c) * d(loss)/d(var)
+    gyc = gv.sum(axis=1)[:, None] * yc + gv @ xc + ga @ gw.T
+    gxc = gv.sum(axis=0)[:, None] * xc + gv.T @ yc + gbf @ gw.T
+    ggw = yc.T @ ga + xc.T @ gbf
+    gy = gyc - gyc.mean(axis=1, keepdims=True)
+    gx = gxc - gxc.mean(axis=1, keepdims=True)
+    gw_full = gain.data[:, None] * ggw + np.outer(bias.data, gb)
+    return gy, gx, (ggw * w.data).sum(axis=1), w.data @ gb, gw_full, gb
+
+
 def outer_sum_ln_linear(y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w: Tensor,
                         b: Tensor) -> Tensor:
     """Linear(LayerNorm(y_i + x_j)) for every pair of factor rows, computed
@@ -405,57 +474,62 @@ def outer_sum_ln_linear(y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w: Ten
     with kappa >> 1), A_i + B_j cancels too, and the output agrees with the
     dense path to about 1e-16 * kappa relative instead of to rounding.
     """
-    if y.ndim != 2 or x.ndim != 2 or y.shape[1] != x.shape[1]:
-        raise ContractViolation(f"outer_sum_ln_linear factors must be (h, c) and (w, c), "
-                                f"got {y.shape} and {x.shape}")
-    h, c = y.shape
-    nw = x.shape[0]
-    if gain.shape != (c,) or bias.shape != (c,):
-        raise ContractViolation("outer_sum_ln_linear gain/bias must have length c")
-    if w.ndim != 2 or w.shape[0] != c or b.shape != (w.shape[1],):
-        raise ContractViolation(f"outer_sum_ln_linear weight must be ({c}, d) with a "
-                                f"length-d bias, got {w.shape} and {b.shape}")
-    d = w.shape[1]
-    # sums over c then one division: the same values as ndarray.mean, with
-    # less per-call overhead (the op also runs at tiny sizes in gradcheck)
-    yc = y.data - y.data.sum(axis=1, keepdims=True) / c
-    xc = x.data - x.data.sum(axis=1, keepdims=True) / c
-    var = np.empty((h, nw))
-    for i in range(h):
-        sq = yc[i] + xc
-        sq *= sq
-        sq.sum(axis=1, out=var[i])
-    var /= c
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    gw = gain.data[:, None] * w.data
-    a_f = yc @ gw
-    b_f = xc @ gw
-    b_out = bias.data @ w.data + b.data
+    factors = _outer_sum_ln_factors("outer_sum_ln_linear", y, x, gain, bias, w, b)
+    h, nw, d = y.shape[0], x.shape[0], w.shape[1]
     out = np.empty((h, nw, d))
-    for i in range(h):  # one (w, d) slab at a time, so each is written once while in cache
-        slab = out[i]
-        np.add(a_f[i], b_f, out=slab)
-        slab *= inv[i][:, None]
-        slab += b_out
+    _outer_sum_ln_rows(factors, 0, out)
+    return Tensor._from_op(out.reshape(h * nw, d), (y, x, gain, bias, w, b),
+                           lambda g: _outer_sum_ln_vjp(factors, g, gain, bias, w))
+
+
+# factor rows per slab of outer_sum_mlp, whose hidden array is built
+# (rows * w, d) at a time
+_MLP_SLAB_ROWS = 8
+
+
+def outer_sum_mlp(y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
+                  w2: Tensor, b2: Tensor) -> Tensor:
+    """The token MLP gelu(outer_sum_ln_linear(y, x, gain, bias, w1, b1)) @ w2 + b2,
+    computed a few factor rows at a time.
+
+    The (h*w, d) hidden array is never built in the forward: each slab of
+    _MLP_SLAB_ROWS factor rows, a (rows*w, d) array, is formed as in
+    outer_sum_ln_linear and goes through gelu and matmul under no_grad;
+    its rows of the (h*w, c) output are written into one array.  The VJP
+    keeps only the factor-side arrays.  It rebuilds the whole hidden array
+    at once (gradient checkpointing of one layer) and runs the VJP math of
+    gelu, matmul and outer_sum_ln_linear on it, so values and gradients
+    equal the unfused chain's bit for bit.
+    """
+    factors = _outer_sum_ln_factors("outer_sum_mlp", y, x, gain, bias, w1, b1)
+    h, nw, d = y.shape[0], x.shape[0], w1.shape[1]
+    if w2.ndim != 2 or w2.shape[0] != d or b2.shape != (w2.shape[1],):
+        raise ContractViolation(f"outer_sum_mlp second weight must be ({d}, c) with a "
+                                f"length-c bias, got {w2.shape} and {b2.shape}")
+    out = np.empty((h * nw, w2.shape[1]))
+    buf = np.empty((min(h, _MLP_SLAB_ROWS), nw, d))
+    # the module-level gelu and matmul, so that a wrapper installed on them
+    # (a MAC or element counter) sees every slab
+    with no_grad():
+        for i0 in range(0, h, _MLP_SLAB_ROWS):
+            slab = buf[: min(_MLP_SLAB_ROWS, h - i0)]
+            _outer_sum_ln_rows(factors, i0, slab)
+            act = gelu(Tensor(slab.reshape(-1, d)))
+            np.add(matmul(act, w2).data, b2.data, out=out[i0 * nw: (i0 + len(slab)) * nw])
 
     def vjp(g):
-        g3 = g.reshape(h, nw, d)
-        gb = g.sum(axis=0)
-        # weighted row and column sums of the cotangent over the h x w grid
-        ga = np.matmul(inv[:, None, :], g3)[:, 0, :]
-        gbf = np.matmul(inv.T[:, None, :], g3.transpose(1, 0, 2))[:, 0, :]
-        ginv = (np.matmul(g3, a_f[:, :, None])[:, :, 0]
-                + np.matmul(g3.transpose(1, 0, 2), b_f[:, :, None])[:, :, 0].T)
-        gv = (-1.0 / c) * inv ** 3 * ginv       # (2 / c) * d(loss)/d(var)
-        gyc = gv.sum(axis=1)[:, None] * yc + gv @ xc + ga @ gw.T
-        gxc = gv.sum(axis=0)[:, None] * xc + gv.T @ yc + gbf @ gw.T
-        ggw = yc.T @ ga + xc.T @ gbf
-        gy = gyc - gyc.mean(axis=1, keepdims=True)
-        gx = gxc - gxc.mean(axis=1, keepdims=True)
-        gw_full = gain.data[:, None] * ggw + np.outer(bias.data, gb)
-        return gy, gx, (ggw * w.data).sum(axis=1), w.data @ gb, gw_full, gb
+        hidden = np.empty((h, nw, d))
+        _outer_sum_ln_rows(factors, 0, hidden)
+        hidden = hidden.reshape(h * nw, d)
+        cdf = _gelu_cdf(hidden)
+        gw2 = (hidden * cdf).T @ g
+        ghidden = _gelu_slope(hidden, cdf)
+        del hidden, cdf  # two hidden-sized arrays the factor side does not need
+        ghidden *= g @ w2.data.T
+        return (_outer_sum_ln_vjp(factors, ghidden, gain, bias, w1)
+                + (gw2, g.sum(axis=0)))
 
-    return Tensor._from_op(out.reshape(h * nw, d), (y, x, gain, bias, w, b), vjp)
+    return Tensor._from_op(out, (y, x, gain, bias, w1, b1, w2, b2), vjp)
 
 
 def map_to_tokens(x: Tensor) -> Tensor:
@@ -570,8 +644,10 @@ class OuterSum:
 class Mlp(Module):
     """Two affine maps with a GELU between; hidden width = round(ratio * d).
 
-    The input is a token matrix, or an OuterSum, whose normalisation and
-    first map are computed from its factors (outer_sum_ln_linear)."""
+    The input is a token matrix, or an OuterSum, which goes through
+    outer_sum_mlp: the normalisation and first map come from its factors,
+    the rest runs a few factor rows at a time, and the recorded VJP keeps
+    only factor-sized arrays, rebuilding the hidden array when it runs."""
 
     def __init__(self, rng: np.random.Generator, d: int, hidden_ratio: float = 4.0,
                  name: str = "mlp"):
@@ -583,10 +659,9 @@ class Mlp(Module):
 
     def __call__(self, x: Tensor | OuterSum) -> Tensor:
         if isinstance(x, OuterSum):
-            hidden = outer_sum_ln_linear(x.y, x.x, x.ln.gain, x.ln.bias, self.lin1.w, self.lin1.b)
-        else:
-            hidden = self.lin1(x)
-        return self.lin2(gelu(hidden))
+            return outer_sum_mlp(x.y, x.x, x.ln.gain, x.ln.bias, self.lin1.w, self.lin1.b,
+                                 self.lin2.w, self.lin2.b)
+        return self.lin2(gelu(self.lin1(x)))
 
 
 def conv_param(rng: np.random.Generator, out_c: int, in_c: int, kh: int, kw: int,

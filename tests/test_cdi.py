@@ -262,8 +262,8 @@ class TestBlock:
 
     def test_gradients_match_dense_first_layer(self, monkeypatch):
         """Outputs, input and parameter gradients equal those of the same
-        block whose MLP first layer runs densely on the recoupled tokens,
-        mlp.lin1(ln_m(map_to_tokens(recouple(...))))."""
+        block whose token MLP runs densely on the recoupled tokens,
+        mlp.lin2(gelu(mlp.lin1(ln_m(map_to_tokens(recouple(...))))))."""
         def run(blk):
             rng = np.random.default_rng(5)
             maps = {4: Tensor(rng.standard_normal((4, 4, 6)), requires_grad=True),
@@ -279,15 +279,17 @@ class TestBlock:
         factored = run(CdiBlock(np.random.default_rng(0), 4, n_heads=2))
         blk = CdiBlock(np.random.default_rng(0), 4, n_heads=2)
 
-        def dense(y, x, gain, bias, w, b):
-            assert (gain, bias, w, b) == (blk.ln_m.gain, blk.ln_m.bias,
-                                          blk.mlp.lin1.w, blk.mlp.lin1.b)
+        def dense(y, x, gain, bias, w1, b1, w2, b2):
+            assert (gain, bias, w1, b1, w2, b2) == (blk.ln_m.gain, blk.ln_m.bias,
+                                                    blk.mlp.lin1.w, blk.mlp.lin1.b,
+                                                    blk.mlp.lin2.w, blk.mlp.lin2.b)
             (h, c), wd = y.shape, x.shape[0]
             pair = DecoupledPair(y=T.reshape(T.permute(y, (1, 0)), (c, h, 1)),
                                  x=T.reshape(T.permute(x, (1, 0)), (c, 1, wd)), level=0)
-            return blk.mlp.lin1(blk.ln_m(T.map_to_tokens(recouple(pair))))
+            tokens = blk.ln_m(T.map_to_tokens(recouple(pair)))
+            return blk.mlp.lin2(T.gelu(blk.mlp.lin1(tokens)))
 
-        monkeypatch.setattr(T, "outer_sum_ln_linear", dense)
+        monkeypatch.setattr(T, "outer_sum_mlp", dense)
         for got, want in zip(factored, run(blk)):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 

@@ -1,6 +1,8 @@
 """Autodiff core: forward values against loop oracles, backward via the
 gradient checker, and structural contracts (shapes, accumulation, views)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -304,6 +306,110 @@ class TestOuterSumLnLinear:
             T.outer_sum_ln_linear(y, Tensor(rand(4, 6)), gain, bias, w, b)
         with pytest.raises(ContractViolation):
             T.outer_sum_ln_linear(y, x, gain, bias, Tensor(rand(6, 7)), b)
+
+
+def unfused_outer_sum_mlp(y, x, gain, bias, w1, b1, w2, b2):
+    """The chain outer_sum_mlp fuses, one op at a time on the whole array."""
+    hidden = T.outer_sum_ln_linear(y, x, gain, bias, w1, b1)
+    return T.add(T.matmul(T.gelu(hidden), w2), b2)
+
+
+def held_arrays(fn):
+    """Every array reachable from a closure's cells through tuples, lists
+    and Tensors."""
+    stack = [cell.cell_contents for cell in fn.__closure__]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, np.ndarray):
+            yield v
+        elif isinstance(v, Tensor):
+            stack.append(v.data)
+        elif isinstance(v, (tuple, list)):
+            stack.extend(v)
+
+
+class TestOuterSumMlp:
+    def inputs(self, h, w=6, c=4, d=16, seed=0):
+        rng = np.random.default_rng(seed)
+        shapes = [(h, c), (w, c), (c,), (c,), (c, d), (d,), (d, c), (c,)]
+        return [rng.standard_normal(s) for s in shapes]
+
+    # h = k * rows + extra: one row, a slab short of full, one full slab,
+    # one row past it, two full slabs and a partial one
+    @pytest.mark.parametrize("k,extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
+    def test_forward_bit_identical_to_chain(self, k, extra):
+        arrays = self.inputs(k * T._MLP_SLAB_ROWS + extra, seed=k * 10 + extra)
+        got = T.outer_sum_mlp(*map(Tensor, arrays)).data
+        want = unfused_outer_sum_mlp(*map(Tensor, arrays)).data
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("extra", [1, 3])
+    def test_gradients_bit_identical_to_chain(self, extra):
+        """Every input's gradient equals backprop through the unfused chain,
+        bit for bit, also where the forward spans a partial slab."""
+        arrays = self.inputs(2 * T._MLP_SLAB_ROWS + extra, seed=extra)
+        upstream = np.random.default_rng(9).standard_normal((arrays[0].shape[0] * 6, 4))
+
+        def grads(fn):
+            ts = [Tensor(a, requires_grad=True) for a in arrays]
+            fn(*ts).backward(upstream)
+            return [t.grad for t in ts]
+
+        for got, want in zip(grads(T.outer_sum_mlp), grads(unfused_outer_sum_mlp)):
+            assert np.array_equal(got, want)
+
+    def test_graph_keeps_no_hidden_sized_array(self):
+        """The recorded VJP holds factor-sized arrays only, nothing as large
+        as the (h*w, c) token matrix, let alone the (h*w, 4c) hidden one."""
+        h, wd, c = 2 * T._MLP_SLAB_ROWS + 3, 6, 4
+        ts = [Tensor(a, requires_grad=True) for a in self.inputs(h, wd, c)]
+        out = T.outer_sum_mlp(*ts)
+        held = list(held_arrays(out._vjp))
+        assert held
+        assert all(a.size < h * wd * c for a in held)
+
+    def test_shape_contract(self):
+        """Factors, LayerNorm, both weights and both biases must agree."""
+        y, x, gain, bias, w1, b1, w2, b2 = map(Tensor, self.inputs(3))
+        bad = [
+            (y, Tensor(rand(6, 5)), gain, bias, w1, b1, w2, b2),
+            (y, x, Tensor(rand(5)), bias, w1, b1, w2, b2),
+            (y, x, gain, bias, Tensor(rand(5, 16)), b1, w2, b2),
+            (y, x, gain, bias, w1, Tensor(rand(8)), w2, b2),
+            (y, x, gain, bias, w1, b1, Tensor(rand(8, 4)), b2),
+            (y, x, gain, bias, w1, b1, w2, Tensor(rand(5))),
+            (y, x, gain, bias, w1, b1, Tensor(rand(16)), b2),
+        ]
+        for args in bad:
+            with pytest.raises(ContractViolation):
+                T.outer_sum_mlp(*args)
+
+    def test_level2_memory(self):
+        """At level-2 dims (h = w = 64, c = 256) a no-grad Mlp(OuterSum)
+        call peaks well under the 32 MiB hidden array plus GELU's
+        temporaries, and a taped call keeps little beyond its 8 MiB output."""
+        rng = np.random.default_rng(0)
+        mlp = T.Mlp(rng, 256)
+        ln = T.LayerNorm(256)
+        y, x = Tensor(rng.standard_normal((64, 256))), Tensor(rng.standard_normal((64, 256)))
+        mib = 2 ** 20
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = mlp(T.OuterSum(y, x, ln))
+                peak = tracemalloc.get_traced_memory()[1] - base
+            del out
+            base = tracemalloc.get_traced_memory()[0]
+            out = mlp(T.OuterSum(y, x, ln))
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert peak < 48 * mib
+        assert kept < 16 * mib
 
 
 class TestModule:
