@@ -15,8 +15,9 @@ the factors (outer_sum_mlp): its layer norm and first projection come
 from the factors as in outer_sum_ln_linear, and GELU and the second
 projection run a few factor rows at a time, so neither the (h*w, c)
 recoupled token matrix nor the (h*w, 4c) hidden array is built.  The op's
-VJP keeps only factor-sized arrays and rebuilds the hidden array when the
-backward pass reaches it.
+VJP keeps only factor-sized arrays; when the backward pass reaches it, it
+rebuilds the hidden array slab by slab and holds at most two hidden-sized
+arrays at once.
 
 The decoupling penalty measures, per level, the Frobenius distance between
 the original map and the outer-sum of its raw (pre-attention) factors; the

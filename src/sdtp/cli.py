@@ -257,7 +257,8 @@ def cmd_train(args) -> int:
         f"reduction ratio:    {ratio!r}",
     ]
     _emit(report, args, "\n".join(lines) + "\n")
-    print(f"train wall time: {wall:.3f}s", file=sys.stderr)
+    print(f"train wall time: {wall:.3f}s   peak RSS: {_peak_rss_mib():.1f} MiB",
+          file=sys.stderr)
     return 0
 
 

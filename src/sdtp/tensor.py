@@ -309,12 +309,40 @@ def softmax_rows(a: Tensor) -> Tensor:
     return Tensor._from_op(out, (a,), vjp)
 
 
+def _conv_pad(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """x zero-padded by ph rows and pw columns on each side (x itself if both
+    are 0).  The same array np.pad returns, without its per-call overhead
+    (about 25 us on a 2-vCPU x86 host), which dominates conv2d at gradcheck
+    sizes."""
+    if not (ph or pw):
+        return x
+    c, h, w = x.shape
+    xp = np.zeros((c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+    xp[:, ph: ph + h, pw: pw + w] = x
+    return xp
+
+
+def _conv_taps(w: np.ndarray, dh: int, dw: int, h: int, wd: int):
+    """Yield (a, b, window, tap) for each kernel tap (a, b): the index of the
+    (c_in, h, wd) window of the padded input it reads, and its (out_c, c_in)
+    weight slice, copied because per-tap slices are strided and BLAS needs
+    them contiguous.  Each tap is built when reached, so none outlives its
+    step."""
+    for a in range(w.shape[2]):
+        for b in range(w.shape[3]):
+            win = (slice(None), slice(a * dh, a * dh + h), slice(b * dw, b * dw + wd))
+            yield a, b, win, np.ascontiguousarray(w[:, :, a, b])
+
+
 def conv2d(x: Tensor, w: Tensor, dilation: int | tuple[int, int] = 1) -> Tensor:
     """2-D convolution with zero same-padding.
 
     x: (c_in, h, w) feature map.  w: (c_out, c_in, kh, kw) kernel whose
     spatial footprint must be one of ALLOWED_KERNEL_SHAPES.  Dilation
     spreads the taps; output spatial dims always equal the input's.
+    The recorded VJP holds only the arrays of x and w: it pads x again and
+    slices each tap again when it runs, so the graph keeps no padded copy
+    of the input and no per-tap copies of the kernel.
     """
     if x.ndim != 3:
         raise ContractViolation(f"conv2d input must be (c, h, w), got shape {x.shape}")
@@ -334,30 +362,26 @@ def conv2d(x: Tensor, w: Tensor, dilation: int | tuple[int, int] = 1) -> Tensor:
 
     ph = (kh - 1) * dh // 2
     pw = (kw - 1) * dw // 2
-    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw))) if ph or pw else x.data
-    out = np.empty((out_c, h, wd), dtype=x.data.dtype)
+    xd, wt = x.data, w.data
+    out = np.empty((out_c, h, wd), dtype=xd.dtype)
     out_flat = out.reshape(out_c, h * wd)
-    # per-tap weight slices are strided; BLAS needs them contiguous
-    taps = [[np.ascontiguousarray(w.data[:, :, a, b]) for b in range(kw)] for a in range(kh)]
-    for a in range(kh):
-        for b in range(kw):
-            patch = xp[:, a * dh: a * dh + h, b * dw: b * dw + wd].reshape(c_in, h * wd)
-            if a == b == 0:
-                np.matmul(taps[a][b], patch, out=out_flat)
-            else:
-                out_flat += taps[a][b] @ patch
+    xp = _conv_pad(xd, ph, pw)
+    for a, b, win, tap in _conv_taps(wt, dh, dw, h, wd):
+        patch = xp[win].reshape(c_in, h * wd)
+        if a == b == 0:
+            np.matmul(tap, patch, out=out_flat)
+        else:
+            out_flat += tap @ patch
 
     def vjp(g):
         gflat = np.ascontiguousarray(g.reshape(out_c, h * wd))
+        xp = _conv_pad(xd, ph, pw)
         gxp = np.zeros_like(xp)
-        gw = np.zeros_like(w.data)
-        for a in range(kh):
-            for b in range(kw):
-                patch = xp[:, a * dh: a * dh + h, b * dw: b * dw + wd].reshape(c_in, h * wd)
-                gw[:, :, a, b] = gflat @ patch.T
-                gxp[:, a * dh: a * dh + h, b * dw: b * dw + wd] += (
-                    taps[a][b].T @ gflat
-                ).reshape(c_in, h, wd)
+        gw = np.zeros_like(wt)
+        for a, b, win, tap in _conv_taps(wt, dh, dw, h, wd):
+            patch = xp[win].reshape(c_in, h * wd)
+            gw[:, :, a, b] = gflat @ patch.T
+            gxp[win] += (tap.T @ gflat).reshape(c_in, h, wd)
         gx = gxp[:, ph: ph + h, pw: pw + wd]
         return gx, gw
 
@@ -391,6 +415,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return Tensor._from_op(out, (x, gain, bias), vjp)
 
 
+# factor rows per slab of the outer-sum ops: the variance of
+# outer_sum_ln_linear and the hidden array of outer_sum_mlp are formed
+# (rows, w, .) at a time
+_MLP_SLAB_ROWS = 8
+
+
 def _outer_sum_ln_factors(op: str, y: Tensor, x: Tensor, gain: Tensor, bias: Tensor,
                           w: Tensor, b: Tensor) -> tuple[np.ndarray, ...]:
     """Check the arguments of Linear(LayerNorm(y_i + x_j)) and return its
@@ -411,10 +441,10 @@ def _outer_sum_ln_factors(op: str, y: Tensor, x: Tensor, gain: Tensor, bias: Ten
     yc = y.data - y.data.sum(axis=1, keepdims=True) / c
     xc = x.data - x.data.sum(axis=1, keepdims=True) / c
     var = np.empty((h, nw))
-    for i in range(h):
-        sq = yc[i] + xc
+    for i0 in range(0, h, _MLP_SLAB_ROWS):
+        sq = yc[i0: i0 + _MLP_SLAB_ROWS, None, :] + xc
         sq *= sq
-        sq.sum(axis=1, out=var[i])
+        sq.sum(axis=2, out=var[i0: i0 + _MLP_SLAB_ROWS])
     var /= c
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     gw = gain.data[:, None] * w.data
@@ -422,14 +452,27 @@ def _outer_sum_ln_factors(op: str, y: Tensor, x: Tensor, gain: Tensor, bias: Ten
 
 
 def _outer_sum_ln_rows(factors: tuple[np.ndarray, ...], i0: int, out: np.ndarray) -> None:
-    """Write rows i0, i0 + 1, ... of the (h, w, d) Linear(LayerNorm(y_i + x_j))
-    into the (k, w, d) out, one (w, d) slab at a time, so each is written
-    once while in cache."""
+    """Write rows i0 .. i0 + k - 1 of the (h, w, d) Linear(LayerNorm(y_i + x_j))
+    into the (k, w, d) out."""
     _, _, inv, _, a_f, b_f, b_out = factors
-    for i, slab in enumerate(out, start=i0):
-        np.add(a_f[i], b_f, out=slab)
-        slab *= inv[i][:, None]
-        slab += b_out
+    rows = slice(i0, i0 + len(out))
+    np.add(a_f[rows, None, :], b_f, out=out)
+    out *= inv[rows, :, None]
+    out += b_out
+
+
+def _outer_sum_slabs(factors: tuple[np.ndarray, ...]):
+    """Yield (rows, pre) for each slab of _MLP_SLAB_ROWS factor rows: the
+    slice of token rows it covers and its (rows*w, d) block of
+    Linear(LayerNorm(y_i + x_j)).  Every block is written into one reused
+    buffer, so it is valid only until the next one is yielded."""
+    inv, a_f = factors[2], factors[4]
+    (h, nw), d = inv.shape, a_f.shape[1]
+    buf = np.empty((min(h, _MLP_SLAB_ROWS), nw, d))
+    for i0 in range(0, h, _MLP_SLAB_ROWS):
+        slab = buf[: min(_MLP_SLAB_ROWS, h - i0)]
+        _outer_sum_ln_rows(factors, i0, slab)
+        yield slice(i0 * nw, (i0 + len(slab)) * nw), slab.reshape(-1, d)
 
 
 def _outer_sum_ln_vjp(factors: tuple[np.ndarray, ...], g: np.ndarray, gain: Tensor,
@@ -465,7 +508,7 @@ def outer_sum_ln_linear(y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w: Ten
     output (map_to_tokens order) is layer_norm(y_i + x_j, gain, bias) @ w + b.
     The row mean of y_i + x_j is the sum of the factors' row means, so the
     centred row is yc_i + xc_j with centred factors yc, xc; its variance is
-    the mean of its squares, formed one (w, c) slab at a time as in
+    the mean of its squares, formed a few factor rows at a time as in
     layer_norm.  The projection is linear, so the output is
     inv_ij * (A_i + B_j) + b' with A = yc @ gw, B = xc @ gw, gw = gain * w
     (row-scaled) and b' = bias @ w + b.
@@ -482,11 +525,6 @@ def outer_sum_ln_linear(y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w: Ten
                            lambda g: _outer_sum_ln_vjp(factors, g, gain, bias, w))
 
 
-# factor rows per slab of outer_sum_mlp, whose hidden array is built
-# (rows * w, d) at a time
-_MLP_SLAB_ROWS = 8
-
-
 def outer_sum_mlp(y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
                   w2: Tensor, b2: Tensor) -> Tensor:
     """The token MLP gelu(outer_sum_ln_linear(y, x, gain, bias, w1, b1)) @ w2 + b2,
@@ -496,10 +534,14 @@ def outer_sum_mlp(y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, 
     _MLP_SLAB_ROWS factor rows, a (rows*w, d) array, is formed as in
     outer_sum_ln_linear and goes through gelu and matmul under no_grad;
     its rows of the (h*w, c) output are written into one array.  The VJP
-    keeps only the factor-side arrays.  It rebuilds the whole hidden array
-    at once (gradient checkpointing of one layer) and runs the VJP math of
-    gelu, matmul and outer_sum_ln_linear on it, so values and gradients
-    equal the unfused chain's bit for bit.
+    keeps only the factor-side arrays (gradient checkpointing of one
+    layer).  It walks the same slabs again, rebuilding each pre-activation
+    and writing its GELU output and its hidden cotangent into two whole
+    (h*w, d) arrays, the most it holds at once: lin2's weight gradient is
+    one product over the first, which is then freed, and
+    outer_sum_ln_linear's VJP runs on the second.  Every reduction runs
+    once over all rows, so values and gradients equal the unfused chain's
+    bit for bit.
     """
     factors = _outer_sum_ln_factors("outer_sum_mlp", y, x, gain, bias, w1, b1)
     h, nw, d = y.shape[0], x.shape[0], w1.shape[1]
@@ -507,25 +549,21 @@ def outer_sum_mlp(y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, 
         raise ContractViolation(f"outer_sum_mlp second weight must be ({d}, c) with a "
                                 f"length-c bias, got {w2.shape} and {b2.shape}")
     out = np.empty((h * nw, w2.shape[1]))
-    buf = np.empty((min(h, _MLP_SLAB_ROWS), nw, d))
     # the module-level gelu and matmul, so that a wrapper installed on them
     # (a MAC or element counter) sees every slab
     with no_grad():
-        for i0 in range(0, h, _MLP_SLAB_ROWS):
-            slab = buf[: min(_MLP_SLAB_ROWS, h - i0)]
-            _outer_sum_ln_rows(factors, i0, slab)
-            act = gelu(Tensor(slab.reshape(-1, d)))
-            np.add(matmul(act, w2).data, b2.data, out=out[i0 * nw: (i0 + len(slab)) * nw])
+        for rows, pre in _outer_sum_slabs(factors):
+            np.add(matmul(gelu(Tensor(pre)), w2).data, b2.data, out=out[rows])
 
     def vjp(g):
-        hidden = np.empty((h, nw, d))
-        _outer_sum_ln_rows(factors, 0, hidden)
-        hidden = hidden.reshape(h * nw, d)
-        cdf = _gelu_cdf(hidden)
-        gw2 = (hidden * cdf).T @ g
-        ghidden = _gelu_slope(hidden, cdf)
-        del hidden, cdf  # two hidden-sized arrays the factor side does not need
-        ghidden *= g @ w2.data.T
+        act = np.empty((h * nw, d))
+        ghidden = np.empty((h * nw, d))
+        for rows, pre in _outer_sum_slabs(factors):
+            cdf = _gelu_cdf(pre)
+            np.multiply(pre, cdf, out=act[rows])
+            np.multiply(_gelu_slope(pre, cdf), g[rows] @ w2.data.T, out=ghidden[rows])
+        gw2 = act.T @ g
+        del act  # the factor side needs only the hidden cotangent
         return (_outer_sum_ln_vjp(factors, ghidden, gain, bias, w1)
                 + (gw2, g.sum(axis=0)))
 
@@ -647,7 +685,8 @@ class Mlp(Module):
     The input is a token matrix, or an OuterSum, which goes through
     outer_sum_mlp: the normalisation and first map come from its factors,
     the rest runs a few factor rows at a time, and the recorded VJP keeps
-    only factor-sized arrays, rebuilding the hidden array when it runs."""
+    only factor-sized arrays.  When it runs, it rebuilds the hidden array
+    slab by slab and holds at most two hidden-sized arrays."""
 
     def __init__(self, rng: np.random.Generator, d: int, hidden_ratio: float = 4.0,
                  name: str = "mlp"):

@@ -214,6 +214,16 @@ class TestTrain:
         assert rep["final_total"] < rep["initial_total"]
         assert len(rep["trace_total"]) == rep["steps"] + 1
 
+    def test_peak_rss_on_stderr_only(self, tiny_cfg, tmp_path, capsys):
+        """Wall time and peak RSS go to stderr; the report has neither, so
+        it stays deterministic."""
+        out = tmp_path / "tr.json"
+        assert main(["train", "--config", tiny_cfg, "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "train wall time" in err and "peak RSS" in err
+        rep = json.loads(out.read_text())
+        assert not any("rss" in key.lower() or "wall" in key.lower() for key in rep)
+
     def test_reproducible(self, tiny_cfg, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["train", "--config", tiny_cfg, "--out", str(a)])

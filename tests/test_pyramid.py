@@ -1,11 +1,23 @@
 """Pipeline variants: the plain baseline against an independent loop
 reference, structural degeneracies, cross-level probes, and toy training."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdtp import tensor as T
-from sdtp.config import ConfigurationError, PipelineConfig
+from sdtp.config import (
+    ARF_MODES,
+    VARIANT_BASE_TAGS,
+    ArfConfig,
+    CdiConfig,
+    ConfigurationError,
+    IspConfig,
+    PipelineConfig,
+)
 from sdtp.pyramid import (
     FeaturePyramid,
     Pipeline,
@@ -23,7 +35,6 @@ RNG = np.random.default_rng(55)
 
 
 def small_cfg(variant="sdtp", levels=(4, 5), channels=8, base_hw=(8, 8), seed=0):
-    from sdtp.config import CdiConfig, IspConfig
     return PipelineConfig(
         variant=variant, seed=seed, channels=channels, in_channels=channels,
         base_hw=base_hw, isp=IspConfig(heads=2),
@@ -327,7 +338,6 @@ class TestParams:
         config.  vjp_check draws each input's directions in this order and
         toy_train updates in it, so a reordered attribute would change the
         gradcheck and train reports."""
-        from sdtp.config import CdiConfig, IspConfig
         cfg = PipelineConfig(channels=8, in_channels=8, base_hw=(8, 8),
                              isp=IspConfig(heads=2), cdi=CdiConfig(heads=2, levels=(4, 5)))
         names = [n for n, _ in Pipeline(cfg).named_params()]
@@ -348,3 +358,42 @@ class TestParams:
         base = Pipeline(small_cfg(variant="fpn_baseline"))
         n = lambda p: sum(t.data.size for t in p.params())
         assert n(base) < n(full)
+
+
+@st.composite
+def small_configs(draw):
+    """Small valid configs: any variant, 1-3 consecutive levels, odd base
+    dims, head counts that divide the channels, any ARF mode."""
+    n = draw(st.integers(1, 3))
+    first = draw(st.integers(2, 6 - n))
+    levels = tuple(range(first, first + n))
+    channels = draw(st.sampled_from([4, 6, 8]))
+    heads = st.sampled_from([k for k in (1, 2, 3, 4) if channels % k == 0])
+    odd = st.sampled_from([3, 5, 7, 9])
+    return PipelineConfig(
+        variant=draw(st.sampled_from(
+            list(VARIANT_BASE_TAGS) + [f"single_input_{lvl}" for lvl in levels])),
+        seed=draw(st.integers(0, 2 ** 16)), channels=channels, in_channels=channels,
+        base_hw=(draw(odd), draw(odd)), arf=ArfConfig(mode=draw(st.sampled_from(ARF_MODES))),
+        isp=IspConfig(heads=draw(heads), rates=(1, 2)),
+        cdi=CdiConfig(heads=draw(heads), levels=levels))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cfg=small_configs())
+def test_invariants_on_small_configs(cfg):
+    """Pipeline.forward is bit-identical to a taped forward_tensors, and the
+    no-interaction variant of the same config has exact-zero cross-level
+    sensitivity off the diagonal."""
+    pipe = Pipeline(cfg)
+    pyr = synthetic_pyramid(cfg)
+    outs, dep = pipe.forward(pyr)
+    touts, tdep = pipe.forward_tensors({lvl: Tensor(a) for lvl, a in pyr.levels.items()})
+    assert dep == float(tdep.data)
+    for lvl in outs:
+        assert touts[lvl].requires_grad
+        np.testing.assert_array_equal(outs[lvl], touts[lvl].data)
+
+    iso_cfg = dataclasses.replace(cfg, variant="no_interaction")
+    levels, mat = probe(Pipeline(iso_cfg), iso_cfg)
+    assert np.all(mat[~np.eye(len(levels), dtype=bool)] == 0.0)

@@ -181,6 +181,18 @@ class TestBackwardStructure:
             T.matmul(Tensor(rand(2, 3)), Tensor(rand(4, 2)))
 
 
+    @pytest.mark.parametrize("kh,kw,dil", [(3, 3, 1), (3, 3, 2), (1, 1, 1)])
+    def test_conv2d_vjp_holds_only_its_inputs(self, kh, kw, dil):
+        """conv2d's recorded VJP holds the arrays of x and w themselves: no
+        padded copy of the input and no per-tap slices of the kernel."""
+        x = Tensor(rand(3, 6, 5), requires_grad=True)
+        w = Tensor(rand(4, 3, kh, kw), requires_grad=True)
+        out = T.conv2d(x, w, dilation=dil)
+        held = list(held_arrays(out._vjp))
+        assert held
+        assert all(a is x.data or a is w.data for a in held)
+
+
 class TestNoGrad:
     def test_ops_inside_record_no_graph(self):
         """Inside the scope an op on grad-requiring parameters keeps no
@@ -410,6 +422,30 @@ class TestOuterSumMlp:
         assert out.requires_grad
         assert peak < 48 * mib
         assert kept < 16 * mib
+
+    def test_level2_backward_memory(self):
+        """At level-2 dims (h = w = 64, c = 256) the backward of a taped
+        Mlp(OuterSum) call holds at most two of the 32 MiB hidden-sized
+        arrays at once: its peak above what the call keeps stays well under
+        the four or five of a GELU VJP over the whole hidden array."""
+        rng = np.random.default_rng(0)
+        mlp = T.Mlp(rng, 256)
+        ln = T.LayerNorm(256)
+        y = Tensor(rng.standard_normal((64, 256)), requires_grad=True)
+        x = Tensor(rng.standard_normal((64, 256)), requires_grad=True)
+        upstream = rng.standard_normal((64 * 64, 256))
+        mib = 2 ** 20
+        tracemalloc.start()
+        try:
+            out = mlp(T.OuterSum(y, x, ln))
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out.backward(upstream)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert y.grad.shape == (64, 256) and mlp.lin2.w.grad.shape == (1024, 256)
+        assert peak < 100 * mib
 
 
 class TestModule:
