@@ -10,14 +10,25 @@ vector.  Grouped attention then runs over the vertical factors of all
 levels jointly, and separately over the horizontal factors, with shared
 projections, pre-norm, and residuals.  Recoupling broadcasts the refined
 factors back to (c, h, w) by addition, an outer-sum expansion.  A token
-MLP (pre-norm, residual) refines the recoupled map.  It runs as one op on
-the factors (outer_sum_mlp): its layer norm and first projection come
-from the factors as in outer_sum_ln_linear, and GELU and the second
-projection run a few factor rows at a time, so neither the (h*w, c)
-recoupled token matrix nor the (h*w, 4c) hidden array is built.  The op's
-VJP keeps only factor-sized arrays; when the backward pass reaches it, it
-rebuilds the hidden array slab by slab and holds at most two hidden-sized
-arrays at once.
+MLP (pre-norm) refines the recoupled map, and the map, the recoupled
+factors and the MLP output are summed into the level's output.
+
+Each level's map passes through three fused ops, whose recorded graphs keep
+only what their VJPs read, so a taped block holds three arrays of a map's
+size per level beside its input: the two pooling softmaxes and the output.
+- softmax_pool, once per axis: the logit conv, softmax and weighted sum.
+  Its VJP keeps the softmax output and rebuilds the rest.
+- outer_sum_distance: the decoupling penalty's term.  Its VJP rebuilds
+  the difference from the map and the factors.
+- outer_sum_mlp: the residual update.  Its layer norm and first projection
+  come from the factors as in outer_sum_ln_linear; GELU, the second
+  projection and the two sums run a few factor rows at a time, straight
+  into the output, so neither the recoupled map, its (h*w, c) tokens, the
+  partial sum, the MLP output nor the (h*w, 4c) hidden array is built.
+  Its VJP keeps only factor-sized arrays; when the backward pass reaches
+  it, it rebuilds the hidden array slab by slab and holds at most two
+  hidden-sized arrays at once.
+Values and gradients equal those of the unfused op chains bit for bit.
 
 The decoupling penalty measures, per level, the Frobenius distance between
 the original map and the outer-sum of its raw (pre-attention) factors; the
@@ -62,37 +73,22 @@ class DecoupleWeights(T.Module):
         self.refine_h = T.conv_param(rng, c, c, 1, 3, name=f"{name}.refine_h")
 
 
-def _softmax_axis(x: Tensor, axis: int) -> Tensor:
-    """Softmax of a (c, h, w) tensor along axis 1 or 2."""
-    c, h, w = x.shape
-    if axis == 2:
-        flat = T.reshape(x, (c * h, w))
-        return T.reshape(T.softmax_rows(flat), (c, h, w))
-    if axis == 1:
-        perm = T.permute(x, (0, 2, 1))
-        flat = T.reshape(perm, (c * w, h))
-        sm = T.reshape(T.softmax_rows(flat), (c, w, h))
-        return T.permute(sm, (0, 2, 1))
-    raise ContractViolation(f"softmax axis must be 1 or 2, got {axis}")
-
-
 def decouple(x: Tensor, weights: DecoupleWeights, level: int = 0) -> DecoupledPair:
     """Collapse (c, h, w) into axis factors by learned softmax pooling.
 
     Per axis: weights = softmax(1x1 conv logits) along the reduced axis;
-    the weighted sum collapses that axis; a small conv along the kept axis
-    refines the result.  With constant logits the pooling is an exact mean.
+    the weighted sum collapses that axis (one op, softmax_pool); a small
+    conv along the kept axis refines the result.  With constant logits the
+    pooling is an exact mean.
     """
     if x.ndim != 3:
         raise ContractViolation(f"decouple expects (c, h, w), got {x.shape}")
     if x.shape[0] != weights.c:
         raise ContractViolation(
             f"decouple channel mismatch: map has {x.shape[0]}, weights expect {weights.c}")
-    att_v = _softmax_axis(T.conv2d(x, weights.logit_v), axis=2)
-    pooled_v = T.sum_axis(T.mul(att_v, x), axis=2)  # (c, h, 1)
+    pooled_v = T.softmax_pool(x, weights.logit_v, axis=2)  # (c, h, 1)
     y = T.conv2d(pooled_v, weights.refine_v)
-    att_h = _softmax_axis(T.conv2d(x, weights.logit_h), axis=1)
-    pooled_h = T.sum_axis(T.mul(att_h, x), axis=1)  # (c, 1, w)
+    pooled_h = T.softmax_pool(x, weights.logit_h, axis=1)  # (c, 1, w)
     xf = T.conv2d(pooled_h, weights.refine_h)
     return DecoupledPair(y=y, x=xf, level=level)
 
@@ -116,7 +112,7 @@ def decouple_loss(maps: list[Tensor], pairs: list[DecoupledPair]) -> Tensor:
         if m.shape[0] != p.y.shape[0]:
             raise ContractViolation(
                 f"level {p.level}: map channels {m.shape[0]} != factor channels {p.y.shape[0]}")
-        term = T.frobenius_norm(T.sub(m, recouple(p)))
+        term = T.outer_sum_distance(m, p.y, p.x)
         total = term if total is None else T.add(total, term)
     return total if total is not None else Tensor(0.0)
 
@@ -149,12 +145,13 @@ class CdiBlock(T.Module):
 
     Per level: decouple -> grouped attention over vertical factors of all
     levels (pre-norm, residual) and likewise horizontal -> token MLP on
-    the recoupled factors (pre-norm, residual) -> add the recoupled map and
-    the MLP output back onto the input map.  The
-    final residual means zeroing the refinement convs together with the
-    attention and MLP output projections turns the whole block into an
-    exact identity.  Returns (updated maps, decoupling penalty), the
-    penalty computed from the raw pre-attention factors.
+    the recoupled factors (pre-norm) -> add the recoupled map and the MLP
+    output back onto the input map; the last two steps are one op,
+    self.mlp applied to a T.OuterSum carrying the map.  The final residual
+    means zeroing the refinement convs together with the attention and
+    MLP output projections turns the whole block into an exact identity.
+    Returns (updated maps, decoupling penalty), the penalty computed from
+    the raw pre-attention factors.
     """
 
     def __init__(self, rng: np.random.Generator, c: int, n_heads: int = 8,
@@ -187,12 +184,8 @@ class CdiBlock(T.Module):
         v_hat = [T.add(t, a) for t, a in zip(tv, attn_v)]
         h_hat = [T.add(t, a) for t, a in zip(th, attn_h)]
 
-        outs: dict[int, Tensor] = {}
-        for lvl, v, hh in zip(levels, v_hat, h_hat):
-            c, h, w = maps[lvl].shape
-            # the MLP reads the factors; the recoupled map is built only for the residual
-            delta = self.mlp(T.OuterSum(v, hh, self.ln_m))
-            recoupled = recouple(DecoupledPair(y=T.tokens_to_map(v, (h, 1)),
-                                               x=T.tokens_to_map(hh, (1, w)), level=lvl))
-            outs[lvl] = T.add(T.add(maps[lvl], recoupled), T.tokens_to_map(delta, (h, w)))
+        # the MLP reads the refined factors and adds the map, their outer sum
+        # and its own output into the level's output
+        outs = {lvl: self.mlp(T.OuterSum(maps[lvl], v, hh, self.ln_m))
+                for lvl, v, hh in zip(levels, v_hat, h_hat)}
         return outs, dep

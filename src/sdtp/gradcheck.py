@@ -280,8 +280,14 @@ def _(rng):
 _op_case("outer_sum_ln_linear", lambda *ts: T.outer_sum_ln_linear(*ts),
          y=(2, 5), x=(3, 5), gain=(5,), bias=(5,), w=(5, 7), b=(7,))
 # h = 9 factor rows: one full 8-row slab and a partial one
-_op_case("outer_sum_mlp", lambda *ts: T.outer_sum_mlp(*ts),
+_op_case("outer_sum_mlp", lambda *ts: T.outer_sum_mlp(*ts), m=(3, 9, 2),
          y=(9, 3), x=(2, 3), gain=(3,), bias=(3,), w1=(3, 6), b1=(6,), w2=(6, 3), b2=(3,))
+_op_case("softmax_pool_axis1", lambda x, w: T.softmax_pool(x, w, axis=1),
+         x=(3, 4, 5), w=(3, 3, 1, 1))
+_op_case("softmax_pool_axis2", lambda x, w: T.softmax_pool(x, w, axis=2),
+         x=(3, 4, 5), w=(3, 3, 1, 1))
+_op_case("outer_sum_distance", lambda m, y, x: T.outer_sum_distance(m, y, x),
+         m=(3, 4, 5), y=(3, 4, 1), x=(3, 1, 5))
 _op_case("resample_nearest", lambda x: T.resample_nearest(x, (5, 7)), x=(2, 3, 4))
 _op_case("frobenius_norm", lambda x: T.frobenius_norm(x), x=(3, 4, 5))
 

@@ -274,8 +274,13 @@ def frobenius_norm(a: Tensor) -> Tensor:
 
 
 def _gelu_cdf(x: np.ndarray) -> np.ndarray:
-    """Standard normal cdf; gelu(x) = x * _gelu_cdf(x)."""
-    return 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    """Standard normal cdf; gelu(x) = x * _gelu_cdf(x).  The value of
+    0.5 * (1 + erf(x / sqrt(2))), formed in place in one temporary."""
+    t = x / np.sqrt(2.0)
+    erf(t, out=t)
+    t += 1.0
+    t *= 0.5
+    return t
 
 
 def _gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
@@ -301,12 +306,14 @@ def softmax_rows(a: Tensor) -> Tensor:
     out = x - x.max(axis=-1, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
+    return Tensor._from_op(out, (a,), lambda g: (_softmax_rows_vjp(out, g),))
 
-    def vjp(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return ((g - dot) * out,)
 
-    return Tensor._from_op(out, (a,), vjp)
+def _softmax_rows_vjp(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of softmax_rows's input for the cotangent g, given its
+    output out."""
+    dot = (g * out).sum(axis=-1, keepdims=True)
+    return (g - dot) * out
 
 
 def _conv_pad(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
@@ -342,7 +349,8 @@ def conv2d(x: Tensor, w: Tensor, dilation: int | tuple[int, int] = 1) -> Tensor:
     spreads the taps; output spatial dims always equal the input's.
     The recorded VJP holds only the arrays of x and w: it pads x again and
     slices each tap again when it runs, so the graph keeps no padded copy
-    of the input and no per-tap copies of the kernel.
+    of the input and no per-tap copies of the kernel.  It forms no input
+    gradient when x needed none as the op was recorded (a raw input map).
     """
     if x.ndim != 3:
         raise ContractViolation(f"conv2d input must be (c, h, w), got shape {x.shape}")
@@ -360,32 +368,41 @@ def conv2d(x: Tensor, w: Tensor, dilation: int | tuple[int, int] = 1) -> Tensor:
     if (kh, kw) not in ALLOWED_KERNEL_SHAPES:
         raise ContractViolation(f"conv2d kernel footprint {(kh, kw)} not in {sorted(ALLOWED_KERNEL_SHAPES)}")
 
-    ph = (kh - 1) * dh // 2
-    pw = (kw - 1) * dw // 2
     xd, wt = x.data, w.data
     out = np.empty((out_c, h, wd), dtype=xd.dtype)
     out_flat = out.reshape(out_c, h * wd)
-    xp = _conv_pad(xd, ph, pw)
+    xp = _conv_pad(xd, (kh - 1) * dh // 2, (kw - 1) * dw // 2)
     for a, b, win, tap in _conv_taps(wt, dh, dw, h, wd):
         patch = xp[win].reshape(c_in, h * wd)
         if a == b == 0:
             np.matmul(tap, patch, out=out_flat)
         else:
             out_flat += tap @ patch
+    need_gx = x.requires_grad
+    return Tensor._from_op(out, (x, w),
+                           lambda g: _conv2d_vjp(xd, wt, (dh, dw), g, need_gx))
 
-    def vjp(g):
-        gflat = np.ascontiguousarray(g.reshape(out_c, h * wd))
-        xp = _conv_pad(xd, ph, pw)
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(wt)
-        for a, b, win, tap in _conv_taps(wt, dh, dw, h, wd):
-            patch = xp[win].reshape(c_in, h * wd)
-            gw[:, :, a, b] = gflat @ patch.T
+
+def _conv2d_vjp(xd: np.ndarray, wt: np.ndarray, dilation: tuple[int, int], g: np.ndarray,
+                need_gx: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
+    """Gradients (gx, gw) of conv2d(x, w, dilation) for the cotangent g,
+    from the arrays of x and w; gx is None unless need_gx."""
+    dh, dw = dilation
+    c_in, h, wd = xd.shape
+    out_c, _, kh, kw = wt.shape
+    ph = (kh - 1) * dh // 2
+    pw = (kw - 1) * dw // 2
+    gflat = np.ascontiguousarray(g.reshape(out_c, h * wd))
+    xp = _conv_pad(xd, ph, pw)
+    gxp = np.zeros_like(xp) if need_gx else None
+    gw = np.zeros_like(wt)
+    for a, b, win, tap in _conv_taps(wt, dh, dw, h, wd):
+        patch = xp[win].reshape(c_in, h * wd)
+        gw[:, :, a, b] = gflat @ patch.T
+        if need_gx:
             gxp[win] += (tap.T @ gflat).reshape(c_in, h, wd)
-        gx = gxp[:, ph: ph + h, pw: pw + wd]
-        return gx, gw
-
-    return Tensor._from_op(out, (x, w), vjp)
+    gx = gxp[:, ph: ph + h, pw: pw + wd] if need_gx else None
+    return gx, gw
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -462,17 +479,19 @@ def _outer_sum_ln_rows(factors: tuple[np.ndarray, ...], i0: int, out: np.ndarray
 
 
 def _outer_sum_slabs(factors: tuple[np.ndarray, ...]):
-    """Yield (rows, pre) for each slab of _MLP_SLAB_ROWS factor rows: the
-    slice of token rows it covers and its (rows*w, d) block of
-    Linear(LayerNorm(y_i + x_j)).  Every block is written into one reused
-    buffer, so it is valid only until the next one is yielded."""
+    """Yield (rows, tokens, pre) for each slab of _MLP_SLAB_ROWS factor
+    rows: the slice of factor rows, the slice of token rows it covers and
+    its (rows*w, d) block of Linear(LayerNorm(y_i + x_j)).  Every block is
+    written into one reused buffer, so it is valid only until the next one
+    is yielded."""
     inv, a_f = factors[2], factors[4]
     (h, nw), d = inv.shape, a_f.shape[1]
     buf = np.empty((min(h, _MLP_SLAB_ROWS), nw, d))
     for i0 in range(0, h, _MLP_SLAB_ROWS):
         slab = buf[: min(_MLP_SLAB_ROWS, h - i0)]
         _outer_sum_ln_rows(factors, i0, slab)
-        yield slice(i0 * nw, (i0 + len(slab)) * nw), slab.reshape(-1, d)
+        i1 = i0 + len(slab)
+        yield slice(i0, i1), slice(i0 * nw, i1 * nw), slab.reshape(-1, d)
 
 
 def _outer_sum_ln_vjp(factors: tuple[np.ndarray, ...], g: np.ndarray, gain: Tensor,
@@ -525,49 +544,142 @@ def outer_sum_ln_linear(y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w: Ten
                            lambda g: _outer_sum_ln_vjp(factors, g, gain, bias, w))
 
 
-def outer_sum_mlp(y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
-                  w2: Tensor, b2: Tensor) -> Tensor:
-    """The token MLP gelu(outer_sum_ln_linear(y, x, gain, bias, w1, b1)) @ w2 + b2,
-    computed a few factor rows at a time.
+def outer_sum_mlp(m: Tensor, y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor,
+                  b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """The CDI block's residual update of a (c, h, w) map m from the axis
+    factors y: (h, c) and x: (w, c) of its refined outer sum r, with
+    r[:, i, j] = y_i + x_j:
 
-    The (h*w, d) hidden array is never built in the forward: each slab of
-    _MLP_SLAB_ROWS factor rows, a (rows*w, d) array, is formed as in
-    outer_sum_ln_linear and goes through gelu and matmul under no_grad;
-    its rows of the (h*w, c) output are written into one array.  The VJP
-    keeps only the factor-side arrays (gradient checkpointing of one
-    layer).  It walks the same slabs again, rebuilding each pre-activation
-    and writing its GELU output and its hidden cotangent into two whole
-    (h*w, d) arrays, the most it holds at once: lin2's weight gradient is
-    one product over the first, which is then freed, and
-    outer_sum_ln_linear's VJP runs on the second.  Every reduction runs
-    once over all rows, so values and gradients equal the unfused chain's
-    bit for bit.
+        out = (m + r) + tokens_to_map(gelu(outer_sum_ln_linear(y, x, gain,
+                                      bias, w1, b1)) @ w2 + b2)
+
+    computed a few factor rows at a time.  Neither r, nor m + r, nor the
+    (h*w, c) MLP output, nor the (h*w, d) hidden array is built: each slab
+    of _MLP_SLAB_ROWS factor rows, a (rows*w, d) array, is formed as in
+    outer_sum_ln_linear and goes through gelu and matmul under no_grad, and
+    its rows of the sum are written straight into the (c, h, w) output.
+
+    The VJP keeps only the factor-side arrays (gradient checkpointing of
+    one layer).  The residual needs none: the cotangent goes to m as it
+    is, and its w- and h-sums to the factors.  The MLP's part walks the
+    same slabs again, rebuilding each pre-activation and writing its GELU
+    output and its hidden cotangent into two whole (h*w, d) arrays, the
+    most it holds at once: lin2's weight gradient is one product over the
+    first, which is then freed, and outer_sum_ln_linear's VJP runs on the
+    second.  Each factor is listed twice among the parents, residual use
+    first, and every reduction runs once over all rows, so values and
+    gradients equal the unfused chain's bit for bit.
     """
     factors = _outer_sum_ln_factors("outer_sum_mlp", y, x, gain, bias, w1, b1)
-    h, nw, d = y.shape[0], x.shape[0], w1.shape[1]
-    if w2.ndim != 2 or w2.shape[0] != d or b2.shape != (w2.shape[1],):
-        raise ContractViolation(f"outer_sum_mlp second weight must be ({d}, c) with a "
-                                f"length-c bias, got {w2.shape} and {b2.shape}")
-    out = np.empty((h * nw, w2.shape[1]))
+    (h, c), nw, d = y.shape, x.shape[0], w1.shape[1]
+    if w2.shape != (d, c) or b2.shape != (c,):
+        raise ContractViolation(f"outer_sum_mlp second weight must be ({d}, {c}) with a "
+                                f"length-{c} bias, got {w2.shape} and {b2.shape}")
+    if m.shape != (c, h, nw):
+        raise ContractViolation(f"outer_sum_mlp map must be ({c}, {h}, {nw}), got {m.shape}")
+    out = np.empty((c, h, nw))
+    yt, xt = y.data.T, x.data.T
     # the module-level gelu and matmul, so that a wrapper installed on them
     # (a MAC or element counter) sees every slab
     with no_grad():
-        for rows, pre in _outer_sum_slabs(factors):
-            np.add(matmul(gelu(Tensor(pre)), w2).data, b2.data, out=out[rows])
+        for rows, _, pre in _outer_sum_slabs(factors):
+            o = out[:, rows]
+            np.add(yt[:, rows, None], xt[:, None, :], out=o)
+            o += m.data[:, rows]  # r + m: float addition commutes, so m + r's bits
+            delta = matmul(gelu(Tensor(pre)), w2).data
+            delta += b2.data
+            o += delta.reshape(-1, nw, c).transpose(2, 0, 1)
 
     def vjp(g):
+        gtok = g.transpose(1, 2, 0).reshape(h * nw, c)
         act = np.empty((h * nw, d))
         ghidden = np.empty((h * nw, d))
-        for rows, pre in _outer_sum_slabs(factors):
+        for _, tokens, pre in _outer_sum_slabs(factors):
             cdf = _gelu_cdf(pre)
-            np.multiply(pre, cdf, out=act[rows])
-            np.multiply(_gelu_slope(pre, cdf), g[rows] @ w2.data.T, out=ghidden[rows])
-        gw2 = act.T @ g
+            np.multiply(pre, cdf, out=act[tokens])
+            np.multiply(_gelu_slope(pre, cdf), gtok[tokens] @ w2.data.T, out=ghidden[tokens])
+        gw2 = act.T @ gtok
         del act  # the factor side needs only the hidden cotangent
-        return (_outer_sum_ln_vjp(factors, ghidden, gain, bias, w1)
-                + (gw2, g.sum(axis=0)))
+        gy = _unbroadcast(g, (c, h, 1)).transpose(1, 2, 0).reshape(h, c)
+        gx = _unbroadcast(g, (c, 1, nw)).transpose(1, 2, 0).reshape(nw, c)
+        return ((g, gy, gx) + _outer_sum_ln_vjp(factors, ghidden, gain, bias, w1)
+                + (gw2, gtok.sum(axis=0)))
 
-    return Tensor._from_op(out, (y, x, gain, bias, w1, b1, w2, b2), vjp)
+    return Tensor._from_op(out, (m, y, x, y, x, gain, bias, w1, b1, w2, b2), vjp)
+
+
+def softmax_pool(x: Tensor, w: Tensor, axis: int) -> Tensor:
+    """Collapse axis 1 or 2 of a (c, h, w) map by softmax pooling: weights
+    softmax(conv2d(x, w)) along that axis (w a (c, c, 1, 1) logit kernel),
+    then the weighted sum of x along it, kept with length 1.
+
+    The logit conv and the row softmax run through the module-level conv2d
+    and softmax_rows under no_grad; for axis 1 the logits are softmaxed as
+    a transposed copy, which lives only until the softmax has read it.  The
+    VJP holds the arrays of x and w and the softmax output, and runs the
+    product's, the softmax's and the conv's VJP math from them.  x is
+    listed twice among the parents, product use first, as the unfused
+    chain conv2d -> softmax -> mul -> sum accumulates it, so values and
+    gradients equal that chain's bit for bit.
+    """
+    if x.ndim != 3:
+        raise ContractViolation(f"softmax_pool expects (c, h, w), got shape {x.shape}")
+    if axis not in (1, 2):
+        raise ContractViolation(f"softmax_pool axis must be 1 or 2, got {axis}")
+    c, h, wd = x.shape
+    if w.shape != (c, c, 1, 1):
+        raise ContractViolation(f"softmax_pool logit kernel must be ({c}, {c}, 1, 1), "
+                                f"got {w.shape}")
+    xd, wt = x.data, w.data
+    with no_grad():
+        logits = conv2d(x, w).data
+        if axis == 2:
+            sm = softmax_rows(Tensor(logits.reshape(c * h, wd))).data
+        else:
+            sm = softmax_rows(Tensor(logits.transpose(0, 2, 1).reshape(c * wd, h))).data
+    del logits
+
+    def pooling_weights(sm):
+        """The (c, h, w) view of the softmax output."""
+        return sm.reshape(c, h, wd) if axis == 2 else sm.reshape(c, wd, h).transpose(0, 2, 1)
+
+    out = (pooling_weights(sm) * xd).sum(axis=axis, keepdims=True)
+
+    def vjp(g):
+        gp = np.broadcast_to(g, xd.shape)
+        gatt = gp * xd
+        if axis == 2:
+            glogits = _softmax_rows_vjp(sm, gatt.reshape(c * h, wd)).reshape(c, h, wd)
+        else:
+            glogits = _softmax_rows_vjp(sm, gatt.transpose(0, 2, 1).reshape(c * wd, h))
+            glogits = glogits.reshape(c, wd, h).transpose(0, 2, 1)
+        del gatt
+        gx_logits, gw = _conv2d_vjp(xd, wt, (1, 1), glogits)
+        return gp * pooling_weights(sm), gx_logits, gw
+
+    return Tensor._from_op(out, (x, x, w), vjp)
+
+
+def outer_sum_distance(m: Tensor, y: Tensor, x: Tensor) -> Tensor:
+    """Frobenius distance between a (c, h, w) map m and the outer sum of its
+    factors y: (c, h, 1) and x: (c, 1, w), sqrt(sum((m - (y + x))**2));
+    subgradient 0 where they coincide.  Neither the outer sum nor the
+    difference is kept: the VJP rebuilds the difference from m, y and x in
+    one pass, so values and gradients equal those of
+    frobenius_norm(sub(m, add(y, x))) bit for bit."""
+    if m.ndim != 3 or y.shape != (m.shape[0], m.shape[1], 1) \
+            or x.shape != (m.shape[0], 1, m.shape[2]):
+        raise ContractViolation(f"outer_sum_distance needs a (c, h, w) map with (c, h, 1) and "
+                                f"(c, 1, w) factors, got {m.shape}, {y.shape} and {x.shape}")
+    md, yd, xd = m.data, y.data, x.data
+    nrm = float(np.sqrt(((md - (yd + xd)) ** 2).sum()))
+
+    def vjp(g):
+        gd = g * (md - (yd + xd)) / max(nrm, 1e-300)
+        gr = -gd
+        return gd, _unbroadcast(gr, yd.shape), _unbroadcast(gr, xd.shape)
+
+    return Tensor._from_op(np.asarray(nrm), (m, y, x), vjp)
 
 
 def map_to_tokens(x: Tensor) -> Tensor:
@@ -604,11 +716,42 @@ def resample_nearest(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
     out = x.data[:, ih[:, None], iw[None, :]]
 
     def vjp(g):
+        # np.add.at(gx, (:, ih, iw), g) without its per-element overhead:
+        # one add per pair of occurrence ranks, row rank outer, column rank
+        # inner, each onto distinct sources, so every source sums its
+        # outputs in the same raster order
         gx = np.zeros_like(x.data)
-        np.add.at(gx, (slice(None), ih[:, None], iw[None, :]), g)
+        for out_r, src_r in _rank_groups(ih):
+            if not isinstance(out_r, slice):
+                out_r, src_r = out_r[:, None], src_r[:, None]
+            for out_c, src_c in _rank_groups(iw):
+                gx[:, src_r, src_c] += g[:, out_r, out_c]
         return (gx,)
 
     return Tensor._from_op(out, (x,), vjp)
+
+
+def _rank_groups(idx: np.ndarray) -> list[tuple]:
+    """Split a non-decreasing index map by occurrence rank: entry r pairs
+    the output positions that are the r-th to read their source with those
+    sources, both as slices where both step evenly (2x up or down), else
+    both as index arrays."""
+    first = np.searchsorted(idx, idx)  # the first output reading each source
+    rank = np.arange(len(idx)) - first
+    groups = []
+    for r in range(int(rank.max()) + 1):
+        pos = np.flatnonzero(rank == r)
+        as_slices = tuple(_as_slice(a) for a in (pos, idx[pos]))
+        groups.append(as_slices if None not in as_slices else (pos, idx[pos]))
+    return groups
+
+
+def _as_slice(a: np.ndarray) -> slice | None:
+    """The slice that selects the indices a, if they rise by one fixed step."""
+    step = int(a[1] - a[0]) if len(a) > 1 else 1
+    if step < 1 or np.any(np.diff(a) != step):
+        return None
+    return slice(int(a[0]), int(a[-1]) + 1, step)
 
 
 def uniform_param(rng: np.random.Generator, shape, fan_in: int, name: str | None = None) -> Tensor:
@@ -671,9 +814,13 @@ class LayerNorm(Module):
 
 @dataclass
 class OuterSum:
-    """The token matrix ln(y_i + x_j), rows in map_to_tokens order, kept as
-    its (h, c) and (w, c) factors and the LayerNorm to apply."""
+    """The residual update of a (c, h, w) map by the outer sum r of two
+    axis factors, r[:, i, j] = y_i + x_j: an Mlp applied to it returns
+    m + r + mlp(ln(r)), the MLP running on r's tokens in map_to_tokens
+    order.  Kept as the map, the (h, c) and (w, c) factors and the
+    LayerNorm to apply."""
 
+    m: Tensor
     y: Tensor
     x: Tensor
     ln: LayerNorm
@@ -683,10 +830,12 @@ class Mlp(Module):
     """Two affine maps with a GELU between; hidden width = round(ratio * d).
 
     The input is a token matrix, or an OuterSum, which goes through
-    outer_sum_mlp: the normalisation and first map come from its factors,
-    the rest runs a few factor rows at a time, and the recorded VJP keeps
-    only factor-sized arrays.  When it runs, it rebuilds the hidden array
-    slab by slab and holds at most two hidden-sized arrays."""
+    outer_sum_mlp and yields the updated (c, h, w) map: the normalisation
+    and first map come from its factors, the rest runs a few factor rows
+    at a time and is added, with the map and the outer sum, straight into
+    the output.  The recorded VJP keeps only factor-sized arrays.  When it
+    runs, it rebuilds the hidden array slab by slab and holds at most two
+    hidden-sized arrays."""
 
     def __init__(self, rng: np.random.Generator, d: int, hidden_ratio: float = 4.0,
                  name: str = "mlp"):
@@ -698,8 +847,8 @@ class Mlp(Module):
 
     def __call__(self, x: Tensor | OuterSum) -> Tensor:
         if isinstance(x, OuterSum):
-            return outer_sum_mlp(x.y, x.x, x.ln.gain, x.ln.bias, self.lin1.w, self.lin1.b,
-                                 self.lin2.w, self.lin2.b)
+            return outer_sum_mlp(x.m, x.y, x.x, x.ln.gain, x.ln.bias, self.lin1.w,
+                                 self.lin1.b, self.lin2.w, self.lin2.b)
         return self.lin2(gelu(self.lin1(x)))
 
 

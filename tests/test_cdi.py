@@ -20,7 +20,8 @@ from sdtp.cdi import (
 )
 from sdtp.tensor import ContractViolation, Tensor
 
-from oracles import naive_recouple
+from oracles import graph_arrays, naive_recouple
+from test_tensor import unfused_outer_sum_distance, unfused_outer_sum_mlp, unfused_softmax_pool
 
 RNG = np.random.default_rng(777)
 
@@ -262,8 +263,9 @@ class TestBlock:
 
     def test_gradients_match_dense_first_layer(self, monkeypatch):
         """Outputs, input and parameter gradients equal those of the same
-        block whose token MLP runs densely on the recoupled tokens,
-        mlp.lin2(gelu(mlp.lin1(ln_m(map_to_tokens(recouple(...))))))."""
+        block whose residual update runs densely on the recoupled map,
+        m + r + tokens_to_map(mlp.lin2(gelu(mlp.lin1(ln_m(map_to_tokens(r)))))),
+        r = recouple(...)."""
         def run(blk):
             rng = np.random.default_rng(5)
             maps = {4: Tensor(rng.standard_normal((4, 4, 6)), requires_grad=True),
@@ -279,19 +281,63 @@ class TestBlock:
         factored = run(CdiBlock(np.random.default_rng(0), 4, n_heads=2))
         blk = CdiBlock(np.random.default_rng(0), 4, n_heads=2)
 
-        def dense(y, x, gain, bias, w1, b1, w2, b2):
+        def dense(m, y, x, gain, bias, w1, b1, w2, b2):
             assert (gain, bias, w1, b1, w2, b2) == (blk.ln_m.gain, blk.ln_m.bias,
                                                     blk.mlp.lin1.w, blk.mlp.lin1.b,
                                                     blk.mlp.lin2.w, blk.mlp.lin2.b)
             (h, c), wd = y.shape, x.shape[0]
             pair = DecoupledPair(y=T.reshape(T.permute(y, (1, 0)), (c, h, 1)),
                                  x=T.reshape(T.permute(x, (1, 0)), (c, 1, wd)), level=0)
-            tokens = blk.ln_m(T.map_to_tokens(recouple(pair)))
-            return blk.mlp.lin2(T.gelu(blk.mlp.lin1(tokens)))
+            recoupled = recouple(pair)
+            tokens = blk.ln_m(T.map_to_tokens(recoupled))
+            delta = blk.mlp.lin2(T.gelu(blk.mlp.lin1(tokens)))
+            return T.add(T.add(m, recoupled), T.tokens_to_map(delta, (h, wd)))
 
         monkeypatch.setattr(T, "outer_sum_mlp", dense)
         for got, want in zip(factored, run(blk)):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+
+    def test_graph_keeps_three_map_sized_arrays_per_level(self):
+        """Per level, the taped block keeps 3 arrays of the map's size
+        beside its input map: the two pooling softmaxes and the output. No
+        logits, transposed copy, pooling products, recoupled maps,
+        differences, partial sums or MLP output tokens."""
+        blk = CdiBlock(np.random.default_rng(0), 4, n_heads=2)
+        # map sizes (140 and 36) that no parameter or factor-side array shares
+        maps = {4: Tensor(RNG.standard_normal((4, 5, 7)), requires_grad=True),
+                5: Tensor(RNG.standard_normal((4, 3, 3)), requires_grad=True)}
+        outs, dep = blk(maps)
+        held = graph_arrays(*outs.values(), dep)
+        for lvl, m in maps.items():
+            same_size = [a for a in held if a.size == m.size and a is not m.data]
+            assert len(same_size) <= 3, (lvl, [a.shape for a in same_size])
+
+    def test_gradients_bit_identical_to_unfused_chains(self, monkeypatch):
+        """Outputs, the penalty and every input and parameter gradient equal
+        those of the block built from the unfused chains the three fused ops
+        replace, bit for bit: each fused op lists a reused input once per
+        use, in the order the chains accumulated them."""
+        def run(blk):
+            rng = np.random.default_rng(6)
+            maps = {4: Tensor(rng.standard_normal((4, 5, 7)), requires_grad=True),
+                    5: Tensor(rng.standard_normal((4, 3, 4)), requires_grad=True)}
+            pre = {lvl: T.scale(m, 1.0) for lvl, m in maps.items()}  # maps as inner nodes
+            outs, dep = blk(pre)
+            loss = dep
+            for o in outs.values():
+                loss = T.add(loss, T.mean_all(T.mul(o, o)))
+            loss.backward()
+            return ([o.data for o in outs.values()] + [dep.data]
+                    + [t.grad for t in maps.values()] + [p.grad for p in blk.params()])
+
+        fused = run(CdiBlock(np.random.default_rng(0), 4, n_heads=2))
+        monkeypatch.setattr(T, "softmax_pool", unfused_softmax_pool)
+        monkeypatch.setattr(T, "outer_sum_distance", unfused_outer_sum_distance)
+        monkeypatch.setattr(T, "outer_sum_mlp", unfused_outer_sum_mlp)
+        chain = run(CdiBlock(np.random.default_rng(0), 4, n_heads=2))
+        assert len(fused) == len(chain)
+        for got, want in zip(fused, chain):
+            assert np.array_equal(got, want)
 
     def test_channel_mismatch_rejected(self):
         """Maps must match the block's channel width."""

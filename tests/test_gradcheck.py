@@ -24,7 +24,8 @@ from sdtp.tensor import Tensor
 EXPECTED_CASES = [
     "matmul", "conv2d_1x1", "conv2d_3x3", "conv2d_3x3_dilated", "conv2d_3x1",
     "conv2d_1x3", "layer_norm", "gelu", "softmax_rows", "mlp", "outer_sum_ln_linear",
-    "outer_sum_mlp", "resample_nearest", "frobenius_norm", "arf", "attention_core_softmax",
+    "outer_sum_mlp", "softmax_pool_axis1", "softmax_pool_axis2", "outer_sum_distance",
+    "resample_nearest", "frobenius_norm", "arf", "attention_core_softmax",
     "attention_core_arf", "generate_states", "mma", "isp_block", "decouple",
     "recouple", "mga", "decouple_loss", "cdi_block", "sdtp_pipeline",
 ]

@@ -382,9 +382,11 @@ def small_configs(draw):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(cfg=small_configs())
 def test_invariants_on_small_configs(cfg):
-    """Pipeline.forward is bit-identical to a taped forward_tensors, and the
-    no-interaction variant of the same config has exact-zero cross-level
-    sensitivity off the diagonal."""
+    """Pipeline.forward is bit-identical to a taped forward_tensors; for the
+    full variant, zeroing the enhancement branches reproduces the plain
+    baseline holding the same lateral and smooth weights byte for byte;
+    and the no-interaction variant of the same config has exact-zero
+    cross-level sensitivity off the diagonal."""
     pipe = Pipeline(cfg)
     pyr = synthetic_pyramid(cfg)
     outs, dep = pipe.forward(pyr)
@@ -393,6 +395,14 @@ def test_invariants_on_small_configs(cfg):
     for lvl in outs:
         assert touts[lvl].requires_grad
         np.testing.assert_array_equal(outs[lvl], touts[lvl].data)
+
+    full = Pipeline(dataclasses.replace(cfg, variant="sdtp"))
+    zero_enhancement_branches(full)
+    base = Pipeline(dataclasses.replace(cfg, variant="fpn_baseline"))
+    base.lateral, base.smooth = full.lateral, full.smooth
+    got, want = full.forward(pyr)[0], base.forward(pyr)[0]
+    for lvl in want:
+        assert got[lvl].tobytes() == want[lvl].tobytes()
 
     iso_cfg = dataclasses.replace(cfg, variant="no_interaction")
     levels, mat = probe(Pipeline(iso_cfg), iso_cfg)

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from sdtp import tensor as T
 from sdtp.tensor import ContractViolation, Tensor
 
-from oracles import naive_conv2d, naive_layer_norm, naive_matmul, naive_softmax_row
+from oracles import (
+    graph_arrays,
+    naive_conv2d,
+    naive_layer_norm,
+    naive_matmul,
+    naive_softmax_row,
+)
 
 RNG = np.random.default_rng(1234)
 
@@ -80,6 +86,12 @@ class TestForwardValues:
         want = np.array([x * 0.5 * (1 + erf(x / sqrt(2))) for x in xs])
         got = T.gelu(Tensor(xs)).data
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
+
+    def test_gelu_cdf_bits(self):
+        """The in-place cdf is the same bits as 0.5 * (1 + erf(x / sqrt 2))."""
+        from scipy.special import erf
+        x = rand(7, 9) * 3
+        assert T._gelu_cdf(x).tobytes() == (0.5 * (1.0 + erf(x / np.sqrt(2.0)))).tobytes()
 
     def test_resample_nearest_identity_and_double(self):
         """Resampling to the same dims is the identity; 2x repeats cells."""
@@ -188,9 +200,20 @@ class TestBackwardStructure:
         x = Tensor(rand(3, 6, 5), requires_grad=True)
         w = Tensor(rand(4, 3, kh, kw), requires_grad=True)
         out = T.conv2d(x, w, dilation=dil)
-        held = list(held_arrays(out._vjp))
-        assert held
-        assert all(a is x.data or a is w.data for a in held)
+        held = {id(a) for a in graph_arrays(out)}
+        assert held == {id(out.data), id(x.data), id(w.data)}
+
+    @pytest.mark.parametrize("kh,kw,dil", [(3, 3, 1), (1, 1, 1), (1, 3, 1)])
+    def test_conv2d_vjp_skips_unneeded_input_gradient(self, kh, kw, dil):
+        """An input that needed no gradient when the op was recorded (a raw
+        input map) gets None from the VJP, and the weight gradient is the
+        same bits as when the input gradient is formed."""
+        x, g = rand(3, 6, 5), rand(4, 6, 5)
+        w = Tensor(rand(4, 3, kh, kw), requires_grad=True)
+        skipped = T.conv2d(Tensor(x), w, dilation=dil)._vjp(g)
+        full = T.conv2d(Tensor(x, requires_grad=True), w, dilation=dil)._vjp(g)
+        assert skipped[0] is None and full[0] is not None
+        assert np.array_equal(skipped[1], full[1])
 
 
 class TestNoGrad:
@@ -320,30 +343,21 @@ class TestOuterSumLnLinear:
             T.outer_sum_ln_linear(y, x, gain, bias, Tensor(rand(6, 7)), b)
 
 
-def unfused_outer_sum_mlp(y, x, gain, bias, w1, b1, w2, b2):
-    """The chain outer_sum_mlp fuses, one op at a time on the whole array."""
+def unfused_outer_sum_mlp(m, y, x, gain, bias, w1, b1, w2, b2):
+    """The chain outer_sum_mlp fuses, one op at a time on the whole array:
+    the map plus the recoupled factors plus the token MLP's output, as the
+    CDI block's residual was built."""
     hidden = T.outer_sum_ln_linear(y, x, gain, bias, w1, b1)
-    return T.add(T.matmul(T.gelu(hidden), w2), b2)
-
-
-def held_arrays(fn):
-    """Every array reachable from a closure's cells through tuples, lists
-    and Tensors."""
-    stack = [cell.cell_contents for cell in fn.__closure__]
-    while stack:
-        v = stack.pop()
-        if isinstance(v, np.ndarray):
-            yield v
-        elif isinstance(v, Tensor):
-            stack.append(v.data)
-        elif isinstance(v, (tuple, list)):
-            stack.extend(v)
+    delta = T.add(T.matmul(T.gelu(hidden), w2), b2)
+    (h, _), nw = y.shape, x.shape[0]
+    recoupled = T.add(T.tokens_to_map(y, (h, 1)), T.tokens_to_map(x, (1, nw)))
+    return T.add(T.add(m, recoupled), T.tokens_to_map(delta, (h, nw)))
 
 
 class TestOuterSumMlp:
     def inputs(self, h, w=6, c=4, d=16, seed=0):
         rng = np.random.default_rng(seed)
-        shapes = [(h, c), (w, c), (c,), (c,), (c, d), (d,), (d, c), (c,)]
+        shapes = [(c, h, w), (h, c), (w, c), (c,), (c,), (c, d), (d,), (d, c), (c,)]
         return [rng.standard_normal(s) for s in shapes]
 
     # h = k * rows + extra: one row, a slab short of full, one full slab,
@@ -361,7 +375,7 @@ class TestOuterSumMlp:
         """Every input's gradient equals backprop through the unfused chain,
         bit for bit, also where the forward spans a partial slab."""
         arrays = self.inputs(2 * T._MLP_SLAB_ROWS + extra, seed=extra)
-        upstream = np.random.default_rng(9).standard_normal((arrays[0].shape[0] * 6, 4))
+        upstream = np.random.default_rng(9).standard_normal(arrays[0].shape)
 
         def grads(fn):
             ts = [Tensor(a, requires_grad=True) for a in arrays]
@@ -372,26 +386,32 @@ class TestOuterSumMlp:
             assert np.array_equal(got, want)
 
     def test_graph_keeps_no_hidden_sized_array(self):
-        """The recorded VJP holds factor-sized arrays only, nothing as large
-        as the (h*w, c) token matrix, let alone the (h*w, 4c) hidden one."""
+        """Besides the output and the input map, the graph holds factor-sized
+        arrays only, nothing as large as the (h*w, c) token matrix, let
+        alone the (h*w, 4c) hidden one: no recoupled map, partial sum or MLP
+        output either."""
         h, wd, c = 2 * T._MLP_SLAB_ROWS + 3, 6, 4
         ts = [Tensor(a, requires_grad=True) for a in self.inputs(h, wd, c)]
         out = T.outer_sum_mlp(*ts)
-        held = list(held_arrays(out._vjp))
+        held = [a for a in graph_arrays(out) if a is not out.data and a is not ts[0].data]
         assert held
         assert all(a.size < h * wd * c for a in held)
 
     def test_shape_contract(self):
-        """Factors, LayerNorm, both weights and both biases must agree."""
-        y, x, gain, bias, w1, b1, w2, b2 = map(Tensor, self.inputs(3))
+        """The map, factors, LayerNorm, both weights and both biases must
+        agree."""
+        m, y, x, gain, bias, w1, b1, w2, b2 = map(Tensor, self.inputs(3))
         bad = [
-            (y, Tensor(rand(6, 5)), gain, bias, w1, b1, w2, b2),
-            (y, x, Tensor(rand(5)), bias, w1, b1, w2, b2),
-            (y, x, gain, bias, Tensor(rand(5, 16)), b1, w2, b2),
-            (y, x, gain, bias, w1, Tensor(rand(8)), w2, b2),
-            (y, x, gain, bias, w1, b1, Tensor(rand(8, 4)), b2),
-            (y, x, gain, bias, w1, b1, w2, Tensor(rand(5))),
-            (y, x, gain, bias, w1, b1, Tensor(rand(16)), b2),
+            (m, y, Tensor(rand(6, 5)), gain, bias, w1, b1, w2, b2),
+            (m, y, x, Tensor(rand(5)), bias, w1, b1, w2, b2),
+            (m, y, x, gain, bias, Tensor(rand(5, 16)), b1, w2, b2),
+            (m, y, x, gain, bias, w1, Tensor(rand(8)), w2, b2),
+            (m, y, x, gain, bias, w1, b1, Tensor(rand(8, 4)), b2),
+            (m, y, x, gain, bias, w1, b1, w2, Tensor(rand(5))),
+            (m, y, x, gain, bias, w1, b1, Tensor(rand(16)), b2),
+            (m, y, x, gain, bias, w1, b1, Tensor(rand(16, 5)), Tensor(rand(5))),
+            (Tensor(rand(4, 3, 5)), y, x, gain, bias, w1, b1, w2, b2),
+            (Tensor(rand(5, 3, 6)), y, x, gain, bias, w1, b1, w2, b2),
         ]
         for args in bad:
             with pytest.raises(ContractViolation):
@@ -405,17 +425,18 @@ class TestOuterSumMlp:
         mlp = T.Mlp(rng, 256)
         ln = T.LayerNorm(256)
         y, x = Tensor(rng.standard_normal((64, 256))), Tensor(rng.standard_normal((64, 256)))
+        m = Tensor(rng.standard_normal((256, 64, 64)))
         mib = 2 ** 20
         tracemalloc.start()
         try:
             with T.no_grad():
                 base = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                out = mlp(T.OuterSum(y, x, ln))
+                out = mlp(T.OuterSum(m, y, x, ln))
                 peak = tracemalloc.get_traced_memory()[1] - base
             del out
             base = tracemalloc.get_traced_memory()[0]
-            out = mlp(T.OuterSum(y, x, ln))
+            out = mlp(T.OuterSum(m, y, x, ln))
             kept = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
@@ -433,11 +454,12 @@ class TestOuterSumMlp:
         ln = T.LayerNorm(256)
         y = Tensor(rng.standard_normal((64, 256)), requires_grad=True)
         x = Tensor(rng.standard_normal((64, 256)), requires_grad=True)
-        upstream = rng.standard_normal((64 * 64, 256))
+        m = Tensor(rng.standard_normal((256, 64, 64)))
+        upstream = rng.standard_normal((256, 64, 64))
         mib = 2 ** 20
         tracemalloc.start()
         try:
-            out = mlp(T.OuterSum(y, x, ln))
+            out = mlp(T.OuterSum(m, y, x, ln))
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             out.backward(upstream)
@@ -446,6 +468,159 @@ class TestOuterSumMlp:
             tracemalloc.stop()
         assert y.grad.shape == (64, 256) and mlp.lin2.w.grad.shape == (1024, 256)
         assert peak < 100 * mib
+
+
+def unfused_softmax_pool(x, w, axis):
+    """The chain softmax_pool fuses: 1x1 logit conv, softmax along axis (for
+    axis 1 through a transposed copy), product with x, sum along axis."""
+    c, h, wd = x.shape
+    logits = T.conv2d(x, w)
+    if axis == 2:
+        att = T.reshape(T.softmax_rows(T.reshape(logits, (c * h, wd))), (c, h, wd))
+    else:
+        flat = T.reshape(T.permute(logits, (0, 2, 1)), (c * wd, h))
+        att = T.permute(T.reshape(T.softmax_rows(flat), (c, wd, h)), (0, 2, 1))
+    return T.sum_axis(T.mul(att, x), axis=axis)
+
+
+def unfused_outer_sum_distance(m, y, x):
+    """The chain outer_sum_distance fuses."""
+    return T.frobenius_norm(T.sub(m, T.add(y, x)))
+
+
+def grads_of(fn, arrays, upstream):
+    """Input gradients of fn at arrays for the cotangent upstream."""
+    ts = [Tensor(a, requires_grad=True) for a in arrays]
+    fn(*ts).backward(upstream)
+    return [t.grad for t in ts]
+
+
+def assert_rel_close(got, want, rel):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * max(np.abs(want).max(), 1e-300)
+
+
+# odd dims, and the level dims of a slab-crossing h
+POOL_DIMS = [(3, 5, 7), (1, 1, 1), (2, 9, 1), (4, 1, 6), (5, 17, 11)]
+
+
+class TestSoftmaxPool:
+    @pytest.mark.parametrize("axis", [1, 2])
+    @pytest.mark.parametrize("dims", POOL_DIMS)
+    def test_forward_bit_identical_to_chain(self, dims, axis):
+        rng = np.random.default_rng(sum(dims) + axis)
+        x, w = rng.standard_normal(dims), rng.standard_normal((dims[0], dims[0], 1, 1))
+        got = T.softmax_pool(Tensor(x), Tensor(w), axis).data
+        want = unfused_softmax_pool(Tensor(x), Tensor(w), axis).data
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    @pytest.mark.parametrize("dims", POOL_DIMS)
+    def test_gradients_match_chain(self, dims, axis):
+        """Gradients of x (both its uses) and of the logit kernel equal the
+        chain's within 1e-12 relative."""
+        rng = np.random.default_rng(sum(dims) + 10 * axis)
+        arrays = [rng.standard_normal(dims), rng.standard_normal((dims[0], dims[0], 1, 1))]
+        pooled = list(dims)
+        pooled[axis] = 1
+        upstream = rng.standard_normal(pooled)
+        fused = grads_of(lambda x, w: T.softmax_pool(x, w, axis), arrays, upstream)
+        chain = grads_of(lambda x, w: unfused_softmax_pool(x, w, axis), arrays, upstream)
+        for got, want in zip(fused, chain):
+            assert_rel_close(got, want, 1e-12)
+
+    def test_graph_keeps_one_map_sized_array(self):
+        """Besides its input, the graph holds one array of the map's size,
+        the softmax output: no logits, transposed copy or product."""
+        for axis in (1, 2):
+            x = Tensor(rand(3, 5, 7), requires_grad=True)
+            w = Tensor(rand(3, 3, 1, 1), requires_grad=True)
+            held = graph_arrays(T.softmax_pool(x, w, axis))
+            assert sum(a.size == x.size and a is not x.data for a in held) == 1
+
+    def test_contract(self):
+        """The map must be (c, h, w), the kernel (c, c, 1, 1), the axis 1 or 2."""
+        x = Tensor(rand(3, 4, 5))
+        with pytest.raises(ContractViolation):
+            T.softmax_pool(x, Tensor(rand(3, 3, 1, 1)), axis=0)
+        with pytest.raises(ContractViolation):
+            T.softmax_pool(x, Tensor(rand(2, 3, 1, 1)), axis=2)
+        with pytest.raises(ContractViolation):
+            T.softmax_pool(x, Tensor(rand(3, 3, 3, 1)), axis=2)
+        with pytest.raises(ContractViolation):
+            T.softmax_pool(Tensor(rand(3, 4)), Tensor(rand(3, 3, 1, 1)), axis=1)
+
+
+class TestOuterSumDistance:
+    @pytest.mark.parametrize("dims", POOL_DIMS)
+    def test_forward_bit_identical_to_chain(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        c, h, w = dims
+        arrays = [rng.standard_normal(dims), rng.standard_normal((c, h, 1)),
+                  rng.standard_normal((c, 1, w))]
+        got = T.outer_sum_distance(*map(Tensor, arrays)).data
+        want = unfused_outer_sum_distance(*map(Tensor, arrays)).data
+        assert got.shape == want.shape == ()
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dims", POOL_DIMS)
+    def test_gradients_match_chain(self, dims):
+        rng = np.random.default_rng(sum(dims) + 1)
+        c, h, w = dims
+        arrays = [rng.standard_normal(dims), rng.standard_normal((c, h, 1)),
+                  rng.standard_normal((c, 1, w))]
+        upstream = np.asarray(rng.standard_normal())
+        fused = grads_of(T.outer_sum_distance, arrays, upstream)
+        chain = grads_of(unfused_outer_sum_distance, arrays, upstream)
+        for got, want in zip(fused, chain):
+            assert_rel_close(got, want, 1e-12)
+
+    def test_zero_distance_has_zero_gradient(self):
+        """Where the map is the outer sum, the subgradient is 0, as for
+        frobenius_norm at the origin."""
+        y, x = rand(2, 3, 1), rand(2, 1, 4)
+        ts = [Tensor(a, requires_grad=True) for a in (y + x, y, x)]
+        out = T.outer_sum_distance(*ts)
+        assert float(out.data) == 0.0
+        out.backward()
+        for t in ts:
+            assert np.array_equal(t.grad, np.zeros_like(t.data))
+
+    def test_graph_keeps_no_map_sized_array(self):
+        """Besides the map itself, the graph holds nothing of its size."""
+        ts = [Tensor(a, requires_grad=True) for a in (rand(3, 5, 7), rand(3, 5, 1), rand(3, 1, 7))]
+        held = graph_arrays(T.outer_sum_distance(*ts))
+        assert all(a.size < ts[0].size for a in held if a is not ts[0].data)
+
+    def test_contract(self):
+        """Factors must be (c, h, 1) and (c, 1, w) for a (c, h, w) map."""
+        m = Tensor(rand(3, 4, 5))
+        with pytest.raises(ContractViolation):
+            T.outer_sum_distance(m, Tensor(rand(3, 1, 5)), Tensor(rand(3, 4, 1)))
+        with pytest.raises(ContractViolation):
+            T.outer_sum_distance(m, Tensor(rand(2, 4, 1)), Tensor(rand(3, 1, 5)))
+
+
+@pytest.mark.parametrize("in_hw,out_hw", [
+    ((4, 4), (8, 8)), ((3, 5), (6, 10)), ((4, 4), (2, 2)), ((9, 7), (5, 4)),
+    ((3, 4), (5, 7)), ((2, 3), (7, 10)), ((5, 5), (5, 5)), ((1, 1), (3, 4)),
+    ((6, 2), (6, 7)), ((33, 17), (65, 33)), ((9, 4), (5, 8)), ((4, 9), (8, 5)),
+])
+def test_resample_nearest_vjp_matches_add_at(in_hw, out_hw):
+    """The VJP equals np.add.at over the index map bit for bit, for up,
+    down, non-integer and identity ratios: every source sums its outputs
+    in raster order."""
+    rng = np.random.default_rng(in_hw[0] * 100 + out_hw[1])
+    x = Tensor(rng.standard_normal((3, *in_hw)), requires_grad=True)
+    out = T.resample_nearest(x, out_hw)
+    g = rng.standard_normal(out.shape)
+    ih = (np.arange(out_hw[0]) * in_hw[0]) // out_hw[0]
+    iw = (np.arange(out_hw[1]) * in_hw[1]) // out_hw[1]
+    want = np.zeros_like(x.data)
+    np.add.at(want, (slice(None), ih[:, None], iw[None, :]), g)
+    (got,) = out._vjp(g)
+    assert got.tobytes() == want.tobytes()
 
 
 class TestModule:
