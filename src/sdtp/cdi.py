@@ -21,10 +21,10 @@ size per level beside its input: the two pooling softmaxes and the output.
 - outer_sum_distance: the decoupling penalty's term.  Its VJP rebuilds
   the difference from the map and the factors.
 - outer_sum_mlp: the residual update.  Its layer norm and first projection
-  come from the factors as in outer_sum_ln_linear; GELU, the second
-  projection and the two sums run a few factor rows at a time, straight
-  into the output, so neither the recoupled map, its (h*w, c) tokens, the
-  partial sum, the MLP output nor the (h*w, 4c) hidden array is built.
+  come from the factors; GELU, the second projection and the two sums run
+  a few factor rows at a time, straight into the output, so neither the
+  recoupled map, its (h*w, c) tokens, the partial sum, the MLP output nor
+  the (h*w, 4c) hidden array is built.
   Its VJP keeps only factor-sized arrays; when the backward pass reaches
   it, it rebuilds the hidden array slab by slab and holds at most two
   hidden-sized arrays at once.

@@ -232,8 +232,7 @@ def cmd_train(args) -> int:
     pipe = P.Pipeline(toy)
     pyr = P.synthetic_pyramid(toy)
     t0 = time.perf_counter()
-    trace = P.toy_train(pipe, pyr, steps=toy.train.steps, lr=toy.train.lr,
-                        lam=toy.cdi.lam)
+    trace = P.toy_train(pipe, pyr)
     wall = time.perf_counter() - t0
     ratio = trace.final / trace.initial if trace.initial else float("nan")
     report = {

@@ -259,13 +259,15 @@ class TrainTrace:
         return self.total[-1]
 
 
-def toy_train(pipe: Pipeline, pyramid: FeaturePyramid, steps: int = 200,
-              lr: float = 0.05, lam: float | None = None) -> TrainTrace:
+def toy_train(pipe: Pipeline, pyramid: FeaturePyramid, steps: int | None = None,
+              lr: float | None = None, lam: float | None = None) -> TrainTrace:
     """Plain gradient descent fitting the pipeline outputs to the inputs.
 
     The task loss is the mean over levels of the per-level mean squared
     error against the raw input maps, so in_channels must equal channels.
     The optimised objective adds lambda times the decoupling penalty.
+    steps, lr and lambda default to the pipeline config's train.steps,
+    train.lr and cdi.lambda.
     Records total/task/penalty at each step plus a final evaluation
     (trace length steps + 1); raises TrainingDiverged on non-finite loss.
     """
@@ -273,6 +275,8 @@ def toy_train(pipe: Pipeline, pyramid: FeaturePyramid, steps: int = 200,
         raise ContractViolation(
             "identity regression needs in_channels == channels "
             f"(got {pipe.cfg.in_channels} vs {pipe.cfg.channels})")
+    steps = pipe.cfg.train.steps if steps is None else steps
+    lr = pipe.cfg.train.lr if lr is None else lr
     lam = pipe.cfg.cdi.lam if lam is None else lam
     params = pipe.params()
     trace = TrainTrace()

@@ -256,23 +256,6 @@ def mean_all(a: Tensor) -> Tensor:
     return Tensor._from_op(out, (a,), lambda g: (np.broadcast_to(g / n, a.data.shape),))
 
 
-def sum_axis(a: Tensor, axis: int) -> Tensor:
-    """Sum along one axis, which is kept with length 1."""
-    out = a.data.sum(axis=axis, keepdims=True)
-    return Tensor._from_op(out, (a,), lambda g: (np.broadcast_to(g, a.data.shape),))
-
-
-def frobenius_norm(a: Tensor) -> Tensor:
-    """sqrt of the sum of squared entries; subgradient 0 at the origin."""
-    nrm = float(np.sqrt((a.data ** 2).sum()))
-    out = np.asarray(nrm)
-
-    def vjp(g):
-        return (g * a.data / max(nrm, 1e-300),)
-
-    return Tensor._from_op(out, (a,), vjp)
-
-
 def _gelu_cdf(x: np.ndarray) -> np.ndarray:
     """Standard normal cdf; gelu(x) = x * _gelu_cdf(x).  The value of
     0.5 * (1 + erf(x / sqrt(2))), formed in place in one temporary."""
@@ -329,7 +312,7 @@ def _conv_pad(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
     return xp
 
 
-def _conv_taps(w: np.ndarray, dh: int, dw: int, h: int, wd: int):
+def _conv_taps(w: np.ndarray, dilation: int, h: int, wd: int):
     """Yield (a, b, window, tap) for each kernel tap (a, b): the index of the
     (c_in, h, wd) window of the padded input it reads, and its (out_c, c_in)
     weight slice, copied because per-tap slices are strided and BLAS needs
@@ -337,16 +320,18 @@ def _conv_taps(w: np.ndarray, dh: int, dw: int, h: int, wd: int):
     step."""
     for a in range(w.shape[2]):
         for b in range(w.shape[3]):
-            win = (slice(None), slice(a * dh, a * dh + h), slice(b * dw, b * dw + wd))
+            i, j = a * dilation, b * dilation
+            win = (slice(None), slice(i, i + h), slice(j, j + wd))
             yield a, b, win, np.ascontiguousarray(w[:, :, a, b])
 
 
-def conv2d(x: Tensor, w: Tensor, dilation: int | tuple[int, int] = 1) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
     """2-D convolution with zero same-padding.
 
     x: (c_in, h, w) feature map.  w: (c_out, c_in, kh, kw) kernel whose
-    spatial footprint must be one of ALLOWED_KERNEL_SHAPES.  Dilation
-    spreads the taps; output spatial dims always equal the input's.
+    spatial footprint must be one of ALLOWED_KERNEL_SHAPES.  The integer
+    dilation spreads the taps along both axes; output spatial dims always
+    equal the input's.
     The recorded VJP holds only the arrays of x and w: it pads x again and
     slices each tap again when it runs, so the graph keeps no padded copy
     of the input and no per-tap copies of the kernel.  It forms no input
@@ -356,11 +341,8 @@ def conv2d(x: Tensor, w: Tensor, dilation: int | tuple[int, int] = 1) -> Tensor:
         raise ContractViolation(f"conv2d input must be (c, h, w), got shape {x.shape}")
     if w.ndim != 4:
         raise ContractViolation(f"conv2d kernel must be (out_c, in_c, kh, kw), got shape {w.shape}")
-    if isinstance(dilation, int):
-        dilation = (dilation, dilation)
-    dh, dw = int(dilation[0]), int(dilation[1])
-    if dh < 1 or dw < 1:
-        raise ContractViolation(f"conv2d dilation must be >= 1, got {dilation}")
+    if not isinstance(dilation, (int, np.integer)) or dilation < 1:
+        raise ContractViolation(f"conv2d dilation must be an integer >= 1, got {dilation!r}")
     c_in, h, wd = x.shape
     out_c, k_in, kh, kw = w.shape
     if k_in != c_in:
@@ -371,8 +353,8 @@ def conv2d(x: Tensor, w: Tensor, dilation: int | tuple[int, int] = 1) -> Tensor:
     xd, wt = x.data, w.data
     out = np.empty((out_c, h, wd), dtype=xd.dtype)
     out_flat = out.reshape(out_c, h * wd)
-    xp = _conv_pad(xd, (kh - 1) * dh // 2, (kw - 1) * dw // 2)
-    for a, b, win, tap in _conv_taps(wt, dh, dw, h, wd):
+    xp = _conv_pad(xd, (kh - 1) * dilation // 2, (kw - 1) * dilation // 2)
+    for a, b, win, tap in _conv_taps(wt, dilation, h, wd):
         patch = xp[win].reshape(c_in, h * wd)
         if a == b == 0:
             np.matmul(tap, patch, out=out_flat)
@@ -380,23 +362,22 @@ def conv2d(x: Tensor, w: Tensor, dilation: int | tuple[int, int] = 1) -> Tensor:
             out_flat += tap @ patch
     need_gx = x.requires_grad
     return Tensor._from_op(out, (x, w),
-                           lambda g: _conv2d_vjp(xd, wt, (dh, dw), g, need_gx))
+                           lambda g: _conv2d_vjp(xd, wt, dilation, g, need_gx))
 
 
-def _conv2d_vjp(xd: np.ndarray, wt: np.ndarray, dilation: tuple[int, int], g: np.ndarray,
+def _conv2d_vjp(xd: np.ndarray, wt: np.ndarray, dilation: int, g: np.ndarray,
                 need_gx: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
     """Gradients (gx, gw) of conv2d(x, w, dilation) for the cotangent g,
     from the arrays of x and w; gx is None unless need_gx."""
-    dh, dw = dilation
     c_in, h, wd = xd.shape
     out_c, _, kh, kw = wt.shape
-    ph = (kh - 1) * dh // 2
-    pw = (kw - 1) * dw // 2
+    ph = (kh - 1) * dilation // 2
+    pw = (kw - 1) * dilation // 2
     gflat = np.ascontiguousarray(g.reshape(out_c, h * wd))
     xp = _conv_pad(xd, ph, pw)
     gxp = np.zeros_like(xp) if need_gx else None
     gw = np.zeros_like(wt)
-    for a, b, win, tap in _conv_taps(wt, dh, dw, h, wd):
+    for a, b, win, tap in _conv_taps(wt, dilation, h, wd):
         patch = xp[win].reshape(c_in, h * wd)
         gw[:, :, a, b] = gflat @ patch.T
         if need_gx:
@@ -432,26 +413,25 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return Tensor._from_op(out, (x, gain, bias), vjp)
 
 
-# factor rows per slab of the outer-sum ops: the variance of
-# outer_sum_ln_linear and the hidden array of outer_sum_mlp are formed
-# (rows, w, .) at a time
+# factor rows per slab of outer_sum_mlp: its layer norm's variance and its
+# hidden array are formed (rows, w, .) at a time
 _MLP_SLAB_ROWS = 8
 
 
-def _outer_sum_ln_factors(op: str, y: Tensor, x: Tensor, gain: Tensor, bias: Tensor,
+def _outer_sum_ln_factors(y: Tensor, x: Tensor, gain: Tensor, bias: Tensor,
                           w: Tensor, b: Tensor) -> tuple[np.ndarray, ...]:
-    """Check the arguments of Linear(LayerNorm(y_i + x_j)) and return its
-    factor-side arrays (yc, xc, inv, gw, A, B, b'), as outer_sum_ln_linear
-    names them; op names the caller in contract errors."""
+    """Check the arguments of outer_sum_mlp's Linear(LayerNorm(y_i + x_j))
+    and return its factor-side arrays (yc, xc, inv, gw, A, B, b'), as
+    outer_sum_mlp names them."""
     if y.ndim != 2 or x.ndim != 2 or y.shape[1] != x.shape[1]:
-        raise ContractViolation(f"{op} factors must be (h, c) and (w, c), "
+        raise ContractViolation(f"outer_sum_mlp factors must be (h, c) and (w, c), "
                                 f"got {y.shape} and {x.shape}")
     h, c = y.shape
     nw = x.shape[0]
     if gain.shape != (c,) or bias.shape != (c,):
-        raise ContractViolation(f"{op} gain/bias must have length c")
+        raise ContractViolation("outer_sum_mlp gain/bias must have length c")
     if w.ndim != 2 or w.shape[0] != c or b.shape != (w.shape[1],):
-        raise ContractViolation(f"{op} weight must be ({c}, d) with a "
+        raise ContractViolation(f"outer_sum_mlp first weight must be ({c}, d) with a "
                                 f"length-d bias, got {w.shape} and {b.shape}")
     # sums over c then one division: the same values as ndarray.mean, with
     # less per-call overhead (the op also runs at tiny sizes in gradcheck)
@@ -468,36 +448,28 @@ def _outer_sum_ln_factors(op: str, y: Tensor, x: Tensor, gain: Tensor, bias: Ten
     return yc, xc, inv, gw, yc @ gw, xc @ gw, bias.data @ w.data + b.data
 
 
-def _outer_sum_ln_rows(factors: tuple[np.ndarray, ...], i0: int, out: np.ndarray) -> None:
-    """Write rows i0 .. i0 + k - 1 of the (h, w, d) Linear(LayerNorm(y_i + x_j))
-    into the (k, w, d) out."""
-    _, _, inv, _, a_f, b_f, b_out = factors
-    rows = slice(i0, i0 + len(out))
-    np.add(a_f[rows, None, :], b_f, out=out)
-    out *= inv[rows, :, None]
-    out += b_out
-
-
 def _outer_sum_slabs(factors: tuple[np.ndarray, ...]):
     """Yield (rows, tokens, pre) for each slab of _MLP_SLAB_ROWS factor
     rows: the slice of factor rows, the slice of token rows it covers and
-    its (rows*w, d) block of Linear(LayerNorm(y_i + x_j)).  Every block is
-    written into one reused buffer, so it is valid only until the next one
-    is yielded."""
-    inv, a_f = factors[2], factors[4]
+    its (rows*w, d) block of Linear(LayerNorm(y_i + x_j)), which is
+    inv_ij * (A_i + B_j) + b'.  Every block is written into one reused
+    buffer, so it is valid only until the next one is yielded."""
+    _, _, inv, _, a_f, b_f, b_out = factors
     (h, nw), d = inv.shape, a_f.shape[1]
     buf = np.empty((min(h, _MLP_SLAB_ROWS), nw, d))
     for i0 in range(0, h, _MLP_SLAB_ROWS):
-        slab = buf[: min(_MLP_SLAB_ROWS, h - i0)]
-        _outer_sum_ln_rows(factors, i0, slab)
-        i1 = i0 + len(slab)
-        yield slice(i0, i1), slice(i0 * nw, i1 * nw), slab.reshape(-1, d)
+        rows = slice(i0, min(i0 + _MLP_SLAB_ROWS, h))
+        slab = buf[: rows.stop - i0]
+        np.add(a_f[rows, None, :], b_f, out=slab)
+        slab *= inv[rows, :, None]
+        slab += b_out
+        yield rows, slice(i0 * nw, rows.stop * nw), slab.reshape(-1, d)
 
 
 def _outer_sum_ln_vjp(factors: tuple[np.ndarray, ...], g: np.ndarray, gain: Tensor,
                       bias: Tensor, w: Tensor) -> tuple[np.ndarray, ...]:
-    """Gradients of outer_sum_ln_linear's (y, x, gain, bias, w, b) for the
-    (h*w, d) cotangent g."""
+    """Gradients of Linear(LayerNorm(y_i + x_j)) with respect to its
+    (y, x, gain, bias, w, b) for the (h*w, d) cotangent g of its rows."""
     yc, xc, inv, gw, a_f, b_f, _ = factors
     h, nw = inv.shape
     c, d = w.shape
@@ -518,59 +490,47 @@ def _outer_sum_ln_vjp(factors: tuple[np.ndarray, ...], g: np.ndarray, gain: Tens
     return gy, gx, (ggw * w.data).sum(axis=1), w.data @ gb, gw_full, gb
 
 
-def outer_sum_ln_linear(y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w: Tensor,
-                        b: Tensor) -> Tensor:
-    """Linear(LayerNorm(y_i + x_j)) for every pair of factor rows, computed
-    without expanding the (h*w, c) outer sum.
-
-    y: (h, c) and x: (w, c) token matrices; row i*w + j of the (h*w, d)
-    output (map_to_tokens order) is layer_norm(y_i + x_j, gain, bias) @ w + b.
-    The row mean of y_i + x_j is the sum of the factors' row means, so the
-    centred row is yc_i + xc_j with centred factors yc, xc; its variance is
-    the mean of its squares, formed a few factor rows at a time as in
-    layer_norm.  The projection is linear, so the output is
-    inv_ij * (A_i + B_j) + b' with A = yc @ gw, B = xc @ gw, gw = gain * w
-    (row-scaled) and b' = bias @ w + b.
-
-    Where the factors nearly cancel (|yc_i| + |xc_j| = kappa * |yc_i + xc_j|
-    with kappa >> 1), A_i + B_j cancels too, and the output agrees with the
-    dense path to about 1e-16 * kappa relative instead of to rounding.
-    """
-    factors = _outer_sum_ln_factors("outer_sum_ln_linear", y, x, gain, bias, w, b)
-    h, nw, d = y.shape[0], x.shape[0], w.shape[1]
-    out = np.empty((h, nw, d))
-    _outer_sum_ln_rows(factors, 0, out)
-    return Tensor._from_op(out.reshape(h * nw, d), (y, x, gain, bias, w, b),
-                           lambda g: _outer_sum_ln_vjp(factors, g, gain, bias, w))
-
-
 def outer_sum_mlp(m: Tensor, y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor,
                   b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """The CDI block's residual update of a (c, h, w) map m from the axis
     factors y: (h, c) and x: (w, c) of its refined outer sum r, with
     r[:, i, j] = y_i + x_j:
 
-        out = (m + r) + tokens_to_map(gelu(outer_sum_ln_linear(y, x, gain,
-                                      bias, w1, b1)) @ w2 + b2)
+        pre = layer_norm(map_to_tokens(r), gain, bias) @ w1 + b1
+        out = (m + r) + tokens_to_map(gelu(pre) @ w2 + b2)
 
     computed a few factor rows at a time.  Neither r, nor m + r, nor the
-    (h*w, c) MLP output, nor the (h*w, d) hidden array is built: each slab
-    of _MLP_SLAB_ROWS factor rows, a (rows*w, d) array, is formed as in
-    outer_sum_ln_linear and goes through gelu and matmul under no_grad, and
-    its rows of the sum are written straight into the (c, h, w) output.
+    (h*w, c) MLP output, nor the (h*w, d) hidden array is built.
+
+    Row i*w + j of pre is Linear(LayerNorm(y_i + x_j)), formed from the
+    factors without expanding the (h*w, c) outer sum.  The row mean of
+    y_i + x_j is the sum of the factors' row means, so the centred row is
+    yc_i + xc_j with centred factors yc, xc; its variance is the mean of
+    its squares, formed a slab of factor rows at a time as in layer_norm.
+    The projection is linear, so pre_ij = inv_ij * (A_i + B_j) + b' with
+    A = yc @ gw, B = xc @ gw, gw = gain * w1 (row-scaled) and
+    b' = bias @ w1 + b1.  Where the factors nearly cancel
+    (|yc_i| + |xc_j| = kappa * |yc_i + xc_j| with kappa >> 1), A_i + B_j
+    cancels too, and pre agrees with the dense layer_norm and matmul to
+    about 1e-16 * kappa relative instead of to rounding.  Each slab of
+    _MLP_SLAB_ROWS factor rows, a (rows*w, d) block of pre, goes through
+    gelu and matmul under no_grad, and its rows of the sum are written
+    straight into the (c, h, w) output.
 
     The VJP keeps only the factor-side arrays (gradient checkpointing of
     one layer).  The residual needs none: the cotangent goes to m as it
     is, and its w- and h-sums to the factors.  The MLP's part walks the
-    same slabs again, rebuilding each pre-activation and writing its GELU
+    same slabs again, rebuilding each block of pre and writing its GELU
     output and its hidden cotangent into two whole (h*w, d) arrays, the
     most it holds at once: lin2's weight gradient is one product over the
-    first, which is then freed, and outer_sum_ln_linear's VJP runs on the
-    second.  Each factor is listed twice among the parents, residual use
-    first, and every reduction runs once over all rows, so values and
-    gradients equal the unfused chain's bit for bit.
+    first, which is then freed, and the factored layer norm and first
+    projection take their gradients from the second.  Each factor is
+    listed twice among the parents, residual use first, and every
+    reduction runs once over all rows, so values and gradients equal, bit
+    for bit, those of the unfused chain that forms all of pre at once and
+    then runs gelu, matmul and the adds one op at a time.
     """
-    factors = _outer_sum_ln_factors("outer_sum_mlp", y, x, gain, bias, w1, b1)
+    factors = _outer_sum_ln_factors(y, x, gain, bias, w1, b1)
     (h, c), nw, d = y.shape, x.shape[0], w1.shape[1]
     if w2.shape != (d, c) or b2.shape != (c,):
         raise ContractViolation(f"outer_sum_mlp second weight must be ({d}, {c}) with a "
@@ -654,7 +614,7 @@ def softmax_pool(x: Tensor, w: Tensor, axis: int) -> Tensor:
             glogits = _softmax_rows_vjp(sm, gatt.transpose(0, 2, 1).reshape(c * wd, h))
             glogits = glogits.reshape(c, wd, h).transpose(0, 2, 1)
         del gatt
-        gx_logits, gw = _conv2d_vjp(xd, wt, (1, 1), glogits)
+        gx_logits, gw = _conv2d_vjp(xd, wt, 1, glogits)
         return gp * pooling_weights(sm), gx_logits, gw
 
     return Tensor._from_op(out, (x, x, w), vjp)
@@ -665,8 +625,8 @@ def outer_sum_distance(m: Tensor, y: Tensor, x: Tensor) -> Tensor:
     factors y: (c, h, 1) and x: (c, 1, w), sqrt(sum((m - (y + x))**2));
     subgradient 0 where they coincide.  Neither the outer sum nor the
     difference is kept: the VJP rebuilds the difference from m, y and x in
-    one pass, so values and gradients equal those of
-    frobenius_norm(sub(m, add(y, x))) bit for bit."""
+    one pass, so values and gradients equal, bit for bit, those of the
+    unfused chain that takes the norm of sub(m, add(y, x))."""
     if m.ndim != 3 or y.shape != (m.shape[0], m.shape[1], 1) \
             or x.shape != (m.shape[0], 1, m.shape[2]):
         raise ContractViolation(f"outer_sum_distance needs a (c, h, w) map with (c, h, 1) and "

@@ -25,12 +25,9 @@ def naive_matmul(a, b):
 
 def naive_conv2d(x, w, dilation=1):
     """Direct convolution with zero same-padding, output dims = input dims."""
-    if isinstance(dilation, int):
-        dilation = (dilation, dilation)
-    dh, dw = dilation
     c_in, h, wd = x.shape
     out_c, _, kh, kw = w.shape
-    ph, pw = (kh - 1) * dh // 2, (kw - 1) * dw // 2
+    ph, pw = (kh - 1) * dilation // 2, (kw - 1) * dilation // 2
     out = np.zeros((out_c, h, wd))
     for o in range(out_c):
         for i in range(h):
@@ -39,8 +36,8 @@ def naive_conv2d(x, w, dilation=1):
                 for ci in range(c_in):
                     for a in range(kh):
                         for b in range(kw):
-                            ii = i + a * dh - ph
-                            jj = j + b * dw - pw
+                            ii = i + a * dilation - ph
+                            jj = j + b * dilation - pw
                             if 0 <= ii < h and 0 <= jj < wd:
                                 acc += w[o, ci, a, b] * x[ci, ii, jj]
                 out[o, i, j] = acc

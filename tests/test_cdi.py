@@ -21,7 +21,7 @@ from sdtp.cdi import (
 from sdtp.tensor import ContractViolation, Tensor
 
 from oracles import graph_arrays, naive_recouple
-from test_tensor import unfused_outer_sum_distance, unfused_outer_sum_mlp, unfused_softmax_pool
+from unfused import unfused_outer_sum_distance, unfused_outer_sum_mlp, unfused_softmax_pool
 
 RNG = np.random.default_rng(777)
 

@@ -18,6 +18,7 @@ from sdtp.config import (
     IspConfig,
     PipelineConfig,
 )
+from sdtp.gradcheck import vjp_check
 from sdtp.pyramid import (
     FeaturePyramid,
     Pipeline,
@@ -295,6 +296,16 @@ class TestToyTraining:
                                steps=3, lr=0.05)
         assert all(d == 0.0 for d in base_trace.dep)
 
+    def test_defaults_come_from_the_config(self):
+        """steps, lr and lambda default to the config's train.steps,
+        train.lr and cdi.lambda."""
+        cfg = small_cfg()
+        cfg.train.steps, cfg.train.lr, cfg.cdi.lam = 2, 0.02, 0.3
+        got = toy_train(Pipeline(cfg), synthetic_pyramid(cfg))
+        want = toy_train(Pipeline(cfg), synthetic_pyramid(cfg), steps=2, lr=0.02, lam=0.3)
+        assert len(got.total) == 3
+        assert got.total == want.total
+
     def test_divergence_raises(self):
         """An absurd learning rate raises TrainingDiverged, not NaN output."""
         cfg = small_cfg()
@@ -407,3 +418,25 @@ def test_invariants_on_small_configs(cfg):
     iso_cfg = dataclasses.replace(cfg, variant="no_interaction")
     levels, mat = probe(Pipeline(iso_cfg), iso_cfg)
     assert np.all(mat[~np.eye(len(levels), dtype=bool)] == 0.0)
+
+
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(cfg=small_configs().map(lambda cfg: dataclasses.replace(cfg, variant="sdtp")))
+def test_gradients_on_small_configs(cfg):
+    """The full pipeline's backward pass agrees with central differences at
+    small drawn configs, as the sdtp_pipeline gradcheck case checks it at
+    one: every input map and parameter, the summed output energies plus the
+    decoupling penalty as the loss."""
+    pipe = Pipeline(cfg)
+    pyr = synthetic_pyramid(cfg)
+    levels = sorted(pyr.levels)
+
+    def fn(*ts):
+        outs, total = pipe.forward_tensors(dict(zip(levels, ts)))
+        for lvl in sorted(outs):
+            total = T.add(total, T.mean_all(T.mul(outs[lvl], outs[lvl])))
+        return total
+
+    inputs = [(f"c{lvl}", Tensor(pyr.levels[lvl])) for lvl in levels] + pipe.named_params()
+    rep = vjp_check(fn, inputs, seed=cfg.seed, op_name="sdtp_pipeline")
+    assert rep.passed, (cfg, rep.to_dict())

@@ -18,6 +18,12 @@ from oracles import (
     naive_matmul,
     naive_softmax_row,
 )
+from unfused import (
+    outer_sum_ln_linear,
+    unfused_outer_sum_distance,
+    unfused_outer_sum_mlp,
+    unfused_softmax_pool,
+)
 
 RNG = np.random.default_rng(1234)
 
@@ -51,6 +57,12 @@ class TestForwardValues:
         """Kernel footprints outside the supported set are contract errors."""
         with pytest.raises(ContractViolation):
             T.conv2d(Tensor(rand(2, 4, 4)), Tensor(rand(2, 2, 5, 5)))
+
+    @pytest.mark.parametrize("dil", [0, 2.0, (2, 2)])
+    def test_conv2d_rejects_bad_dilation(self, dil):
+        """The dilation is one integer >= 1, applied along both axes."""
+        with pytest.raises(ContractViolation, match="dilation"):
+            T.conv2d(Tensor(rand(2, 4, 4)), Tensor(rand(2, 2, 3, 3)), dilation=dil)
 
     def test_layer_norm_matches_scalar_loop(self):
         """layer_norm agrees with a per-row scalar implementation."""
@@ -103,9 +115,11 @@ class TestForwardValues:
         assert up.shape == (2, 6, 6)
 
     def test_frobenius_norm_value(self):
-        """Norm of a 3-4-5 triple is 50**0.5."""
-        x = Tensor(np.array([3.0, 4.0, 5.0]))
-        assert T.frobenius_norm(x).data == pytest.approx(np.sqrt(50.0), rel=1e-15)
+        """With zero factors outer_sum_distance is the map's Frobenius norm:
+        50**0.5 for a 3-4-5 triple."""
+        m = Tensor(np.array([3.0, 4.0, 5.0]).reshape(1, 1, 3))
+        dist = T.outer_sum_distance(m, Tensor(np.zeros((1, 1, 1))), Tensor(np.zeros((1, 1, 3))))
+        assert dist.data == pytest.approx(np.sqrt(50.0), rel=1e-15)
 
     def test_token_map_round_trip(self):
         """(c,h,w) -> tokens -> (c,h,w) is exactly the identity."""
@@ -258,6 +272,9 @@ def dense_outer_sum_ln_linear(y, x, gain, bias, w, b):
 
 
 class TestOuterSumLnLinear:
+    """outer_sum_mlp's factored Linear(LayerNorm(y_i + x_j)), taped on all
+    rows at once from its private helpers, against dense references."""
+
     def factors(self, h, w, c=5, d=7, seed=0):
         rng = np.random.default_rng(seed)
         return (rng.standard_normal((h, c)), rng.standard_normal((w, c)),
@@ -265,7 +282,7 @@ class TestOuterSumLnLinear:
                 rng.standard_normal((c, d)), rng.standard_normal(d))
 
     def check(self, y, x, gain, bias, w, b):
-        got = T.outer_sum_ln_linear(*map(Tensor, (y, x, gain, bias, w, b))).data
+        got = outer_sum_ln_linear(*map(Tensor, (y, x, gain, bias, w, b))).data
         want = dense_outer_sum_ln_linear(y, x, gain, bias, w, b)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
@@ -298,7 +315,7 @@ class TestOuterSumLnLinear:
         x = scale * x
         noise = np.random.default_rng(8).standard_normal(y.shape)
         y = -x[[0, 2, 3]] + 1e-3 * noise
-        got = T.outer_sum_ln_linear(*map(Tensor, (y, x, gain, bias, w, b))).data
+        got = outer_sum_ln_linear(*map(Tensor, (y, x, gain, bias, w, b))).data
         want = dense_outer_sum_ln_linear(y, x, gain, bias, w, b)
         kappa = scale / 1e-3
         bound = 1e-12 * max(1.0, kappa / 1e4)
@@ -322,7 +339,7 @@ class TestOuterSumLnLinear:
             ln = T.layer_norm(T.reshape(r, (h * wd, c)), gain, bias)
             return T.add(T.matmul(ln, w), b)
 
-        for got, want in zip(grads(T.outer_sum_ln_linear), grads(dense)):
+        for got, want in zip(grads(outer_sum_ln_linear), grads(dense)):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
     def test_graph_keeps_no_token_sized_array(self):
@@ -330,28 +347,17 @@ class TestOuterSumLnLinear:
         the (h*w, c) token matrix."""
         h, wd, c = 6, 5, 4
         ts = [Tensor(a, requires_grad=True) for a in self.factors(h, wd, c=c, d=8)]
-        out = T.outer_sum_ln_linear(*ts)
-        held = [cell.cell_contents for cell in out._vjp.__closure__]
-        assert all(a.size < h * wd * c for a in held if isinstance(a, np.ndarray))
+        out = outer_sum_ln_linear(*ts)
+        held = [a for a in graph_arrays(out) if a is not out.data]
+        assert all(a.size < h * wd * c for a in held)
 
     def test_shape_contract(self):
         """Factors must share their width with the gain, bias and weight rows."""
         y, x, gain, bias, w, b = map(Tensor, self.factors(3, 4))
         with pytest.raises(ContractViolation):
-            T.outer_sum_ln_linear(y, Tensor(rand(4, 6)), gain, bias, w, b)
+            outer_sum_ln_linear(y, Tensor(rand(4, 6)), gain, bias, w, b)
         with pytest.raises(ContractViolation):
-            T.outer_sum_ln_linear(y, x, gain, bias, Tensor(rand(6, 7)), b)
-
-
-def unfused_outer_sum_mlp(m, y, x, gain, bias, w1, b1, w2, b2):
-    """The chain outer_sum_mlp fuses, one op at a time on the whole array:
-    the map plus the recoupled factors plus the token MLP's output, as the
-    CDI block's residual was built."""
-    hidden = T.outer_sum_ln_linear(y, x, gain, bias, w1, b1)
-    delta = T.add(T.matmul(T.gelu(hidden), w2), b2)
-    (h, _), nw = y.shape, x.shape[0]
-    recoupled = T.add(T.tokens_to_map(y, (h, 1)), T.tokens_to_map(x, (1, nw)))
-    return T.add(T.add(m, recoupled), T.tokens_to_map(delta, (h, nw)))
+            outer_sum_ln_linear(y, x, gain, bias, Tensor(rand(6, 7)), b)
 
 
 class TestOuterSumMlp:
@@ -470,24 +476,6 @@ class TestOuterSumMlp:
         assert peak < 100 * mib
 
 
-def unfused_softmax_pool(x, w, axis):
-    """The chain softmax_pool fuses: 1x1 logit conv, softmax along axis (for
-    axis 1 through a transposed copy), product with x, sum along axis."""
-    c, h, wd = x.shape
-    logits = T.conv2d(x, w)
-    if axis == 2:
-        att = T.reshape(T.softmax_rows(T.reshape(logits, (c * h, wd))), (c, h, wd))
-    else:
-        flat = T.reshape(T.permute(logits, (0, 2, 1)), (c * wd, h))
-        att = T.permute(T.reshape(T.softmax_rows(flat), (c, wd, h)), (0, 2, 1))
-    return T.sum_axis(T.mul(att, x), axis=axis)
-
-
-def unfused_outer_sum_distance(m, y, x):
-    """The chain outer_sum_distance fuses."""
-    return T.frobenius_norm(T.sub(m, T.add(y, x)))
-
-
 def grads_of(fn, arrays, upstream):
     """Input gradients of fn at arrays for the cotangent upstream."""
     ts = [Tensor(a, requires_grad=True) for a in arrays]
@@ -577,8 +565,8 @@ class TestOuterSumDistance:
             assert_rel_close(got, want, 1e-12)
 
     def test_zero_distance_has_zero_gradient(self):
-        """Where the map is the outer sum, the subgradient is 0, as for
-        frobenius_norm at the origin."""
+        """Where the map is the outer sum, the subgradient is 0, as for the
+        Frobenius norm at the origin."""
         y, x = rand(2, 3, 1), rand(2, 1, 4)
         ts = [Tensor(a, requires_grad=True) for a in (y + x, y, x)]
         out = T.outer_sum_distance(*ts)
@@ -663,7 +651,7 @@ class TestDeterminism:
             x = Tensor(rng.standard_normal((6, 6)), requires_grad=True)
             w = Tensor(rng.standard_normal((6, 6)), requires_grad=True)
             y = T.gelu(T.matmul(x, w))
-            T.frobenius_norm(y).backward()
+            T.sum_all(T.mul(y, y)).backward()
             return x.grad.copy(), w.grad.copy()
 
         (xg1, wg1), (xg2, wg2) = run(), run()
