@@ -18,7 +18,7 @@ from sdtp.config import (
     IspConfig,
     PipelineConfig,
 )
-from sdtp.gradcheck import vjp_check
+from sdtp.gradcheck import pipeline_objective, vjp_check
 from sdtp.pyramid import (
     FeaturePyramid,
     Pipeline,
@@ -427,16 +427,8 @@ def test_gradients_on_small_configs(cfg):
     small drawn configs, as the sdtp_pipeline gradcheck case checks it at
     one: every input map and parameter, the summed output energies plus the
     decoupling penalty as the loss."""
-    pipe = Pipeline(cfg)
     pyr = synthetic_pyramid(cfg)
-    levels = sorted(pyr.levels)
-
-    def fn(*ts):
-        outs, total = pipe.forward_tensors(dict(zip(levels, ts)))
-        for lvl in sorted(outs):
-            total = T.add(total, T.mean_all(T.mul(outs[lvl], outs[lvl])))
-        return total
-
-    inputs = [(f"c{lvl}", Tensor(pyr.levels[lvl])) for lvl in levels] + pipe.named_params()
+    maps = {lvl: Tensor(pyr.levels[lvl]) for lvl in sorted(pyr.levels)}
+    fn, inputs = pipeline_objective(Pipeline(cfg), maps)
     rep = vjp_check(fn, inputs, seed=cfg.seed, op_name="sdtp_pipeline")
     assert rep.passed, (cfg, rep.to_dict())

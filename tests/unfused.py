@@ -5,9 +5,10 @@ gradients equal, bit for bit, to a chain of small taped ops; the chains
 below are those references.  Three links of them are not package ops, so
 they are rebuilt here as taped ops: a sum along one axis, the Frobenius
 norm, and the factored Linear(LayerNorm(y_i + x_j)).  Unlike oracles.py,
-this module shares code with the package on purpose: the last one runs
-outer_sum_mlp's private factor helpers on all rows at once, which is the
-arithmetic the fused op must reproduce slab by slab.
+this module shares code with the package on purpose: the last one takes
+outer_sum_mlp's factors from its private helpers and forms every row at
+once, apart from the slab loop, which is the arithmetic the fused op must
+reproduce slab by slab.
 """
 
 import numpy as np
@@ -34,10 +35,14 @@ def frobenius_norm(a):
 
 def outer_sum_ln_linear(y, x, gain, bias, w, b):
     """Linear(LayerNorm(y_i + x_j)) for every pair of rows of the (h, c) and
-    (w, c) factors, as the (h*w, d) token matrix in map_to_tokens order,
-    formed from the factors as outer_sum_mlp forms it, on all rows at once."""
+    (w, c) factors, as the (h*w, d) token matrix in map_to_tokens order.
+    It is formed as inv_ij * (A_i + B_j) + b' on all rows at once: element
+    for element the arithmetic of outer_sum_mlp's slabs, but not its loop."""
     factors = T._outer_sum_ln_factors(y, x, gain, bias, w, b)
-    out = np.concatenate([pre.copy() for _, _, pre in T._outer_sum_slabs(factors)])
+    _, _, inv, _, a_f, b_f, b_out = factors
+    out = (a_f[:, None, :] + b_f) * inv[:, :, None] + b_out
+    # a copy, so the output owns its memory as a package op's output does
+    out = out.reshape(-1, out.shape[2]).copy()
     return Tensor._from_op(out, (y, x, gain, bias, w, b),
                            lambda g: T._outer_sum_ln_vjp(factors, g, gain, bias, w))
 
