@@ -58,5 +58,5 @@ def arf_grad(x: np.ndarray, tau: float = 2.0) -> np.ndarray:
 
 def arf_op(t: Tensor, tau: float = 2.0) -> Tensor:
     """The gate as a graph op; its VJP is upstream * arf_grad."""
-    out = arf(t.data, tau)
-    return Tensor._from_op(out, (t,), lambda g: (g * arf_grad(t.data, tau),))
+    td = t.data
+    return Tensor._from_op(arf(td, tau), (t,), lambda g: (g * arf_grad(td, tau),))

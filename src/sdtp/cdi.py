@@ -14,8 +14,9 @@ MLP (pre-norm) refines the recoupled map, and the map, the recoupled
 factors and the MLP output are summed into the level's output.
 
 Each level's map passes through three fused ops, whose recorded graphs keep
-only what their VJPs read, so a taped block holds three arrays of a map's
-size per level beside its input: the two pooling softmaxes and the output.
+only what their VJPs read, so a taped block's graph holds two arrays of a
+map's size per level beside its input, the two pooling softmaxes, and the
+output only while the caller or a VJP downstream holds it.
 - softmax_pool, once per axis: the logit conv, softmax and weighted sum.
   Its VJP keeps the softmax output and rebuilds the rest.
 - outer_sum_distance: the decoupling penalty's term.  Its VJP rebuilds
@@ -26,8 +27,9 @@ size per level beside its input: the two pooling softmaxes and the output.
   recoupled map, its (h*w, c) tokens, the partial sum, the MLP output nor
   the (h*w, 4c) hidden array is built.
   Its VJP keeps only factor-sized arrays; when the backward pass reaches
-  it, it rebuilds the hidden array slab by slab and holds at most two
-  hidden-sized arrays at once.
+  it, it rebuilds the hidden array slab by slab, once for lin2's weight
+  gradient and once for the hidden cotangent, and holds one hidden-sized
+  array at a time.
 Values and gradients equal those of the unfused op chains bit for bit.
 
 The decoupling penalty measures, per level, the Frobenius distance between

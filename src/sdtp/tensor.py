@@ -7,10 +7,17 @@ a pure function that records a node in a dynamically built graph;
 The accumulation order is fixed by construction order, so identical inputs
 and seeds give bit-identical values and gradients.  Inside ``no_grad()``
 operations record nothing, so inference holds no intermediate arrays.
+
+The graph is kept apart from the values, as in PyTorch's autograd: a node
+holds its VJP and its parents' nodes, never a Tensor, and every VJP closure
+holds shapes and the arrays it reads.  So an op output's array is freed as
+soon as its caller drops the Tensor, unless a VJP reads it.
+``tape_arrays`` lists what a graph keeps alive.
 """
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -49,16 +56,21 @@ def no_grad():
 
 
 class Tensor:
-    """A numpy array plus the graph bookkeeping needed for backward().
+    """A numpy array plus its link into the backward graph.
 
-    Leaf tensors created with ``requires_grad=True`` receive gradients;
-    intermediate nodes are created internally by the operations below and
-    never hold one.
+    Leaf tensors created with ``requires_grad=True`` receive gradients, and
+    each is its own graph node.  An op's output Tensor links to the op's
+    node as its one parent (``_parents == (node,)``); the node does not
+    link back, so the graph never keeps an output Tensor, nor through it
+    the output's array.
     Gradient buffers are never mutated in place, only rebound, so views
     returned by cheap VJPs (reshape, transpose) are safe to share.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_parents")
+
+    # graph nodes carry the VJP; a Tensor never does
+    _vjp = None
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -66,23 +78,25 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.name = name
         self._parents = ()
-        self._vjp = None
 
     @classmethod
     def _from_op(cls, data: np.ndarray, parents, vjp) -> "Tensor":
         out = cls.__new__(cls)
-        out.data = data
+        # an ndarray also where numpy returns a scalar (a ufunc on 0-d
+        # arrays), since the node refers to it weakly and scalars take no
+        # weak reference
+        out.data = data = np.asarray(data)
         out.grad = None
         out.name = None
-        if _RECORDING and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._vjp = vjp
-        else:
-            out.requires_grad = False
-            out._parents = ()
-            out._vjp = None
+        out.requires_grad = _RECORDING and any(p.requires_grad for p in parents)
+        out._parents = (_Node(data, parents, vjp),) if out.requires_grad else ()
         return out
+
+    @property
+    def _node(self):
+        """This tensor's node in the backward graph: its op's node for an
+        op output, the tensor itself for a leaf."""
+        return self._parents[0] if self._parents else self
 
     @property
     def shape(self):
@@ -105,9 +119,10 @@ class Tensor:
             if self.data.size != 1:
                 raise ContractViolation("backward() without a seed gradient needs a scalar output")
             grad = np.ones_like(self.data)
-        topo: list[Tensor] = []
+        root = self._node
+        topo: list = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -121,8 +136,9 @@ class Tensor:
                 if id(p) not in seen and p.requires_grad:
                     stack.append((p, False))
         # this pass's gradients; each node's entry is dropped once its VJP
-        # has run, and only leaves keep theirs, in .grad
-        grads = {id(self): np.asarray(grad, dtype=self.data.dtype)}
+        # has run, and only leaves keep theirs, in .grad.  Closures are kept,
+        # so a second pass over the same graph works.
+        grads = {id(root): np.asarray(grad, dtype=self.data.dtype)}
         for node in reversed(topo):
             g_node = grads.pop(id(node), None)
             if g_node is None:
@@ -137,6 +153,71 @@ class Tensor:
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad}{tag})"
+
+
+# stands in for every parent that needs no gradient, so that a graph keeps
+# no such Tensor alive; read-only and empty
+_CONSTANT = Tensor(np.empty(0))
+_CONSTANT.data.flags.writeable = False
+
+
+class _Node:
+    """One recorded op: its VJP, its parents' nodes (a leaf Tensor is its
+    own node, _CONSTANT stands in for a parent that needs no gradient) and
+    a weak reference to its output array.  ``data`` is that array while
+    the output Tensor or a VJP closure keeps it alive, and an empty array
+    after it is freed."""
+
+    __slots__ = ("_parents", "_vjp", "_value")
+
+    requires_grad = True
+
+    def __init__(self, value: np.ndarray, parents, vjp):
+        self._parents = tuple(p._node if p.requires_grad else _CONSTANT for p in parents)
+        self._vjp = vjp
+        self._value = weakref.ref(value)
+
+    @property
+    def data(self) -> np.ndarray:
+        value = self._value()
+        return _CONSTANT.data if value is None else value
+
+
+def tape_arrays(*outputs: Tensor) -> list[np.ndarray]:
+    """The distinct arrays the backward graph of outputs keeps alive: the
+    live value of every node reachable from them (the outputs' own and the
+    grad-requiring leaves' included) and every array a VJP closure holds,
+    through cells, nested closures, tuples, lists and dict values.  A view
+    counts as the array that owns its memory."""
+    found: dict[int, np.ndarray] = {}
+    seen: set[int] = set()
+    stack: list = [t._node for t in outputs]
+    while stack:
+        v = stack.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        if isinstance(v, np.ndarray):
+            while isinstance(v.base, np.ndarray):
+                v = v.base
+            found[id(v)] = v
+        elif isinstance(v, (Tensor, _Node)):
+            if v.data is not _CONSTANT.data:  # not a freed node value
+                stack.append(v.data)
+            stack.extend(p for p in v._parents if p.requires_grad)
+            if v._vjp is not None:
+                stack.append(v._vjp)
+        elif isinstance(v, (tuple, list)):
+            stack.extend(v)
+        elif isinstance(v, dict):
+            stack.extend(v.values())
+        elif callable(v) and getattr(v, "__closure__", None):
+            for cell in v.__closure__:
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:  # a cell not yet bound
+                    pass
+    return list(found.values())
 
 
 def as_tensor(x) -> Tensor:
@@ -159,9 +240,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data + b.data
+    sa, sb = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return Tensor._from_op(out, (a, b), vjp)
 
@@ -169,19 +251,21 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data - b.data
+    sa, sb = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), -_unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, sa), -_unbroadcast(g, sb)
 
     return Tensor._from_op(out, (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data * b.data
+    ad, bd = a.data, b.data
+    out = ad * bd
 
     def vjp(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
     return Tensor._from_op(out, (a, b), vjp)
 
@@ -196,10 +280,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ContractViolation("matmul expects rank-2 operands")
     if a.shape[1] != b.shape[0]:
         raise ContractViolation(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
+    ad, bd = a.data, b.data
+    out = ad @ bd
 
     def vjp(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ bd.T, ad.T @ g
 
     return Tensor._from_op(out, (a, b), vjp)
 
@@ -236,9 +321,10 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     sl = [slice(None)] * a.ndim
     sl[axis] = slice(start, start + length)
     sl = tuple(sl)
+    shape = a.shape
 
     def vjp(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape)
         full[sl] = g
         return (full,)
 
@@ -246,14 +332,13 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = np.asarray(a.data.sum())
-    return Tensor._from_op(out, (a,), lambda g: (np.broadcast_to(g, a.data.shape),))
+    shape = a.shape
+    return Tensor._from_op(a.data.sum(), (a,), lambda g: (np.broadcast_to(g, shape),))
 
 
 def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-    out = np.asarray(a.data.mean())
-    return Tensor._from_op(out, (a,), lambda g: (np.broadcast_to(g / n, a.data.shape),))
+    shape, n = a.shape, a.size
+    return Tensor._from_op(a.data.mean(), (a,), lambda g: (np.broadcast_to(g / n, shape),))
 
 
 def _gelu_cdf(x: np.ndarray) -> np.ndarray:
@@ -399,10 +484,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    gd = gain.data
+    out = xhat * gd + bias.data
 
     def vjp(g):
-        dxhat = g * gain.data
+        dxhat = g * gd
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         gx = (dxhat - m1 - xhat * m2) * inv
@@ -466,10 +552,11 @@ def _outer_sum_slabs(factors: tuple[np.ndarray, ...]):
         yield rows, slice(i0 * nw, rows.stop * nw), slab.reshape(-1, d)
 
 
-def _outer_sum_ln_vjp(factors: tuple[np.ndarray, ...], g: np.ndarray, gain: Tensor,
-                      bias: Tensor, w: Tensor) -> tuple[np.ndarray, ...]:
+def _outer_sum_ln_vjp(factors: tuple[np.ndarray, ...], g: np.ndarray, gain: np.ndarray,
+                      bias: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
     """Gradients of Linear(LayerNorm(y_i + x_j)) with respect to its
-    (y, x, gain, bias, w, b) for the (h*w, d) cotangent g of its rows."""
+    (y, x, gain, bias, w, b) for the (h*w, d) cotangent g of its rows,
+    from the arrays of gain, bias and w."""
     yc, xc, inv, gw, a_f, b_f, _ = factors
     h, nw = inv.shape
     c, d = w.shape
@@ -486,8 +573,8 @@ def _outer_sum_ln_vjp(factors: tuple[np.ndarray, ...], g: np.ndarray, gain: Tens
     ggw = yc.T @ ga + xc.T @ gbf
     gy = gyc - gyc.mean(axis=1, keepdims=True)
     gx = gxc - gxc.mean(axis=1, keepdims=True)
-    gw_full = gain.data[:, None] * ggw + np.outer(bias.data, gb)
-    return gy, gx, (ggw * w.data).sum(axis=1), w.data @ gb, gw_full, gb
+    gw_full = gain[:, None] * ggw + np.outer(bias, gb)
+    return gy, gx, (ggw * w).sum(axis=1), w @ gb, gw_full, gb
 
 
 def outer_sum_mlp(m: Tensor, y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor,
@@ -517,14 +604,16 @@ def outer_sum_mlp(m: Tensor, y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w
     gelu and matmul under no_grad, and its rows of the sum are written
     straight into the (c, h, w) output.
 
-    The VJP keeps only the factor-side arrays (gradient checkpointing of
-    one layer).  The residual needs none: the cotangent goes to m as it
-    is, and its w- and h-sums to the factors.  The MLP's part walks the
-    same slabs again, rebuilding each block of pre and writing its GELU
-    output and its hidden cotangent into two whole (h*w, d) arrays, the
-    most it holds at once: lin2's weight gradient is one product over the
-    first, which is then freed, and the factored layer norm and first
-    projection take their gradients from the second.  Each factor is
+    The VJP keeps only the factor-side arrays and the arrays of gain, bias,
+    w1 and w2 (gradient checkpointing of one layer).  The residual needs
+    none: the cotangent goes to m as it is, and its w- and h-sums to the
+    factors.  The MLP's part walks the same slabs twice, rebuilding each
+    block of pre each time, so it holds one whole (h*w, d) array at once.
+    The first walk writes the GELU output into it; lin2's weight gradient
+    is one product over that array, which is then freed.  The second walk
+    writes the hidden cotangent, from which the factored layer norm and
+    first projection take their gradients.  The GELU's erf runs once more
+    than with both arrays filled in one walk.  Each factor is
     listed twice among the parents, residual use first, and every
     reduction runs once over all rows, so values and gradients equal, bit
     for bit, those of the unfused chain that forms all of pre at once and
@@ -550,19 +639,22 @@ def outer_sum_mlp(m: Tensor, y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w
             delta += b2.data
             o += delta.reshape(-1, nw, c).transpose(2, 0, 1)
 
+    gd, bd, w1d, w2d = gain.data, bias.data, w1.data, w2.data
+
     def vjp(g):
         gtok = g.transpose(1, 2, 0).reshape(h * nw, c)
         act = np.empty((h * nw, d))
+        for _, tokens, pre in _outer_sum_slabs(factors):
+            np.multiply(pre, _gelu_cdf(pre), out=act[tokens])
+        gw2 = act.T @ gtok
+        del act  # freed before the second walk fills the hidden cotangent
         ghidden = np.empty((h * nw, d))
         for _, tokens, pre in _outer_sum_slabs(factors):
-            cdf = _gelu_cdf(pre)
-            np.multiply(pre, cdf, out=act[tokens])
-            np.multiply(_gelu_slope(pre, cdf), gtok[tokens] @ w2.data.T, out=ghidden[tokens])
-        gw2 = act.T @ gtok
-        del act  # the factor side needs only the hidden cotangent
+            np.multiply(_gelu_slope(pre, _gelu_cdf(pre)), gtok[tokens] @ w2d.T,
+                        out=ghidden[tokens])
         gy = _unbroadcast(g, (c, h, 1)).transpose(1, 2, 0).reshape(h, c)
         gx = _unbroadcast(g, (c, 1, nw)).transpose(1, 2, 0).reshape(nw, c)
-        return ((g, gy, gx) + _outer_sum_ln_vjp(factors, ghidden, gain, bias, w1)
+        return ((g, gy, gx) + _outer_sum_ln_vjp(factors, ghidden, gd, bd, w1d)
                 + (gw2, gtok.sum(axis=0)))
 
     return Tensor._from_op(out, (m, y, x, y, x, gain, bias, w1, b1, w2, b2), vjp)
@@ -674,13 +766,14 @@ def resample_nearest(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
     ih = (np.arange(oh) * h) // oh
     iw = (np.arange(ow) * w) // ow
     out = x.data[:, ih[:, None], iw[None, :]]
+    shape = x.shape
 
     def vjp(g):
         # np.add.at(gx, (:, ih, iw), g) without its per-element overhead:
         # one add per pair of occurrence ranks, row rank outer, column rank
         # inner, each onto distinct sources, so every source sums its
         # outputs in the same raster order
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape)
         for out_r, src_r in _rank_groups(ih):
             if not isinstance(out_r, slice):
                 out_r, src_r = out_r[:, None], src_r[:, None]
@@ -794,8 +887,8 @@ class Mlp(Module):
     and first map come from its factors, the rest runs a few factor rows
     at a time and is added, with the map and the outer sum, straight into
     the output.  The recorded VJP keeps only factor-sized arrays.  When it
-    runs, it rebuilds the hidden array slab by slab and holds at most two
-    hidden-sized arrays."""
+    runs, it rebuilds the hidden array slab by slab, twice, and holds one
+    hidden-sized array at a time."""
 
     def __init__(self, rng: np.random.Generator, d: int, hidden_ratio: float = 4.0,
                  name: str = "mlp"):

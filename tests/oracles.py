@@ -143,39 +143,3 @@ def naive_upsample_nearest(x, out_hw):
             out[:, i, j] = x[:, (i * h) // oh, (j * w) // ow]
     return out
 
-
-def graph_arrays(*outputs):
-    """The distinct arrays a taped graph keeps alive: the data of every node
-    reachable from outputs through parent links, and every array its VJP
-    closures reach through cells, nested closures, tuples, lists, dict
-    values and tensors.  A view counts as the array that owns its memory.
-    Nodes are recognised by their graph links, so nothing of the package
-    is called."""
-    found = {}
-    seen = set()
-    stack = list(outputs)
-    while stack:
-        v = stack.pop()
-        if id(v) in seen:
-            continue
-        seen.add(id(v))
-        if isinstance(v, np.ndarray):
-            while isinstance(v.base, np.ndarray):
-                v = v.base
-            found[id(v)] = v
-        elif hasattr(v, "_parents") and hasattr(v, "_vjp"):
-            stack.append(v.data)
-            stack.extend(v._parents)
-            if v._vjp is not None:
-                stack.append(v._vjp)
-        elif isinstance(v, (tuple, list)):
-            stack.extend(v)
-        elif isinstance(v, dict):
-            stack.extend(v.values())
-        elif callable(v) and getattr(v, "__closure__", None):
-            for cell in v.__closure__:
-                try:
-                    stack.append(cell.cell_contents)
-                except ValueError:  # a cell not yet bound
-                    pass
-    return list(found.values())

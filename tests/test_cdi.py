@@ -20,7 +20,7 @@ from sdtp.cdi import (
 )
 from sdtp.tensor import ContractViolation, Tensor
 
-from oracles import graph_arrays, naive_recouple
+from oracles import naive_recouple
 from unfused import unfused_outer_sum_distance, unfused_outer_sum_mlp, unfused_softmax_pool
 
 RNG = np.random.default_rng(777)
@@ -307,7 +307,7 @@ class TestBlock:
         maps = {4: Tensor(RNG.standard_normal((4, 5, 7)), requires_grad=True),
                 5: Tensor(RNG.standard_normal((4, 3, 3)), requires_grad=True)}
         outs, dep = blk(maps)
-        held = graph_arrays(*outs.values(), dep)
+        held = T.tape_arrays(*outs.values(), dep)
         for lvl, m in maps.items():
             same_size = [a for a in held if a.size == m.size and a is not m.data]
             assert len(same_size) <= 3, (lvl, [a.shape for a in same_size])

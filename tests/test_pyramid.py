@@ -2,6 +2,7 @@
 reference, structural degeneracies, cross-level probes, and toy training."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdtp import tensor as T
+from sdtp.cdi import total_loss
 from sdtp.config import (
     ARF_MODES,
     VARIANT_BASE_TAGS,
@@ -206,6 +208,94 @@ class TestInference:
         assert all(p.grad is None for p in used.params())
         for a, b in zip(grads(used), fresh):
             np.testing.assert_array_equal(a, b)
+
+
+def identity_loss(outs, maps, dep):
+    """toy_train's training objective: the mean squared distance of each
+    output from its input map, averaged over levels, plus the penalty."""
+    task = None
+    for lvl in sorted(outs):
+        diff = T.sub(outs[lvl], maps[lvl])
+        term = T.mean_all(T.mul(diff, diff))
+        task = term if task is None else T.add(task, term)
+    return total_loss(T.scale(task, 1.0 / len(outs)), dep)
+
+
+class TestTape:
+    def test_graph_keeps_no_output_that_no_vjp_reads(self, monkeypatch):
+        """On a taped training step, the graph keeps none of the op outputs
+        that no VJP reads once the caller has dropped them: the loss's
+        squares, the upsampled maps and the CDI outputs that the top-down
+        adds take.  The differences the squares' VJP reads stay held."""
+        pipe = Pipeline(small_cfg(levels=(3, 4, 5)))
+        maps = {lvl: Tensor(arr) for lvl, arr in synthetic_pyramid(pipe.cfg).levels.items()}
+        upsampled, cdi_outs, squares, diffs = [], [], [], []
+        resample, add, mul = T.resample_nearest, T.add, T.mul
+
+        def spy_resample(x, hw):
+            out = resample(x, hw)
+            upsampled.append(weakref.ref(out.data))
+            return out
+
+        def spy_add(a, b):
+            if any(r() is b.data for r in upsampled):
+                cdi_outs.append(weakref.ref(a.data))
+            return add(a, b)
+
+        def spy_mul(a, b):
+            diffs.append(weakref.ref(a.data))
+            out = mul(a, b)
+            squares.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(T, "resample_nearest", spy_resample)
+        monkeypatch.setattr(T, "add", spy_add)
+        outs, dep = pipe.forward_tensors(maps)
+        monkeypatch.setattr(T, "mul", spy_mul)
+        total = identity_loss(outs, maps, dep)
+        held = {id(a) for a in T.tape_arrays(total)}
+        assert len(upsampled) == len(cdi_outs) == 2 and len(squares) == 3
+        # freed: neither the tape nor anything else holds them
+        assert all(r() is None for r in upsampled + cdi_outs + squares)
+        assert all(id(r()) in held for r in diffs)
+        assert all(id(o.data) in held for o in outs.values())
+        total.backward()
+        assert all(p.grad is not None for p in pipe.params())
+
+    def test_private_link_walk_finds_each_recorded_op_once(self, monkeypatch):
+        """The walk a benchmark tracer makes over the private graph links,
+        from the outputs and the penalty through _parents, skipping what
+        needs no gradient and counting what carries a _vjp, with the bytes
+        of its data, meets every op the taped forward recorded exactly
+        once."""
+        recorded = []
+        from_op = T.Tensor._from_op
+
+        def spy(data, parents, vjp):
+            out = from_op(data, parents, vjp)
+            if out.requires_grad:
+                recorded.append(out._node)
+            return out
+
+        monkeypatch.setattr(T.Tensor, "_from_op", staticmethod(spy))
+        pipe = Pipeline(small_cfg())
+        outs, dep = pipe.forward_tensors(
+            {lvl: Tensor(arr) for lvl, arr in synthetic_pyramid(pipe.cfg).levels.items()})
+        stack = list(outs.values()) + [dep]
+        seen: set[int] = set()
+        counted, nbytes = [], 0
+        while stack:
+            t = stack.pop()
+            if id(t) in seen or not t.requires_grad:
+                continue
+            seen.add(id(t))
+            if t._vjp is not None:
+                counted.append(t)
+                nbytes += t.data.nbytes
+            stack.extend(t._parents)
+        assert recorded and len(counted) == len(recorded)
+        assert {id(n) for n in counted} == {id(n) for n in recorded}
+        assert 0 < nbytes == sum(n.data.nbytes for n in recorded)
 
 
 class TestDegeneracy:

@@ -2,6 +2,7 @@
 gradient checker, and structural contracts (shapes, accumulation, views)."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdtp import tensor as T
+from sdtp.arf import arf_op
 from sdtp.tensor import ContractViolation, Tensor
 
 from oracles import (
-    graph_arrays,
     naive_conv2d,
     naive_layer_norm,
     naive_matmul,
@@ -214,7 +215,7 @@ class TestBackwardStructure:
         x = Tensor(rand(3, 6, 5), requires_grad=True)
         w = Tensor(rand(4, 3, kh, kw), requires_grad=True)
         out = T.conv2d(x, w, dilation=dil)
-        held = {id(a) for a in graph_arrays(out)}
+        held = {id(a) for a in T.tape_arrays(out)}
         assert held == {id(out.data), id(x.data), id(w.data)}
 
     @pytest.mark.parametrize("kh,kw,dil", [(3, 3, 1), (1, 1, 1), (1, 3, 1)])
@@ -224,10 +225,128 @@ class TestBackwardStructure:
         same bits as when the input gradient is formed."""
         x, g = rand(3, 6, 5), rand(4, 6, 5)
         w = Tensor(rand(4, 3, kh, kw), requires_grad=True)
-        skipped = T.conv2d(Tensor(x), w, dilation=dil)._vjp(g)
-        full = T.conv2d(Tensor(x, requires_grad=True), w, dilation=dil)._vjp(g)
+        skipped = T.conv2d(Tensor(x), w, dilation=dil)._node._vjp(g)
+        full = T.conv2d(Tensor(x, requires_grad=True), w, dilation=dil)._node._vjp(g)
         assert skipped[0] is None and full[0] is not None
         assert np.array_equal(skipped[1], full[1])
+
+
+def closure_objects(fn):
+    """Everything a function's closure reaches: its cells' contents,
+    recursively through nested closures, tuples, lists and dict values."""
+    found, stack = [], [fn]
+    while stack:
+        v = stack.pop()
+        found.append(v)
+        if isinstance(v, (tuple, list)):
+            stack.extend(v)
+        elif isinstance(v, dict):
+            stack.extend(v.values())
+        elif callable(v) and getattr(v, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in v.__closure__)
+    return found
+
+
+def leaves(*shapes):
+    return [Tensor(rand(*s), requires_grad=True) for s in shapes]
+
+
+# every differentiable op, applied to fresh grad-requiring leaves
+RECORDED_OPS = {
+    "add": lambda: T.add(*leaves((3, 4), (1, 4))),
+    "sub": lambda: T.sub(*leaves((3, 4), (3, 1))),
+    "mul": lambda: T.mul(*leaves((3, 4), (3, 4))),
+    "scale": lambda: T.scale(*leaves((3, 4)), 2.0),
+    "matmul": lambda: T.matmul(*leaves((3, 4), (4, 2))),
+    "permute": lambda: T.permute(*leaves((2, 3, 4)), (2, 0, 1)),
+    "reshape": lambda: T.reshape(*leaves((3, 4)), (4, 3)),
+    "concat": lambda: T.concat(leaves((2, 3), (1, 3)), axis=0),
+    "narrow": lambda: T.narrow(*leaves((3, 5)), 1, 1, 2),
+    "sum_all": lambda: T.sum_all(*leaves((3, 4))),
+    "mean_all": lambda: T.mean_all(*leaves((3, 4))),
+    "gelu": lambda: T.gelu(*leaves((3, 4))),
+    "tanh_t": lambda: T.tanh_t(*leaves((3, 4))),
+    "softmax_rows": lambda: T.softmax_rows(*leaves((3, 4))),
+    "conv2d": lambda: T.conv2d(*leaves((2, 4, 5), (3, 2, 3, 3))),
+    "layer_norm": lambda: T.layer_norm(*leaves((3, 4), (4,), (4,))),
+    "outer_sum_mlp": lambda: T.outer_sum_mlp(*leaves(
+        (4, 3, 5), (3, 4), (5, 4), (4,), (4,), (4, 8), (8,), (8, 4), (4,))),
+    "softmax_pool": lambda: T.softmax_pool(*leaves((2, 3, 4), (2, 2, 1, 1)), axis=1),
+    "outer_sum_distance": lambda: T.outer_sum_distance(*leaves((2, 3, 4), (2, 3, 1), (2, 1, 4))),
+    "resample_nearest": lambda: T.resample_nearest(*leaves((2, 3, 4)), (6, 8)),
+    "arf_op": lambda: arf_op(*leaves((3, 4))),
+}
+
+
+class TestGraphNodes:
+    def test_op_outputs_are_ndarrays(self):
+        """numpy returns a scalar for a ufunc on 0-d arrays; an op's output
+        is a 0-d array all the same, which its node can refer to weakly."""
+        x = Tensor(rand(3), requires_grad=True)
+        out = T.add(T.sum_all(x), T.sum_all(x))
+        assert type(out.data) is np.ndarray and out.data.shape == ()
+        out.backward()
+        assert np.array_equal(x.grad, np.full(3, 2.0))
+
+    @pytest.mark.parametrize("op", sorted(RECORDED_OPS))
+    def test_vjp_closures_hold_no_tensor(self, op):
+        """A recorded VJP holds shapes and the arrays it reads, never a
+        Tensor, so it keeps no op output alive that it does not read."""
+        out = RECORDED_OPS[op]()
+        assert out.requires_grad
+        held = closure_objects(out._node._vjp)
+        assert not any(isinstance(v, Tensor) for v in held), op
+
+    def test_dropped_intermediate_is_freed(self):
+        """Once the caller drops an op's output Tensor, its array is freed
+        while the graph lives on, if no VJP reads it (add and sum_all read
+        shapes only), and backward() gives the same gradients as with the
+        Tensor kept, twice over."""
+        def run(keep):
+            rng = np.random.default_rng(5)
+            x = Tensor(rng.standard_normal((2, 2, 3)), requires_grad=True)
+            y = Tensor(rng.standard_normal((2, 4, 6)), requires_grad=True)
+            mid = T.resample_nearest(x, (4, 6))
+            out = T.sum_all(T.mul(T.add(mid, y), y))
+            ref = weakref.ref(mid.data)
+            if not keep:
+                del mid
+                assert ref() is None
+                assert out._node._vjp is not None
+            grads = []
+            for _ in range(2):
+                out.backward()
+                grads.append((x.grad.copy(), y.grad.copy()))
+            return grads
+
+        for (gx, gy), (kx, ky) in zip(run(keep=False), run(keep=True)):
+            assert np.array_equal(gx, kx) and np.array_equal(gy, ky)
+
+    def test_node_data_after_free(self):
+        """A node's data is its output's array while that lives and an empty
+        array after it is freed; the tape counts only live outputs."""
+        x = Tensor(rand(3, 4), requires_grad=True)
+        mid = T.scale(x, 2.0)
+        out = T.sum_all(mid)
+        node = mid._node
+        assert node.data is mid.data
+        held = {id(a) for a in T.tape_arrays(out)}
+        assert held == {id(out.data), id(mid.data), id(x.data)}
+        del mid
+        assert node.data.size == 0 and node.data.nbytes == 0
+        assert {id(a) for a in T.tape_arrays(out)} == {id(out.data), id(x.data)}
+
+    def test_grad_free_parents_share_one_stand_in(self):
+        """A parent that needs no gradient is linked as one constant
+        stand-in without gradient, so the graph keeps no such Tensor."""
+        x = Tensor(rand(2, 2), requires_grad=True)
+        k = T.scale(Tensor(rand(2, 2)), 3.0)
+        node_a = T.matmul(x, k)._node
+        node_b = T.add(k, x)._node
+        assert node_a._parents[0] is x and node_b._parents[1] is x
+        stand_in = node_a._parents[1]
+        assert node_b._parents[0] is stand_in
+        assert not stand_in.requires_grad and stand_in.data.nbytes == 0
 
 
 class TestNoGrad:
@@ -348,7 +467,7 @@ class TestOuterSumLnLinear:
         h, wd, c = 6, 5, 4
         ts = [Tensor(a, requires_grad=True) for a in self.factors(h, wd, c=c, d=8)]
         out = outer_sum_ln_linear(*ts)
-        held = [a for a in graph_arrays(out) if a is not out.data]
+        held = [a for a in T.tape_arrays(out) if a is not out.data]
         assert all(a.size < h * wd * c for a in held)
 
     def test_shape_contract(self):
@@ -399,7 +518,7 @@ class TestOuterSumMlp:
         h, wd, c = 2 * T._MLP_SLAB_ROWS + 3, 6, 4
         ts = [Tensor(a, requires_grad=True) for a in self.inputs(h, wd, c)]
         out = T.outer_sum_mlp(*ts)
-        held = [a for a in graph_arrays(out) if a is not out.data and a is not ts[0].data]
+        held = [a for a in T.tape_arrays(out) if a is not out.data and a is not ts[0].data]
         assert held
         assert all(a.size < h * wd * c for a in held)
 
@@ -450,11 +569,9 @@ class TestOuterSumMlp:
         assert peak < 48 * mib
         assert kept < 16 * mib
 
-    def test_level2_backward_memory(self):
-        """At level-2 dims (h = w = 64, c = 256) the backward of a taped
-        Mlp(OuterSum) call holds at most two of the 32 MiB hidden-sized
-        arrays at once: its peak above what the call keeps stays well under
-        the four or five of a GELU VJP over the whole hidden array."""
+    def level2_backward(self):
+        """The tracemalloc peak of a taped level-2 Mlp(OuterSum) call's
+        backward above what the call keeps, with the factor y and the Mlp."""
         rng = np.random.default_rng(0)
         mlp = T.Mlp(rng, 256)
         ln = T.LayerNorm(256)
@@ -462,7 +579,6 @@ class TestOuterSumMlp:
         x = Tensor(rng.standard_normal((64, 256)), requires_grad=True)
         m = Tensor(rng.standard_normal((256, 64, 64)))
         upstream = rng.standard_normal((256, 64, 64))
-        mib = 2 ** 20
         tracemalloc.start()
         try:
             out = mlp(T.OuterSum(m, y, x, ln))
@@ -472,8 +588,24 @@ class TestOuterSumMlp:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
+        return peak, y, mlp
+
+    def test_level2_backward_memory(self):
+        """At level-2 dims (h = w = 64, c = 256) the backward of a taped
+        Mlp(OuterSum) call holds at most two of the 32 MiB hidden-sized
+        arrays at once: its peak above what the call keeps stays well under
+        the four or five of a GELU VJP over the whole hidden array."""
+        peak, y, mlp = self.level2_backward()
         assert y.grad.shape == (64, 256) and mlp.lin2.w.grad.shape == (1024, 256)
-        assert peak < 100 * mib
+        assert peak < 100 * 2 ** 20
+
+    def test_level2_backward_holds_one_hidden_sized_array(self):
+        """The two slab walks of the VJP fill the GELU output and the hidden
+        cotangent one after the other, so the level-2 backward holds one
+        32 MiB hidden-sized array at a time: its peak above what the call
+        keeps stays under two of them."""
+        peak, _, _ = self.level2_backward()
+        assert peak < 64 * 2 ** 20
 
 
 def grads_of(fn, arrays, upstream):
@@ -524,7 +656,7 @@ class TestSoftmaxPool:
         for axis in (1, 2):
             x = Tensor(rand(3, 5, 7), requires_grad=True)
             w = Tensor(rand(3, 3, 1, 1), requires_grad=True)
-            held = graph_arrays(T.softmax_pool(x, w, axis))
+            held = T.tape_arrays(T.softmax_pool(x, w, axis))
             assert sum(a.size == x.size and a is not x.data for a in held) == 1
 
     def test_contract(self):
@@ -578,7 +710,7 @@ class TestOuterSumDistance:
     def test_graph_keeps_no_map_sized_array(self):
         """Besides the map itself, the graph holds nothing of its size."""
         ts = [Tensor(a, requires_grad=True) for a in (rand(3, 5, 7), rand(3, 5, 1), rand(3, 1, 7))]
-        held = graph_arrays(T.outer_sum_distance(*ts))
+        held = T.tape_arrays(T.outer_sum_distance(*ts))
         assert all(a.size < ts[0].size for a in held if a is not ts[0].data)
 
     def test_contract(self):
@@ -607,7 +739,7 @@ def test_resample_nearest_vjp_matches_add_at(in_hw, out_hw):
     iw = (np.arange(out_hw[1]) * in_hw[1]) // out_hw[1]
     want = np.zeros_like(x.data)
     np.add.at(want, (slice(None), ih[:, None], iw[None, :]), g)
-    (got,) = out._vjp(g)
+    (got,) = out._node._vjp(g)
     assert got.tobytes() == want.tobytes()
 
 

@@ -19,16 +19,17 @@ from sdtp.tensor import Tensor
 
 def sum_axis(a, axis):
     """Sum along one axis, which is kept with length 1."""
-    out = a.data.sum(axis=axis, keepdims=True)
-    return Tensor._from_op(out, (a,), lambda g: (np.broadcast_to(g, a.data.shape),))
+    out, shape = a.data.sum(axis=axis, keepdims=True), a.shape
+    return Tensor._from_op(out, (a,), lambda g: (np.broadcast_to(g, shape),))
 
 
 def frobenius_norm(a):
     """sqrt of the sum of squared entries; subgradient 0 at the origin."""
-    nrm = float(np.sqrt((a.data ** 2).sum()))
+    ad = a.data
+    nrm = float(np.sqrt((ad ** 2).sum()))
 
     def vjp(g):
-        return (g * a.data / max(nrm, 1e-300),)
+        return (g * ad / max(nrm, 1e-300),)
 
     return Tensor._from_op(np.asarray(nrm), (a,), vjp)
 
@@ -43,8 +44,9 @@ def outer_sum_ln_linear(y, x, gain, bias, w, b):
     out = (a_f[:, None, :] + b_f) * inv[:, :, None] + b_out
     # a copy, so the output owns its memory as a package op's output does
     out = out.reshape(-1, out.shape[2]).copy()
+    gd, bd, wd = gain.data, bias.data, w.data
     return Tensor._from_op(out, (y, x, gain, bias, w, b),
-                           lambda g: T._outer_sum_ln_vjp(factors, g, gain, bias, w))
+                           lambda g: T._outer_sum_ln_vjp(factors, g, gd, bd, wd))
 
 
 def unfused_outer_sum_mlp(m, y, x, gain, bias, w1, b1, w2, b2):
