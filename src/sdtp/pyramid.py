@@ -157,10 +157,13 @@ class Pipeline(T.Module):
         if self.variant == "no_interaction":
             return {lvl: T.conv2d(lat[lvl], self.smooth[lvl]) for lvl in self.levels}, dep
 
+        # each lateral or CDI map is dropped once read, so that where it is
+        # added to the upsampled deeper output it is freed before the sum's
+        # smooth conv runs
         outs: dict[int, Tensor] = {}
         prev: Tensor | None = None
         for lvl in sorted(self.levels, reverse=True):
-            x = lat[lvl]
+            x = lat.pop(lvl)
             if prev is not None:
                 x = T.add(x, T.resample_nearest(prev, (x.shape[1], x.shape[2])))
             outs[lvl] = T.conv2d(x, self.smooth[lvl])

@@ -13,6 +13,14 @@ holds its VJP and its parents' nodes, never a Tensor, and every VJP closure
 holds shapes and the arrays it reads.  So an op output's array is freed as
 soon as its caller drops the Tensor, unless a VJP reads it.
 ``tape_arrays`` lists what a graph keeps alive.
+
+The ops over a (c, h, w) level map bound their working set: each forms its
+temporaries one block at a time, so a no-grad call allocates its output
+and one block's arrays.  conv2d walks blocks of output rows and
+softmax_pool blocks of channels, both about _BLOCK_ELEMS elements, and
+outer_sum_mlp slabs of _MLP_SLAB_ROWS factor rows.  Every output element
+is summed in the same order whatever the block size, so the values are the
+same bits as over the whole map at once.
 """
 
 from __future__ import annotations
@@ -290,7 +298,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def permute(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    inv = tuple(np.argsort(axes))
+    inv = tuple(axes.index(k) for k in range(len(axes)))
     return Tensor._from_op(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
@@ -384,16 +392,37 @@ def _softmax_rows_vjp(out: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (g - dot) * out
 
 
-def _conv_pad(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """x zero-padded by ph rows and pw columns on each side (x itself if both
-    are 0).  The same array np.pad returns, without its per-call overhead
-    (about 25 us on a 2-vCPU x86 host), which dominates conv2d at gradcheck
-    sizes."""
-    if not (ph or pw):
-        return x
+# the size, in float64 elements, that bounds each temporary of conv2d's and
+# softmax_pool's blocks: they form their arrays that many elements at a time
+_BLOCK_ELEMS = 2 ** 18
+
+
+def _blocks(n: int, per: int) -> list[slice]:
+    """Split range(n) into blocks of per rows (at least 2), the last one
+    shorter.  A lone last row joins the block before it: numpy multiplies
+    a one-row matrix as a vector, which BLAS sums in another order than a
+    matrix, so a product over a block of one row would not have the bits
+    of the same row in a product over all rows."""
+    per = max(2, per)
+    starts = list(range(0, n, per))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _conv_pad(x: np.ndarray, ph: int, pw: int, r0: int = 0, r1: int | None = None) -> np.ndarray:
+    """Rows r0:r1 of x (all rows by default) with ph rows more above and
+    below them and pw columns more on each side, zero outside x; x itself
+    where that is all of x.  np.pad's array for whole rows, without its
+    per-call overhead (about 25 us on a 2-vCPU x86 host), which dominates
+    conv2d at gradcheck sizes."""
     c, h, w = x.shape
-    xp = np.zeros((c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-    xp[:, ph: ph + h, pw: pw + w] = x
+    r1 = h if r1 is None else r1
+    if not (ph or pw) and (r0, r1) == (0, h):
+        return x
+    xp = np.zeros((c, r1 - r0 + 2 * ph, w + 2 * pw), dtype=x.dtype)
+    lo, hi = max(r0 - ph, 0), min(r1 + ph, h)
+    xp[:, lo - r0 + ph: hi - r0 + ph, pw: pw + w] = x[:, lo:hi]
     return xp
 
 
@@ -417,6 +446,14 @@ def conv2d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
     spatial footprint must be one of ALLOWED_KERNEL_SHAPES.  The integer
     dilation spreads the taps along both axes; output spatial dims always
     equal the input's.
+    A 1x1 kernel is one product over x's array as it is laid out, with no
+    copy: a copy of a strided x (a permuted view) would change the low bits
+    of the product.  A larger footprint walks blocks of output rows, about
+    _BLOCK_ELEMS elements of the input or output wide, and zero-pads only
+    each block's rows plus the rows its taps reach above and below; each
+    tap's patch and product are one block's size.  Every output column
+    sums its taps' products in the same order as over the whole map, so
+    the values do not depend on the block size.
     The recorded VJP holds only the arrays of x and w: it pads x again and
     slices each tap again when it runs, so the graph keeps no padded copy
     of the input and no per-tap copies of the kernel.  It forms no input
@@ -437,14 +474,21 @@ def conv2d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
 
     xd, wt = x.data, w.data
     out = np.empty((out_c, h, wd), dtype=xd.dtype)
-    out_flat = out.reshape(out_c, h * wd)
-    xp = _conv_pad(xd, (kh - 1) * dilation // 2, (kw - 1) * dilation // 2)
-    for a, b, win, tap in _conv_taps(wt, dilation, h, wd):
-        patch = xp[win].reshape(c_in, h * wd)
-        if a == b == 0:
-            np.matmul(tap, patch, out=out_flat)
-        else:
-            out_flat += tap @ patch
+    if kh == kw == 1:
+        np.matmul(np.ascontiguousarray(wt[:, :, 0, 0]), xd.reshape(c_in, h * wd),
+                  out=out.reshape(out_c, h * wd))
+    else:
+        ph, pw = (kh - 1) * dilation // 2, (kw - 1) * dilation // 2
+        for rows in _blocks(h, _BLOCK_ELEMS // (max(c_in, out_c) * wd)):
+            n = rows.stop - rows.start
+            xp = _conv_pad(xd, ph, pw, rows.start, rows.stop)
+            out_rows = out[:, rows].reshape(out_c, n * wd)
+            for a, b, win, tap in _conv_taps(wt, dilation, n, wd):
+                patch = xp[win].reshape(c_in, -1)
+                if a == b == 0:
+                    np.matmul(tap, patch, out=out_rows)
+                else:
+                    out_rows += tap @ patch
     need_gx = x.requires_grad
     return Tensor._from_op(out, (x, w),
                            lambda g: _conv2d_vjp(xd, wt, dilation, g, need_gx))
@@ -501,7 +545,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 # factor rows per slab of outer_sum_mlp: its layer norm's variance and its
 # hidden array are formed (rows, w, .) at a time
-_MLP_SLAB_ROWS = 8
+_MLP_SLAB_ROWS = 4
 
 
 def _outer_sum_ln_factors(y: Tensor, x: Tensor, gain: Tensor, bias: Tensor,
@@ -524,10 +568,10 @@ def _outer_sum_ln_factors(y: Tensor, x: Tensor, gain: Tensor, bias: Tensor,
     yc = y.data - y.data.sum(axis=1, keepdims=True) / c
     xc = x.data - x.data.sum(axis=1, keepdims=True) / c
     var = np.empty((h, nw))
-    for i0 in range(0, h, _MLP_SLAB_ROWS):
-        sq = yc[i0: i0 + _MLP_SLAB_ROWS, None, :] + xc
+    for rows in _blocks(h, _MLP_SLAB_ROWS):
+        sq = yc[rows, None, :] + xc
         sq *= sq
-        sq.sum(axis=2, out=var[i0: i0 + _MLP_SLAB_ROWS])
+        sq.sum(axis=2, out=var[rows])
     var /= c
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     gw = gain.data[:, None] * w.data
@@ -536,20 +580,20 @@ def _outer_sum_ln_factors(y: Tensor, x: Tensor, gain: Tensor, bias: Tensor,
 
 def _outer_sum_slabs(factors: tuple[np.ndarray, ...]):
     """Yield (rows, tokens, pre) for each slab of _MLP_SLAB_ROWS factor
-    rows: the slice of factor rows, the slice of token rows it covers and
-    its (rows*w, d) block of Linear(LayerNorm(y_i + x_j)), which is
-    inv_ij * (A_i + B_j) + b'.  Every block is written into one reused
-    buffer, so it is valid only until the next one is yielded."""
+    rows (see _blocks): the slice of factor rows, the slice of token rows
+    it covers and its (rows*w, d) block of Linear(LayerNorm(y_i + x_j)),
+    which is inv_ij * (A_i + B_j) + b'.  Every block is written into one
+    reused buffer, so it is valid only until the next one is yielded."""
     _, _, inv, _, a_f, b_f, b_out = factors
     (h, nw), d = inv.shape, a_f.shape[1]
-    buf = np.empty((min(h, _MLP_SLAB_ROWS), nw, d))
-    for i0 in range(0, h, _MLP_SLAB_ROWS):
-        rows = slice(i0, min(i0 + _MLP_SLAB_ROWS, h))
-        slab = buf[: rows.stop - i0]
+    slabs = _blocks(h, _MLP_SLAB_ROWS)
+    buf = np.empty((max(s.stop - s.start for s in slabs), nw, d))
+    for rows in slabs:
+        slab = buf[: rows.stop - rows.start]
         np.add(a_f[rows, None, :], b_f, out=slab)
         slab *= inv[rows, :, None]
         slab += b_out
-        yield rows, slice(i0 * nw, rows.stop * nw), slab.reshape(-1, d)
+        yield rows, slice(rows.start * nw, rows.stop * nw), slab.reshape(-1, d)
 
 
 def _outer_sum_ln_vjp(factors: tuple[np.ndarray, ...], g: np.ndarray, gain: np.ndarray,
@@ -665,14 +709,18 @@ def softmax_pool(x: Tensor, w: Tensor, axis: int) -> Tensor:
     softmax(conv2d(x, w)) along that axis (w a (c, c, 1, 1) logit kernel),
     then the weighted sum of x along it, kept with length 1.
 
-    The logit conv and the row softmax run through the module-level conv2d
-    and softmax_rows under no_grad; for axis 1 the logits are softmaxed as
-    a transposed copy, which lives only until the softmax has read it.  The
-    VJP holds the arrays of x and w and the softmax output, and runs the
-    product's, the softmax's and the conv's VJP math from them.  x is
-    listed twice among the parents, product use first, as the unfused
-    chain conv2d -> softmax -> mul -> sum accumulates it, so values and
-    gradients equal that chain's bit for bit.
+    It walks blocks of channels, about _BLOCK_ELEMS elements of the map
+    each: a block's logits come from the module-level conv2d on the
+    block's rows of w, its row softmax from the module-level softmax_rows
+    (for axis 1 on a transposed copy), both under no_grad, and its weighted
+    sum is written into the output; each row of every step depends on its
+    own channel alone, so the values do not depend on the block size.
+    When the op is recorded, each block's softmax is also written into one
+    map-sized array, which the VJP holds with the arrays of x and w, and
+    from which it runs the product's, the softmax's and the conv's VJP
+    math.  x is listed twice among the parents, product use first, as the
+    unfused chain conv2d -> softmax -> mul -> sum accumulates it, so values
+    and gradients equal that chain's bit for bit.
     """
     if x.ndim != 3:
         raise ContractViolation(f"softmax_pool expects (c, h, w), got shape {x.shape}")
@@ -683,19 +731,29 @@ def softmax_pool(x: Tensor, w: Tensor, axis: int) -> Tensor:
         raise ContractViolation(f"softmax_pool logit kernel must be ({c}, {c}, 1, 1), "
                                 f"got {w.shape}")
     xd, wt = x.data, w.data
+
+    def pooling_weights(sm, n):
+        """The (n, h, w) view of n channels' softmax output."""
+        return sm.reshape(n, h, wd) if axis == 2 else sm.reshape(n, wd, h).transpose(0, 2, 1)
+
+    # the softmax has one row of length h (axis 1) or w (axis 2) per pooled
+    # entry, so a channel has `per` rows of length `n_row`
+    per, n_row = (wd, h) if axis == 1 else (h, wd)
+    recording = _RECORDING and (x.requires_grad or w.requires_grad)
+    sm = np.empty((c * per, n_row)) if recording else None
+    out = np.empty((c, 1, wd) if axis == 1 else (c, h, 1))
     with no_grad():
-        logits = conv2d(x, w).data
-        if axis == 2:
-            sm = softmax_rows(Tensor(logits.reshape(c * h, wd))).data
-        else:
-            sm = softmax_rows(Tensor(logits.transpose(0, 2, 1).reshape(c * wd, h))).data
-    del logits
-
-    def pooling_weights(sm):
-        """The (c, h, w) view of the softmax output."""
-        return sm.reshape(c, h, wd) if axis == 2 else sm.reshape(c, wd, h).transpose(0, 2, 1)
-
-    out = (pooling_weights(sm) * xd).sum(axis=axis, keepdims=True)
+        for ch in _blocks(c, _BLOCK_ELEMS // (h * wd)):
+            logits = conv2d(x, Tensor(wt[ch])).data
+            if axis == 1:
+                logits = logits.transpose(0, 2, 1)
+            block = softmax_rows(Tensor(logits.reshape(-1, n_row))).data
+            del logits
+            if recording:
+                sm[ch.start * per: ch.stop * per] = block
+            n = ch.stop - ch.start
+            out[ch] = (pooling_weights(block, n) * xd[ch]).sum(axis=axis, keepdims=True)
+            del block  # freed before the next block's logits
 
     def vjp(g):
         gp = np.broadcast_to(g, xd.shape)
@@ -707,7 +765,7 @@ def softmax_pool(x: Tensor, w: Tensor, axis: int) -> Tensor:
             glogits = glogits.reshape(c, wd, h).transpose(0, 2, 1)
         del gatt
         gx_logits, gw = _conv2d_vjp(xd, wt, 1, glogits)
-        return gp * pooling_weights(sm), gx_logits, gw
+        return gp * pooling_weights(sm, c), gx_logits, gw
 
     return Tensor._from_op(out, (x, x, w), vjp)
 

@@ -187,6 +187,31 @@ class TestInference:
         for lvl in outs:
             np.testing.assert_array_equal(outs[lvl], touts[lvl].data)
 
+    def test_cdi_output_freed_before_its_smooth_conv(self, monkeypatch):
+        """The top-down loop drops each CDI output once it is read, so below
+        the deepest level, where the upsampled deeper output is added to it,
+        no level's CDI output is alive while that level's smooth conv runs;
+        at the deepest level it is that conv's input."""
+        pipe = Pipeline(small_cfg(levels=(3, 4, 5)))
+        cdi, conv = pipe.cdi, T.conv2d
+        cdi_outs, alive = {}, {}
+
+        def spy_cdi(maps):
+            outs, dep = cdi(maps)
+            cdi_outs.update({lvl: weakref.ref(t.data) for lvl, t in outs.items()})
+            return outs, dep
+
+        def spy_conv(x, w, dilation=1):
+            for lvl, kernel in pipe.smooth.items():
+                if w is kernel:
+                    alive[lvl] = cdi_outs[lvl]() is not None
+            return conv(x, w, dilation)
+
+        monkeypatch.setattr(pipe, "cdi", spy_cdi)
+        monkeypatch.setattr(T, "conv2d", spy_conv)
+        pipe.forward(synthetic_pyramid(pipe.cfg))
+        assert alive == {lvl: lvl == max(pipe.levels) for lvl in pipe.levels}
+
     def test_forward_leaves_no_state_for_training(self):
         """A taped pass right after Pipeline.forward gives the same parameter
         gradients as on a pipeline that never ran an inference pass."""

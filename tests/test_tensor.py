@@ -1,6 +1,7 @@
 """Autodiff core: forward values against loop oracles, backward via the
 gradient checker, and structural contracts (shapes, accumulation, views)."""
 
+import itertools
 import tracemalloc
 import weakref
 
@@ -21,6 +22,7 @@ from oracles import (
 )
 from unfused import (
     outer_sum_ln_linear,
+    unblocked_conv2d,
     unfused_outer_sum_distance,
     unfused_outer_sum_mlp,
     unfused_softmax_pool,
@@ -196,6 +198,21 @@ class TestBackwardStructure:
         T.sum_all(T.add(a, b)).backward()
         np.testing.assert_allclose(a.grad, np.full((4, 1), 5.0), rtol=0, atol=0)
         np.testing.assert_allclose(b.grad, np.full((1, 5), 4.0), rtol=0, atol=0)
+
+    @pytest.mark.parametrize("axes", list(itertools.permutations(range(3)))
+                             + list(itertools.permutations(range(4))))
+    def test_permute_vjp_round_trip(self, axes):
+        """permute's VJP moves every cotangent entry back to the input
+        position it came from: the gradient, permuted forward again, is the
+        cotangent itself."""
+        shape = (2, 3, 4, 5)[:len(axes)]
+        x = Tensor(rand(*shape), requires_grad=True)
+        out = T.permute(x, axes)
+        g = rand(*out.shape)
+        out.backward(g)
+        assert x.grad.shape == shape
+        assert np.array_equal(x.grad.transpose(axes), g)
+        assert np.array_equal(x.grad, np.transpose(g, np.argsort(axes)))
 
     def test_incompatible_shapes_raise(self):
         """Non-broadcastable elementwise operands raise a ValueError."""
@@ -510,6 +527,21 @@ class TestOuterSumMlp:
         for got, want in zip(grads(T.outer_sum_mlp), grads(unfused_outer_sum_mlp)):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("h", [T._MLP_SLAB_ROWS + 1, 2 * T._MLP_SLAB_ROWS + 1])
+    def test_one_column_map_bit_identical_to_chain(self, h):
+        """On a map one column wide, a slab of one factor row would be one
+        token row, which numpy multiplies as a vector, with other bits; the
+        lone last row joins the slab before it, and values and gradients
+        equal the unfused chain's bit for bit."""
+        arrays = self.inputs(h, w=1, seed=h)
+        upstream = np.random.default_rng(h).standard_normal(arrays[0].shape)
+        fused = grads_of(T.outer_sum_mlp, arrays, upstream)
+        chain = grads_of(unfused_outer_sum_mlp, arrays, upstream)
+        assert np.array_equal(T.outer_sum_mlp(*map(Tensor, arrays)).data,
+                              unfused_outer_sum_mlp(*map(Tensor, arrays)).data)
+        for got, want in zip(fused, chain):
+            assert np.array_equal(got, want)
+
     def test_graph_keeps_no_hidden_sized_array(self):
         """Besides the output and the input map, the graph holds factor-sized
         arrays only, nothing as large as the (h*w, c) token matrix, let
@@ -670,6 +702,142 @@ class TestSoftmaxPool:
             T.softmax_pool(x, Tensor(rand(3, 3, 3, 1)), axis=2)
         with pytest.raises(ContractViolation):
             T.softmax_pool(Tensor(rand(3, 4)), Tensor(rand(3, 3, 1, 1)), axis=1)
+
+
+# (c_in, c_out, h, w, kh, kw, dilation, rows per block): several blocks and
+# a partial last one, also on maps smaller than the dilation; where the
+# last block would be one row (h % rows == 1), it joins the one before it
+BLOCKED_CONVS = [
+    (3, 4, 11, 5, 3, 3, 1, 3),
+    (3, 4, 11, 5, 3, 3, 3, 4),
+    (3, 4, 11, 5, 3, 3, 6, 2),
+    (3, 4, 8, 2, 3, 3, 3, 3),
+    (2, 3, 5, 2, 3, 3, 6, 3),
+    (3, 4, 7, 5, 3, 1, 1, 4),
+    (3, 4, 8, 5, 3, 1, 3, 3),
+    (3, 4, 7, 1, 3, 1, 1, 2),
+    (4, 3, 8, 5, 1, 3, 1, 3),
+]
+
+
+class TestBlocks:
+    """conv2d and softmax_pool form their temporaries one block of about
+    _BLOCK_ELEMS elements at a time.  With the block patched small, so
+    that a map spans several blocks and a partial last one, values and
+    both VJP outputs equal the unblocked references' bit for bit."""
+
+    @pytest.mark.parametrize("c_in,c_out,h,w,kh,kw,dil,rows", BLOCKED_CONVS)
+    def test_conv2d_bit_identical_to_unblocked(self, monkeypatch, c_in, c_out, h, w, kh, kw,
+                                               dil, rows):
+        monkeypatch.setattr(T, "_BLOCK_ELEMS", rows * max(c_in, c_out) * w)
+        assert len(T._blocks(h, rows)) > 1
+        rng = np.random.default_rng(h * 100 + dil * 10 + kh)
+        x, wt = rng.standard_normal((c_in, h, w)), rng.standard_normal((c_out, c_in, kh, kw))
+        g = rng.standard_normal((c_out, h, w))
+        got = T.conv2d(Tensor(x, requires_grad=True), Tensor(wt), dil)
+        want = unblocked_conv2d(Tensor(x, requires_grad=True), Tensor(wt), dil)
+        assert np.array_equal(got.data, want.data)
+        for a, b in zip(got._node._vjp(g), want._node._vjp(g)):
+            assert np.array_equal(a, b)
+
+    def test_1x1_conv2d_reads_a_permuted_view_as_laid_out(self, monkeypatch):
+        """A 1x1 conv2d is not blocked, even with blocks smaller than the
+        map, and multiplies the array of a permuted token view as it is,
+        with no copy, as the unblocked reference does.  (With OpenBLAS on
+        x86, the product over a contiguous copy of the same values differs
+        in its low bits.)"""
+        monkeypatch.setattr(T, "_BLOCK_ELEMS", 16)
+        rng = np.random.default_rng(0)
+        tokens = Tensor(rng.standard_normal((4, 16)), requires_grad=True)
+        wt, g = Tensor(rng.standard_normal((16, 16, 1, 1))), rng.standard_normal((16, 2, 2))
+        x = T.tokens_to_map(tokens, (2, 2))
+        assert not x.data.flags.c_contiguous
+        got, want = T.conv2d(x, wt), unblocked_conv2d(x, wt)
+        assert np.array_equal(got.data, want.data)
+        for a, b in zip(got._node._vjp(g), want._node._vjp(g)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    @pytest.mark.parametrize("c", [8, 7])
+    def test_softmax_pool_bit_identical_to_unblocked(self, monkeypatch, c, axis):
+        """Blocks of 3 channels, the last of 2 channels, or of 4 where one
+        would be left alone: values and gradients equal the op's with the
+        whole map in one block, and values equal the unfused chain's."""
+        rng = np.random.default_rng(10 * c + axis)
+        x, wt = rng.standard_normal((c, 4, 5)), rng.standard_normal((c, c, 1, 1))
+        pooled = [c, 4, 5]
+        pooled[axis] = 1
+        g = rng.standard_normal(pooled)
+
+        def run():
+            out = T.softmax_pool(Tensor(x, requires_grad=True), Tensor(wt, requires_grad=True),
+                                 axis)
+            return out.data, out._node._vjp(g)
+
+        whole, whole_grads = run()
+        monkeypatch.setattr(T, "_BLOCK_ELEMS", 3 * 4 * 5)
+        blocked, blocked_grads = run()
+        assert np.array_equal(blocked, whole)
+        assert np.array_equal(blocked, unfused_softmax_pool(Tensor(x), Tensor(wt), axis).data)
+        for a, b in zip(blocked_grads, whole_grads):
+            assert np.array_equal(a, b)
+
+
+def no_grad_peak(fn):
+    """fn's result and the tracemalloc peak of what it allocates, run
+    under no_grad."""
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = fn()
+            peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestLevel2Memory:
+    """At level-2 dims, a (256, 64, 64) map, each no-grad op over the map
+    allocates its output plus the temporaries of one block at a time: at
+    most four arrays of one block, 2 MiB, where the whole-map versions
+    formed two to four map-sized (8 MiB) ones."""
+
+    block = 2 * 2 ** 20
+
+    @pytest.fixture(scope="class")
+    def level2(self):
+        rng = np.random.default_rng(0)
+        return rng, Tensor(rng.standard_normal((256, 64, 64)))
+
+    def test_conv2d_3x3(self, level2):
+        """One block's zero-padded rows, tap, patch and product."""
+        rng, x = level2
+        w = Tensor(rng.standard_normal((256, 256, 3, 3)))
+        out, peak = no_grad_peak(lambda: T.conv2d(x, w))
+        assert peak <= out.data.nbytes + 4 * self.block
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_softmax_pool(self, level2, axis):
+        """One block's logits, their transposed copy for axis 1, softmax
+        and product."""
+        rng, x = level2
+        w = Tensor(rng.standard_normal((256, 256, 1, 1)))
+        out, peak = no_grad_peak(lambda: T.softmax_pool(x, w, axis))
+        assert peak <= out.data.nbytes + 4 * self.block
+
+    def test_outer_sum_mlp(self, level2):
+        """Beside the factor side (gain * w1, A and B: (c + h + w, 4c)),
+        one slab of _MLP_SLAB_ROWS factor rows, whose (rows*w, 4c) hidden
+        block is one _BLOCK_ELEMS block at these dims: the block, its GELU
+        cdf and GELU output, and the second projection's output."""
+        rng, m = level2
+        mlp, ln = T.Mlp(rng, 256), T.LayerNorm(256)
+        y, x = (Tensor(rng.standard_normal((64, 256))) for _ in range(2))
+        out, peak = no_grad_peak(lambda: mlp(T.OuterSum(m, y, x, ln)))
+        factor_side = (256 + 64 + 64) * 1024 * 8
+        assert peak <= out.data.nbytes + factor_side + 4 * self.block
 
 
 class TestOuterSumDistance:

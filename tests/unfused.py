@@ -1,4 +1,5 @@
-"""The unfused op chains that the CDI block's three fused ops replace.
+"""The unfused op chains that the CDI block's three fused ops replace, and
+conv2d without its row blocks.
 
 softmax_pool, outer_sum_distance and outer_sum_mlp each promise values and
 gradients equal, bit for bit, to a chain of small taped ops; the chains
@@ -8,7 +9,8 @@ norm, and the factored Linear(LayerNorm(y_i + x_j)).  Unlike oracles.py,
 this module shares code with the package on purpose: the last one takes
 outer_sum_mlp's factors from its private helpers and forms every row at
 once, apart from the slab loop, which is the arithmetic the fused op must
-reproduce slab by slab.
+reproduce slab by slab.  unblocked_conv2d is conv2d over the whole map at
+once, the reference for its row blocks.
 """
 
 import numpy as np
@@ -76,3 +78,36 @@ def unfused_softmax_pool(x, w, axis):
 def unfused_outer_sum_distance(m, y, x):
     """The chain outer_sum_distance fuses."""
     return frobenius_norm(T.sub(m, T.add(y, x)))
+
+
+def unblocked_conv2d(x, w, dilation=1):
+    """conv2d in one pass over the whole map: x zero-padded all at once (not
+    at all for a 1x1 kernel, whose product reads x's array as it is laid
+    out), then one product per tap over every output position, the taps
+    summed in order.  Its VJP runs the same per-tap products on the whole
+    padded map."""
+    xd, wt = x.data, w.data
+    c_in, h, wd = xd.shape
+    out_c, _, kh, kw = wt.shape
+    ph, pw = (kh - 1) * dilation // 2, (kw - 1) * dilation // 2
+    xp = np.pad(xd, ((0, 0), (ph, ph), (pw, pw))) if ph or pw else xd
+    taps = [(a, b, np.ascontiguousarray(wt[:, :, a, b])) for a in range(kh) for b in range(kw)]
+
+    def window(arr, a, b):
+        return arr[:, a * dilation: a * dilation + h, b * dilation: b * dilation + wd]
+
+    out = None
+    for a, b, tap in taps:
+        prod = tap @ window(xp, a, b).reshape(c_in, h * wd)
+        out = prod if out is None else out + prod
+
+    def vjp(g):
+        gflat = np.ascontiguousarray(g.reshape(out_c, h * wd))
+        gxp = np.zeros_like(xp)
+        gw = np.zeros_like(wt)
+        for a, b, tap in taps:
+            gw[:, :, a, b] = gflat @ window(xp, a, b).reshape(c_in, h * wd).T
+            window(gxp, a, b)[...] += (tap.T @ gflat).reshape(c_in, h, wd)
+        return gxp[:, ph: ph + h, pw: pw + wd], gw
+
+    return Tensor._from_op(out.reshape(out_c, h, wd), (x, w), vjp)
