@@ -10,7 +10,7 @@ from .complexity import (COCO_LEVEL_DIMS, LevelDims, MacCounter, flops_decoupled
                          flops_full, flops_strided, flops_table, measured_macs)
 from .config import ConfigurationError, PipelineConfig, load_config
 from .gradcheck import GradCheckReport, registered_cases, run_all, run_case, vjp_check
-from .isp import IspBlock, ReceptiveStates, generate_states, mma, sinusoidal_embedding_2d
+from .isp import IspBlock, generate_states, mma, sinusoidal_embedding_2d
 from .pyramid import (FeaturePyramid, Pipeline, TrainingDiverged, TrainTrace,
                       cross_level_sensitivity, synthetic_pyramid, toy_train,
                       variant_rows, zero_enhancement_branches)
@@ -27,7 +27,7 @@ __all__ = [
     "flops_full", "flops_strided", "flops_table", "measured_macs",
     "ConfigurationError", "PipelineConfig", "load_config",
     "GradCheckReport", "registered_cases", "run_all", "run_case", "vjp_check",
-    "IspBlock", "ReceptiveStates", "generate_states", "mma", "sinusoidal_embedding_2d",
+    "IspBlock", "generate_states", "mma", "sinusoidal_embedding_2d",
     "FeaturePyramid", "Pipeline", "TrainingDiverged", "TrainTrace",
     "cross_level_sensitivity", "synthetic_pyramid", "toy_train",
     "variant_rows", "zero_enhancement_branches",

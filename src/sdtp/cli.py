@@ -91,21 +91,23 @@ def _emit(report: dict, args, table_text: str, csv_text: str | None = None) -> N
 
 
 def _flops_renders(table: dict) -> tuple[str, str]:
-    head = f"{'level':>5} {'h':>5} {'w':>5} {'c':>4} {'s':>2} {'full':>16} {'strided':>14} {'decoupled':>14}"
-    lines = [head]
+    layouts = list(table["totals"])
+
+    def counts(values: dict) -> str:  # the full layout's counts run longest
+        return " ".join(f"{values[k]:>{16 if k == 'full' else 14}}" for k in layouts)
+
+    lines = [f"{'level':>5} {'h':>5} {'w':>5} {'c':>4} {'s':>2} {counts({k: k for k in layouts})}"]
     for k, row in enumerate(table["levels"]):
-        lines.append(f"{k:>5} {row['h']:>5} {row['w']:>5} {row['c']:>4} {row['s']:>2} "
-                     f"{row['full']:>16} {row['strided']:>14} {row['decoupled']:>14}")
+        lines.append(f"{k:>5} {row['h']:>5} {row['w']:>5} {row['c']:>4} {row['s']:>2} {counts(row)}")
     t = table["totals"]
-    lines.append(f"{'total':>23} {'':>4} {'':>2} {t['full']:>16} {t['strided']:>14} {t['decoupled']:>14}")
+    lines.append(f"{'total':>23} {'':>4} {'':>2} {counts(t)}")
     lines.append(f"ordering decoupled < strided < full: {table['ordering_ok']}")
     text = "\n".join(lines) + "\n"
 
-    csv_lines = ["level,h,w,c,s,full,strided,decoupled"]
-    for k, row in enumerate(table["levels"]):
-        csv_lines.append(f"{k},{row['h']},{row['w']},{row['c']},{row['s']},"
-                         f"{row['full']},{row['strided']},{row['decoupled']}")
-    csv_lines.append(f"total,,,,,{t['full']},{t['strided']},{t['decoupled']}")
+    # a level row holds h, w, c, s, then the layouts: the csv columns
+    csv_lines = [",".join(["level", "h", "w", "c", "s", *layouts])]
+    csv_lines += [",".join(map(str, (k, *row.values()))) for k, row in enumerate(table["levels"])]
+    csv_lines.append(",".join(["total", "", "", "", "", *map(str, t.values())]))
     csv = "\n".join(csv_lines) + "\n"
     return text, csv
 

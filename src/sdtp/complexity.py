@@ -1,17 +1,14 @@
 """Attention-cost model: closed-form MAC counts plus an instrumented counter.
 
-The three closed forms cost a feature pyramid under different attention
-layouts, in exact integer arithmetic (one unit = one multiply-accumulate):
-
-  full:      sum_i 4 h_i w_i c_i^2 + 2 (h_i w_i)^2 c_i
-  strided:   the same with h_i w_i / s_i^2 tokens per level
-  decoupled: sum_i 4 (h_i + w_i) c_i^2 + 2 (h_i^2 + w_i^2) c_i
-
-The per-level terms decompose as: 4 token-count c^2 for the q/k/v/output
-projections and 2 token-count^2 c for the score and value matmuls.  The
-instrumented counter measures exactly those matmuls inside the attention
-core (convolutions and MLPs are deliberately not counted), so measured
-and analytic numbers can be compared term by term.
+TOKEN_SETS defines each attention layout once, by the token sets it attends
+within at one level of dims (h, w, c, s): full, one set of h w tokens;
+strided, one of h w // s^2; decoupled, one of h (vertical) and one of w
+(horizontal).  Self-attention within n tokens costs 4 n c^2 multiply-
+accumulates for the q/k/v/output projections plus 2 n^2 c for the score and
+value matmuls; a layout's cost sums that over its sets and the levels, in
+exact integer arithmetic.  The instrumented counter measures exactly those
+matmuls inside the attention core (convolutions and MLPs are deliberately
+not counted), so measured and analytic numbers compare term by term.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ContractViolation
+from .tensor import ContractViolation, Tensor
 
 
 @dataclass(frozen=True)
@@ -48,52 +45,40 @@ COCO_LEVEL_DIMS = (
 )
 
 
-def flops_full_per_level(d: LevelDims) -> int:
-    n = d.h * d.w
-    return 4 * n * d.c * d.c + 2 * n * n * d.c
+# layout -> the token counts of the sets one level attends within
+TOKEN_SETS = {
+    "full": lambda d: (d.h * d.w,),
+    "strided": lambda d: ((d.h * d.w) // (d.s * d.s),),
+    "decoupled": lambda d: (d.h, d.w),
+}
 
 
-def flops_strided_per_level(d: LevelDims) -> int:
-    # token count is floored when the stride square does not divide h*w
-    n = (d.h * d.w) // (d.s * d.s)
-    return 4 * n * d.c * d.c + 2 * n * n * d.c
-
-
-def flops_decoupled_per_level(d: LevelDims) -> int:
-    return 4 * (d.h + d.w) * d.c * d.c + 2 * (d.h * d.h + d.w * d.w) * d.c
+def level_flops(layout: str, d: LevelDims) -> int:
+    """MACs of one level under a layout: self-attention within each token set."""
+    return sum(4 * n * d.c * d.c + 2 * n * n * d.c for n in TOKEN_SETS[layout](d))
 
 
 def flops_full(dims) -> int:
     """Self-attention over all h*w tokens at every level."""
-    return sum(flops_full_per_level(d) for d in dims)
+    return sum(level_flops("full", d) for d in dims)
 
 
 def flops_strided(dims) -> int:
-    """Self-attention with per-level key subsampling by stride s."""
-    return sum(flops_strided_per_level(d) for d in dims)
+    """Self-attention with per-level token subsampling by stride s."""
+    return sum(level_flops("strided", d) for d in dims)
 
 
 def flops_decoupled(dims) -> int:
     """Axis-decoupled attention: h vertical plus w horizontal tokens per level."""
-    return sum(flops_decoupled_per_level(d) for d in dims)
+    return sum(level_flops("decoupled", d) for d in dims)
 
 
 def flops_table(dims) -> dict:
-    """Per-level and total MAC counts for all three layouts, plus the
-    expected cost ordering verdict (decoupled < strided < full)."""
-    rows = []
-    for d in dims:
-        rows.append({
-            "h": d.h, "w": d.w, "c": d.c, "s": d.s,
-            "full": flops_full_per_level(d),
-            "strided": flops_strided_per_level(d),
-            "decoupled": flops_decoupled_per_level(d),
-        })
-    totals = {
-        "full": flops_full(dims),
-        "strided": flops_strided(dims),
-        "decoupled": flops_decoupled(dims),
-    }
+    """Per-level and total MAC counts for every layout, plus the expected
+    cost ordering verdict (decoupled < strided < full)."""
+    rows = [{"h": d.h, "w": d.w, "c": d.c, "s": d.s,
+             **{k: level_flops(k, d) for k in TOKEN_SETS}} for d in dims]
+    totals = {k: sum(row[k] for row in rows) for k in TOKEN_SETS}
     return {
         "levels": rows,
         "totals": totals,
@@ -129,33 +114,26 @@ class MacCounter:
         _ACTIVE_COUNTERS.remove(self)
 
 
+# strided is a closed form only: no strided attention runs in this package
 MEASURABLE_SECTIONS = ("full", "decoupled")
 
 
 def measured_macs(section: str, dims, seed: int = 0) -> int:
-    """Run an attention section on random tokens and count its actual MACs.
-
-    section "full": one self-attention over h*w tokens per level, matching
-    flops_full term by term (4 n c^2 projections + 2 n^2 c score/value).
-    section "decoupled": one self-attention over h vertical tokens plus one
-    over w horizontal tokens per level, matching flops_decoupled.
+    """Run an attention section on random tokens and count its actual MACs:
+    one single-head self-attention per token set of TOKEN_SETS[section] at
+    each level, so the count matches the section's closed form term by term.
     An empty dims list measures an empty section: 0.
     """
     if section not in MEASURABLE_SECTIONS:
         raise ContractViolation(
             f"unknown section {section!r}; measurable sections: {MEASURABLE_SECTIONS}")
 
-    from . import attention as AT
-    from .tensor import Tensor
+    from . import attention as AT  # it imports this module
 
     rng = np.random.default_rng(seed)
     with MacCounter() as counter:
         for d in dims:
-            if section == "full":
-                token_counts = (d.h * d.w,)
-            else:
-                token_counts = (d.h, d.w)
-            for n in token_counts:
+            for n in TOKEN_SETS[section](d):
                 w = AT.attention_weights(rng, c=d.c, n_heads=1)
                 tokens = Tensor(rng.standard_normal((n, d.c)))
                 AT.multi_head_attention(tokens, [tokens], w, mode="softmax")

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import yaml
 
+from .complexity import COCO_LEVEL_DIMS
+
 
 class ConfigurationError(ValueError):
     """A config value is missing, mistyped, or out of range."""
@@ -67,11 +69,11 @@ class GradCheckConfig:
 @dataclass
 class ComplexityConfig:
     """Dims for the analytic attention-cost report; defaults are the
-    standard detection setting (800x1344 input, strides 4/8/16/32, c=256)."""
+    standard detection setting, complexity.COCO_LEVEL_DIMS."""
 
-    dims: tuple[tuple[int, int], ...] = ((200, 336), (100, 168), (50, 84), (25, 42))
-    channels: int = 256
-    strides: tuple[int, ...] = (8, 4, 2, 1)
+    dims: tuple[tuple[int, int], ...] = tuple((d.h, d.w) for d in COCO_LEVEL_DIMS)
+    channels: int = COCO_LEVEL_DIMS[0].c
+    strides: tuple[int, ...] = tuple(d.s for d in COCO_LEVEL_DIMS)
 
 
 @dataclass

@@ -325,8 +325,7 @@ def _(rng):
     params = [(f"conv_r{r}", w) for r, w in zip(blk.rates, blk.state_convs)]
 
     def fn(x, *ps):
-        states = blk.generate_states(x)
-        return T.concat(states.token_matrices(), axis=0)
+        return T.concat([T.map_to_tokens(m) for m in blk.generate_states(x)], axis=0)
 
     return fn, [("x", x)] + params
 

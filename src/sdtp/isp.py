@@ -1,17 +1,15 @@
 """Intra-level stage: promote the deepest pyramid level with self-attention
 over multi-receptive-field views of itself.
 
-The level is expanded into S states, one per dilation rate (rate 1 first,
-always), each produced by its own 3x3 dilated convolution plus a positional
-embedding.  Attention queries come from the rate-1 state only; keys and
-values come from every state, concatenated along the token axis.  The
+The level is expanded into a list of S state maps, one per dilation rate
+(rate 1 first, always), each its own c-to-c 3x3 dilated convolution plus a
+positional embedding.  Attention queries come from the rate-1 state only;
+keys and values come from every state, concatenated along the tokens.  The
 surrounding block is a standard pre-norm transformer block: attention with
 a residual, then an MLP with a residual.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,39 +45,14 @@ def _axis_embedding(n: int, d: int) -> np.ndarray:
     return pe
 
 
-@dataclass
-class ReceptiveStates:
-    """One feature map per dilation rate; rate 1 is the query source."""
-
-    maps: list[Tensor]
-    rates: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.maps) != len(self.rates):
-            raise ContractViolation(
-                f"{len(self.maps)} state maps for {len(self.rates)} rates")
-        if not self.maps:
-            raise ContractViolation("ReceptiveStates needs at least one state")
-        shape = self.maps[0].shape
-        for m in self.maps:
-            if m.shape != shape:
-                raise ContractViolation(f"state shapes differ: {m.shape} vs {shape}")
-
-    @property
-    def hw(self) -> tuple[int, int]:
-        return self.maps[0].shape[1], self.maps[0].shape[2]
-
-    def token_matrices(self) -> list[Tensor]:
-        return [T.map_to_tokens(m) for m in self.maps]
-
-
 def generate_states(c5: Tensor, conv_weights: list[Tensor], rates: tuple[int, ...],
-                    pos_embed: np.ndarray | Tensor | None = None) -> ReceptiveStates:
-    """Expand a (c, h, w) map into one state per rate.
+                    pos_embed: np.ndarray | Tensor | None = None) -> list[Tensor]:
+    """Expand a (c, h, w) map into one (c, h, w) state map per rate.
 
     State s = dilated 3x3 convolution of the input at rates[s], plus the
     positional embedding (shared across states).  rates[0] must be 1 so the
-    query state keeps the native receptive field.
+    query state keeps the native receptive field; each kernel must map the
+    input's c channels to c.
     """
     if not rates or rates[0] != 1:
         raise ConfigurationError(f"dilation rates must start with 1, got {list(rates)}")
@@ -88,6 +61,11 @@ def generate_states(c5: Tensor, conv_weights: list[Tensor], rates: tuple[int, ..
     if len(conv_weights) != len(rates):
         raise ContractViolation(
             f"{len(conv_weights)} conv kernels for {len(rates)} rates")
+    c = c5.shape[0]
+    for w, rate in zip(conv_weights, rates):
+        if w.shape[:2] != (c, c):
+            raise ContractViolation(f"state kernel at rate {rate} has shape {w.shape}; "
+                                    f"it must map the input's {c} channels to {c}")
     pos = None
     if pos_embed is not None:
         pos = pos_embed if isinstance(pos_embed, Tensor) else Tensor(pos_embed)
@@ -100,14 +78,14 @@ def generate_states(c5: Tensor, conv_weights: list[Tensor], rates: tuple[int, ..
         if pos is not None:
             m = T.add(m, pos)
         maps.append(m)
-    return ReceptiveStates(maps=maps, rates=tuple(rates))
+    return maps
 
 
-def mma(states: ReceptiveStates, weights: AttentionWeights, mode: str = "arf",
+def mma(states: list[Tensor], weights: AttentionWeights, mode: str = "arf",
         tau: float = 2.0) -> Tensor:
-    """Multi-receptive attention: queries from the rate-1 state, keys and
-    values from all states concatenated along tokens.  Returns (h*w, c)."""
-    tokens = states.token_matrices()
+    """Multi-receptive attention: queries from the rate-1 state map, keys and
+    values from all state maps concatenated along tokens.  Returns (h*w, c)."""
+    tokens = [T.map_to_tokens(m) for m in states]
     return multi_head_attention(tokens[0], tokens, weights, mode=mode, tau=tau)
 
 
@@ -150,7 +128,7 @@ class IspBlock(T.Module):
             return sinusoidal_embedding_2d(self.c, *hw)
         return self.learned_pos
 
-    def generate_states(self, x: Tensor) -> ReceptiveStates:
+    def generate_states(self, x: Tensor) -> list[Tensor]:
         return generate_states(x, self.state_convs, self.rates,
                                pos_embed=self.pos_embedding((x.shape[1], x.shape[2])))
 

@@ -62,14 +62,6 @@ class FeaturePyramid:
             prev = arr.shape[1:]
             self.levels[lvl] = arr
 
-    @property
-    def strides(self) -> dict[int, int]:
-        return {lvl: 2 ** lvl for lvl in sorted(self.levels)}
-
-    @property
-    def channels(self) -> int:
-        return next(iter(self.levels.values())).shape[0]
-
 
 def synthetic_pyramid(cfg: PipelineConfig, seed: int | None = None) -> FeaturePyramid:
     """Standard-normal pyramid at the config's level dims, seeded

@@ -228,10 +228,6 @@ def tape_arrays(*outputs: Tensor) -> list[np.ndarray]:
     return list(found.values())
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to the shape of its source."""
     if g.shape == shape:
@@ -245,8 +241,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
     sa, sb = a.shape, b.shape
 
@@ -256,8 +251,7 @@ def add(a, b) -> Tensor:
     return Tensor._from_op(out, (a, b), vjp)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
     sa, sb = a.shape, b.shape
 
@@ -267,8 +261,7 @@ def sub(a, b) -> Tensor:
     return Tensor._from_op(out, (a, b), vjp)
 
 
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     out = ad * bd
 
@@ -285,7 +278,7 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2:
-        raise ContractViolation("matmul expects rank-2 operands")
+        raise ContractViolation(f"matmul expects rank-2 operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ContractViolation(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
@@ -522,7 +515,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise ContractViolation(f"layer_norm expects (n_tokens, d_embed), got shape {x.shape}")
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
-        raise ContractViolation("layer_norm gain/bias must have length d_embed")
+        raise ContractViolation(f"layer_norm gain/bias must be ({d},), got {gain.shape}, {bias.shape}")
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
@@ -782,10 +775,16 @@ def outer_sum_distance(m: Tensor, y: Tensor, x: Tensor) -> Tensor:
         raise ContractViolation(f"outer_sum_distance needs a (c, h, w) map with (c, h, 1) and "
                                 f"(c, 1, w) factors, got {m.shape}, {y.shape} and {x.shape}")
     md, yd, xd = m.data, y.data, x.data
-    nrm = float(np.sqrt(((md - (yd + xd)) ** 2).sum()))
+    d = yd + xd
+    np.subtract(md, d, out=d)
+    d *= d
+    nrm = float(np.sqrt(d.sum()))
 
     def vjp(g):
-        gd = g * (md - (yd + xd)) / max(nrm, 1e-300)
+        gd = yd + xd
+        np.subtract(md, gd, out=gd)
+        gd *= g
+        gd /= max(nrm, 1e-300)
         gr = -gd
         return gd, _unbroadcast(gr, yd.shape), _unbroadcast(gr, xd.shape)
 

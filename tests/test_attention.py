@@ -1,6 +1,8 @@
 """Multi-head attention core against a brute-force scalar oracle, plus
 structural contracts and instrumentation behaviour."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,15 @@ class TestContracts:
         with pytest.raises(ContractViolation):
             multi_head_attention(Tensor(RNG.standard_normal((3, 4))),
                                  [Tensor(RNG.standard_normal((3, 5)))], w)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (12,)], ids=["width", "rank"])
+    def test_rejects_query_width_mismatch(self, shape):
+        """Queries must be (n, c) for the projection width c; the message
+        gives the width and the shape received."""
+        w = make_weights(4, 2)
+        want = r"queries must be \(n, 4\), got " + re.escape(str(shape))
+        with pytest.raises(ContractViolation, match=want):
+            multi_head_attention(Tensor(np.zeros(shape)), [Tensor(np.zeros((3, 4)))], w)
 
     def test_rejects_empty_sources(self):
         """At least one key/value source is required."""

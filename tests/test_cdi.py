@@ -32,6 +32,29 @@ def make_pair(c=3, h=4, w=5, rng=RNG):
     return DecoupledPair(y=y, x=x, level=0)
 
 
+def _zeros(*shape):
+    return Tensor(np.zeros(shape))
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: DecoupledPair(y=_zeros(2, 3, 2), x=_zeros(2, 1, 2), level=0),
+     r"vertical factor must be \(c, h, 1\), got \(2, 3, 2\)"),
+    (lambda: DecoupledPair(y=_zeros(2, 3, 1), x=_zeros(2, 2, 2), level=0),
+     r"horizontal factor must be \(c, 1, w\), got \(2, 2, 2\)"),
+    (lambda: decouple(_zeros(2, 3), DecoupleWeights(np.random.default_rng(0), 2)),
+     r"decouple expects \(c, h, w\), got \(2, 3\)"),
+    (lambda: decouple_loss([_zeros(3, 2, 2)],
+                           [DecoupledPair(y=_zeros(2, 2, 1), x=_zeros(2, 1, 2), level=4)]),
+     r"level 4: map channels 3 != factor channels 2"),
+    (lambda: mga([], attention_weights(np.random.default_rng(0), 4, 2)),
+     r"mga needs at least one token set"),
+], ids=["pair_vertical", "pair_horizontal", "decouple_rank", "loss_channels", "mga_empty"])
+def test_contract_violations_name_the_argument(call, match):
+    """Each CDI contract raises ContractViolation naming what is wrong."""
+    with pytest.raises(ContractViolation, match=match):
+        call()
+
+
 class TestRecouple:
     def test_matches_loop_oracle_twenty_pairs(self):
         """Outer-sum expansion equals the scalar loop oracle bit for bit."""

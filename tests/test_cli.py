@@ -224,6 +224,13 @@ class TestTrain:
         rep = json.loads(out.read_text())
         assert not any("rss" in key.lower() or "wall" in key.lower() for key in rep)
 
+    def test_divergence_exits_one(self, tmp_path, capsys):
+        """A run whose loss goes non-finite exits 1 with the step and loss."""
+        p = tmp_path / "diverge.yaml"
+        p.write_text(TINY_CFG.replace("  steps: 10\n", "  steps: 5\n  lr: 1.0e+6\n"))
+        assert main(["train", "--config", str(p)]) == 1
+        assert "training diverged: loss became non-finite at step 2: nan" in capsys.readouterr().err
+
     def test_reproducible(self, tiny_cfg, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["train", "--config", tiny_cfg, "--out", str(a)])

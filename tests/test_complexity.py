@@ -16,6 +16,7 @@ from sdtp.complexity import (
     flops_table,
     measured_macs,
 )
+from sdtp.tensor import ContractViolation
 
 
 class TestHandComputedValues:
@@ -102,6 +103,13 @@ class TestMeasuredAgainstAnalytic:
         dims = [LevelDims(4, 3, 4), LevelDims(2, 2, 4)]
         assert measured_macs("full", dims) == flops_full(dims)
         assert measured_macs("decoupled", dims) == flops_decoupled(dims)
+
+    @pytest.mark.parametrize("section", ["strided", "dense"])
+    def test_unmeasurable_section_rejected(self, section):
+        """Only full and decoupled attention run here; strided is a closed
+        form only, and the message names the section asked for."""
+        with pytest.raises(ContractViolation, match=rf"unknown section '{section}'"):
+            measured_macs(section, [LevelDims(2, 2, 4)])
 
     def test_measured_empty(self):
         """No levels means zero cost."""

@@ -97,6 +97,18 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="base_hw"):
             PipelineConfig(base_hw=(4,))
 
+    @pytest.mark.parametrize("call,match", [
+        (lambda: PipelineConfig(channels=10, isp=IspConfig(heads=2), cdi=CdiConfig(heads=4)),
+         r"cdi.heads: 4 does not divide channels=10"),
+        (lambda: config_from_dict({"cdi": {"levels": [3, 3]}}),
+         r"cdi.levels: levels must be strictly ascending, got \[3, 3\]"),
+        (lambda: config_from_dict([1, 2]), r"config root must be a mapping, got list"),
+        (lambda: config_from_dict({"isp": 3}), r"isp: expected a mapping, got 3"),
+    ], ids=["cdi_heads", "cdi_levels_repeat", "root_not_mapping", "section_not_mapping"])
+    def test_error_names_the_field(self, call, match):
+        with pytest.raises(ConfigurationError, match=match):
+            call()
+
     def test_strides_dims_length_mismatch(self):
         with pytest.raises(ConfigurationError, match="complexity.strides"):
             PipelineConfig(complexity=ComplexityConfig(

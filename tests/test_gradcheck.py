@@ -98,6 +98,24 @@ class TestChecker:
         np.testing.assert_array_equal(x.data, data)
         assert x.grad is None
 
+    @pytest.mark.parametrize("vjp,forward,diagnostic", [
+        (lambda g: (g * np.inf,), lambda d: 2.0 * d, "non-finite gradient for input 'x'"),
+        (lambda g: (2.0 * g,), lambda d: d / 0.0, "non-finite forward output"),
+    ], ids=["gradient", "forward"])
+    def test_non_finite_diagnostics(self, vjp, forward, diagnostic):
+        """vjp_check reports a non-finite forward or gradient as its
+        diagnostic, and run_case folds the first point's into `point 0: ...`
+        with passed False."""
+        def factory(rng):
+            x = Tensor(rng.standard_normal((2, 3)))
+            return (lambda x: Tensor._from_op(forward(x.data), (x,), vjp)), [("x", x)]
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rep = vjp_check(*factory(np.random.default_rng(0)))
+            folded = run_case("bad", points=2, factory=factory)
+        assert (rep.passed, rep.diagnostic) == (False, diagnostic)
+        assert (folded.passed, folded.diagnostic) == (False, f"point 0: {diagnostic}")
+
 
 class TestRegistry:
     def test_expected_cases_registered(self):

@@ -9,7 +9,6 @@ from sdtp.attention import attention_weights
 from sdtp.config import ConfigurationError
 from sdtp.isp import (
     IspBlock,
-    ReceptiveStates,
     generate_states,
     mma,
     sinusoidal_embedding_2d,
@@ -57,7 +56,7 @@ class TestStateGeneration:
         rates = (1, 2, 3)
         convs = [Tensor(RNG.standard_normal((c, c, 3, 3))) for _ in rates]
         states = generate_states(Tensor(x), convs, rates, pos_embed=None)
-        for m, wt, r in zip(states.maps, convs, rates):
+        for m, wt, r in zip(states, convs, rates):
             np.testing.assert_allclose(m.data, naive_conv2d(x, wt.data, r),
                                        rtol=1e-12, atol=1e-12)
 
@@ -69,7 +68,7 @@ class TestStateGeneration:
         pe = RNG.standard_normal((c, h, w))
         plain = generate_states(x, convs, (1, 2), pos_embed=None)
         coded = generate_states(x, convs, (1, 2), pos_embed=pe)
-        for a, b in zip(plain.maps, coded.maps):
+        for a, b in zip(plain, coded):
             np.testing.assert_allclose(b.data - a.data, pe, rtol=1e-12, atol=1e-12)
 
     def test_rates_must_start_with_one(self):
@@ -92,9 +91,36 @@ class TestStateGeneration:
         c, h, w = 4, 5, 3
         convs = [Tensor(RNG.standard_normal((c, c, 3, 3))) for _ in range(3)]
         states = generate_states(Tensor(RNG.standard_normal((c, h, w))), convs, (1, 3, 6))
-        assert len(states.maps) == 3
-        assert all(m.shape == (c, h, w) for m in states.maps)
-        assert states.hw == (h, w)
+        assert len(states) == 3
+        assert all(m.shape == (c, h, w) for m in states)
+
+    @pytest.mark.parametrize("kernel_shape", [(3, 2, 3, 3), (2, 3, 3, 3)],
+                             ids=["out_channels", "in_channels"])
+    def test_kernel_must_keep_channel_width(self, kernel_shape):
+        """A state kernel that does not map c channels to c is rejected,
+        naming its rate, before any state is formed."""
+        c = 2
+        convs = [Tensor(RNG.standard_normal((c, c, 3, 3))),
+                 Tensor(RNG.standard_normal(kernel_shape))]
+        with pytest.raises(ContractViolation, match=r"rate 2 has shape"):
+            generate_states(Tensor(RNG.standard_normal((c, 3, 3))), convs, (1, 2),
+                            pos_embed=np.zeros((c, 3, 3)))
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda convs: generate_states(Tensor(np.zeros((2, 3, 3))), convs, (1, 0)),
+     ConfigurationError, r"rates must be >= 1, got \[1, 0\]"),
+    (lambda convs: generate_states(Tensor(np.zeros((2, 3, 3))), convs[:1], (1, 2)),
+     ContractViolation, r"1 conv kernels for 2 rates"),
+    (lambda convs: IspBlock(np.random.default_rng(0), 2, rates=(2, 3), n_heads=1),
+     ConfigurationError, r"rates must start with 1, got \[2, 3\]"),
+], ids=["rate_below_one", "kernel_count", "block_first_rate"])
+def test_state_contracts_name_the_argument(call, error, match):
+    """Rate and kernel-count contracts raise naming the offending values;
+    the kernel-width contract has its own test above."""
+    convs = [Tensor(np.zeros((2, 2, 3, 3))) for _ in range(2)]
+    with pytest.raises(error, match=match):
+        call(convs)
 
 
 class TestMultiReceptiveAttention:
@@ -117,7 +143,7 @@ class TestMultiReceptiveAttention:
         states = generate_states(x, convs, (1,))
         weights = attention_weights(np.random.default_rng(0), c, 2)
         got = mma(states, weights, mode="softmax").data
-        toks = states.token_matrices()[0]
+        toks = T.map_to_tokens(states[0])
         want = multi_head_attention(toks, [toks], weights, mode="softmax").data
         np.testing.assert_array_equal(got, want)
 
@@ -202,15 +228,3 @@ class TestBlock:
         for p in blk.params():
             assert p.grad is not None
 
-
-class TestStatesContracts:
-    def test_shape_mismatch_between_states(self):
-        """States of different shapes are rejected."""
-        with pytest.raises(ContractViolation):
-            ReceptiveStates(maps=[Tensor(np.zeros((2, 3, 3))),
-                                  Tensor(np.zeros((2, 4, 4)))], rates=(1, 2))
-
-    def test_count_mismatch(self):
-        """Map count must equal rate count."""
-        with pytest.raises(ContractViolation):
-            ReceptiveStates(maps=[Tensor(np.zeros((2, 3, 3)))], rates=(1, 2))

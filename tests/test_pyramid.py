@@ -49,8 +49,19 @@ class TestFeaturePyramid:
         """Consecutive ceil-halving levels with shared channels pass."""
         p = FeaturePyramid(levels={2: np.zeros((4, 9, 9)), 3: np.zeros((4, 5, 5)),
                                    4: np.zeros((4, 3, 3))})
-        assert p.strides == {2: 4, 3: 8, 4: 16}
-        assert p.channels == 4
+        assert sorted(p.levels) == [2, 3, 4]
+
+    @pytest.mark.parametrize("call,match", [
+        (lambda: FeaturePyramid({}), r"needs at least one level"),
+        (lambda: FeaturePyramid({2: np.zeros((4, 4))}), r"level 2 must be \(c, h, w\), got shape \(4, 4\)"),
+        (lambda: Pipeline(small_cfg()).forward_tensors(
+            {4: T.Tensor(np.zeros((3, 8, 8))), 5: T.Tensor(np.zeros((8, 4, 4)))}),
+         r"level 4: expected \(8, h, w\) map, got \(3, 8, 8\)"),
+    ], ids=["no_levels", "flat_level", "input_channels"])
+    def test_contract_violations_name_the_argument(self, call, match):
+        """Malformed pyramids and pipeline inputs raise naming the level."""
+        with pytest.raises(ContractViolation, match=match):
+            call()
 
     def test_rejects_gap_in_levels(self):
         """Level keys must be consecutive."""

@@ -839,6 +839,15 @@ class TestLevel2Memory:
         factor_side = (256 + 64 + 64) * 1024 * 8
         assert peak <= out.data.nbytes + factor_side + 4 * self.block
 
+    def test_outer_sum_distance(self, level2):
+        """The difference, formed in place in one map-sized array (8 MiB,
+        plus the sum's reduction buffers), where the difference and its
+        square were two."""
+        rng, m = level2
+        y, x = Tensor(rng.standard_normal((256, 64, 1))), Tensor(rng.standard_normal((256, 1, 64)))
+        _, peak = no_grad_peak(lambda: T.outer_sum_distance(m, y, x))
+        assert peak <= m.data.nbytes + self.block
+
 
 class TestOuterSumDistance:
     @pytest.mark.parametrize("dims", POOL_DIMS)
@@ -888,6 +897,34 @@ class TestOuterSumDistance:
             T.outer_sum_distance(m, Tensor(rand(3, 1, 5)), Tensor(rand(3, 4, 1)))
         with pytest.raises(ContractViolation):
             T.outer_sum_distance(m, Tensor(rand(2, 4, 1)), Tensor(rand(3, 1, 5)))
+
+
+
+def _zeros(*shape):
+    return Tensor(np.zeros(shape))
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: T.matmul(_zeros(3), _zeros(3, 2)), r"rank-2 operands, got \(3,\) @ \(3, 2\)"),
+    (lambda: T.concat([]), r"concat of an empty list"),
+    (lambda: T.conv2d(_zeros(2, 3), _zeros(2, 2, 3, 3)), r"input must be .*got shape \(2, 3\)"),
+    (lambda: T.conv2d(_zeros(2, 3, 3), _zeros(2, 2, 3)), r"kernel must be .*got shape \(2, 2, 3\)"),
+    (lambda: T.conv2d(_zeros(2, 3, 3), _zeros(2, 3, 3, 3)), r"input has 2, kernel expects 3"),
+    (lambda: T.layer_norm(_zeros(3), _zeros(3), _zeros(3)), r"layer_norm expects .*got shape \(3,\)"),
+    (lambda: T.layer_norm(_zeros(2, 3), _zeros(2), _zeros(3)), r"gain/bias must be \(3,\), got \(2,\)"),
+    (lambda: T.map_to_tokens(_zeros(2, 3)), r"map_to_tokens expects .*got shape \(2, 3\)"),
+    (lambda: T.tokens_to_map(_zeros(5, 2), (2, 3)), r"\(5, 2\) does not match spatial dims \(2, 3\)"),
+    (lambda: T.resample_nearest(_zeros(2, 3), (4, 6)), r"resample_nearest expects .*got shape \(2, 3\)"),
+    (lambda: T.resample_nearest(_zeros(1, 2, 2), (0, 2)), r"target dims must be >= 1, got \(0, 2\)"),
+    (lambda: T.Mlp(np.random.default_rng(0), 4, hidden_ratio=0), r"hidden_ratio must be positive, got 0"),
+], ids=["matmul_rank", "concat_empty", "conv2d_input_rank", "conv2d_kernel_rank",
+        "conv2d_channels", "layer_norm_rank", "layer_norm_gain", "map_to_tokens",
+        "tokens_to_map", "resample_rank", "resample_target", "mlp_hidden_ratio"])
+def test_contract_violations_name_the_argument(call, match):
+    """Each shape or argument contract raises ContractViolation with a
+    message naming what is wrong."""
+    with pytest.raises(ContractViolation, match=match):
+        call()
 
 
 @pytest.mark.parametrize("in_hw,out_hw", [
