@@ -18,9 +18,16 @@ The ops over a (c, h, w) level map bound their working set: each forms its
 temporaries one block at a time, so a no-grad call allocates its output
 and one block's arrays.  conv2d walks blocks of output rows and
 softmax_pool blocks of channels, both about _BLOCK_ELEMS elements, and
-outer_sum_mlp slabs of _MLP_SLAB_ROWS factor rows.  Every output element
-is summed in the same order whatever the block size, so the values are the
-same bits as over the whole map at once.
+outer_sum_mlp slabs of _MLP_SLAB_ROWS factor rows.  Their recorded VJPs
+walk the same blocks: each forms its input gradients block by block, and
+holds a map-sized temporary only where one product reduces over every
+pixel (a weight gradient).  Every output element is summed in the same
+order whatever the block size, and each gradient is laid out as the whole
+map's was.  So values and gradients are the same bits as over the whole
+map at once wherever BLAS forms a product's columns and rows the same way
+in a block as in the whole: OpenBLAS on x86-64 does for blocks that start
+at multiples of 8 columns and 4 rows, as every block at the default dims
+does, but not always for others once a product sums 16 or more terms.
 """
 
 from __future__ import annotations
@@ -375,14 +382,17 @@ def softmax_rows(a: Tensor) -> Tensor:
     out = x - x.max(axis=-1, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
-    return Tensor._from_op(out, (a,), lambda g: (_softmax_rows_vjp(out, g),))
+    # a copy of the cotangent, which may be shared with other gradients
+    return Tensor._from_op(out, (a,), lambda g: (_softmax_rows_vjp(out, np.copy(g)),))
 
 
 def _softmax_rows_vjp(out: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient of softmax_rows's input for the cotangent g, given its
-    output out."""
+    output out: (g - dot) * out, formed in place in g, which it returns."""
     dot = (g * out).sum(axis=-1, keepdims=True)
-    return (g - dot) * out
+    g -= dot
+    g *= out
+    return g
 
 
 # the size, in float64 elements, that bounds each temporary of conv2d's and
@@ -403,16 +413,12 @@ def _blocks(n: int, per: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
-def _conv_pad(x: np.ndarray, ph: int, pw: int, r0: int = 0, r1: int | None = None) -> np.ndarray:
-    """Rows r0:r1 of x (all rows by default) with ph rows more above and
-    below them and pw columns more on each side, zero outside x; x itself
-    where that is all of x.  np.pad's array for whole rows, without its
-    per-call overhead (about 25 us on a 2-vCPU x86 host), which dominates
-    conv2d at gradcheck sizes."""
+def _conv_pad(x: np.ndarray, ph: int, pw: int, r0: int, r1: int) -> np.ndarray:
+    """Rows r0:r1 of x with ph rows more above and below them and pw
+    columns more on each side, zero outside x.  np.pad's array for whole
+    rows, without its per-call overhead (about 25 us on a 2-vCPU x86
+    host), which dominates conv2d at gradcheck sizes."""
     c, h, w = x.shape
-    r1 = h if r1 is None else r1
-    if not (ph or pw) and (r0, r1) == (0, h):
-        return x
     xp = np.zeros((c, r1 - r0 + 2 * ph, w + 2 * pw), dtype=x.dtype)
     lo, hi = max(r0 - ph, 0), min(r1 + ph, h)
     xp[:, lo - r0 + ph: hi - r0 + ph, pw: pw + w] = x[:, lo:hi]
@@ -421,9 +427,10 @@ def _conv_pad(x: np.ndarray, ph: int, pw: int, r0: int = 0, r1: int | None = Non
 
 def _conv_taps(w: np.ndarray, dilation: int, h: int, wd: int):
     """Yield (a, b, window, tap) for each kernel tap (a, b): the index of the
-    (c_in, h, wd) window of the padded input it reads, and its (out_c, c_in)
-    weight slice, copied because per-tap slices are strided and BLAS needs
-    them contiguous.  Each tap is built when reached, so none outlives its
+    (c_in, h, wd) window of the padded input it reads (and of the padded
+    input gradient it adds into), and its (out_c, c_in) weight slice,
+    copied because per-tap slices are strided and BLAS needs them
+    contiguous.  Each tap is built when reached, so none outlives its
     step."""
     for a in range(w.shape[2]):
         for b in range(w.shape[3]):
@@ -447,10 +454,14 @@ def conv2d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
     tap's patch and product are one block's size.  Every output column
     sums its taps' products in the same order as over the whole map, so
     the values do not depend on the block size.
-    The recorded VJP holds only the arrays of x and w: it pads x again and
-    slices each tap again when it runs, so the graph keeps no padded copy
-    of the input and no per-tap copies of the kernel.  It forms no input
-    gradient when x needed none as the op was recorded (a raw input map).
+    The recorded VJP holds only the arrays of x and w: it rebuilds each
+    tap's window of the padded input and slices each tap again when it
+    runs, so the graph keeps no padded copy of the input and no per-tap
+    copies of the kernel.  It walks the same blocks of output rows for the
+    input gradient, so beside its gradients it holds one block's product,
+    and before the input gradient one map-sized patch for the weight
+    gradient.  It forms no input gradient when x needed none as the op was
+    recorded (a raw input map).
     """
     if x.ndim != 3:
         raise ContractViolation(f"conv2d input must be (c, h, w), got shape {x.shape}")
@@ -487,25 +498,55 @@ def conv2d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
                            lambda g: _conv2d_vjp(xd, wt, dilation, g, need_gx))
 
 
+def _conv_shift(xd: np.ndarray, s: int, t: int, out: np.ndarray) -> None:
+    """Write into out the map whose (r, col) entry is xd's (r + s, col + t),
+    zero where that lies outside xd: the window of the zero-padded input
+    that one kernel tap reads."""
+    _, h, wd = xd.shape
+    out.fill(0.0)
+    out[:, max(-s, 0): max(h - s, 0), max(-t, 0): max(wd - t, 0)] = \
+        xd[:, max(s, 0): max(h + s, 0), max(t, 0): max(wd + t, 0)]
+
+
 def _conv2d_vjp(xd: np.ndarray, wt: np.ndarray, dilation: int, g: np.ndarray,
                 need_gx: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
     """Gradients (gx, gw) of conv2d(x, w, dilation) for the cotangent g,
-    from the arrays of x and w; gx is None unless need_gx."""
+    from the arrays of x and w; gx is None unless need_gx.
+
+    Each tap's weight gradient is one product over every pixel, with the
+    tap's window of the zero-padded input built in one map-sized patch (a
+    1x1 kernel reads x's array itself).  The input gradient walks the
+    forward's blocks of output rows, last block first, and adds each tap's
+    product over the block's cotangent rows into its window: every element
+    then sums its taps' products in tap order, as over the whole map at
+    once.  It is the interior of a padded array, or for a 1x1 kernel an
+    array laid out as x is, the layouts of the whole-map products, since
+    reductions over it downstream sum in an order set by its layout."""
     c_in, h, wd = xd.shape
     out_c, _, kh, kw = wt.shape
     ph = (kh - 1) * dilation // 2
     pw = (kw - 1) * dilation // 2
     gflat = np.ascontiguousarray(g.reshape(out_c, h * wd))
-    xp = _conv_pad(xd, ph, pw)
-    gxp = np.zeros_like(xp) if need_gx else None
     gw = np.zeros_like(wt)
-    for a, b, win, tap in _conv_taps(wt, dilation, h, wd):
-        patch = xp[win].reshape(c_in, h * wd)
-        gw[:, :, a, b] = gflat @ patch.T
-        if need_gx:
-            gxp[win] += (tap.T @ gflat).reshape(c_in, h, wd)
-    gx = gxp[:, ph: ph + h, pw: pw + wd] if need_gx else None
-    return gx, gw
+    if kh == kw == 1:
+        gw[:, :, 0, 0] = gflat @ xd.reshape(c_in, h * wd).T
+    else:
+        patch = np.empty((c_in, h, wd))
+        for a in range(kh):
+            for b in range(kw):
+                _conv_shift(xd, a * dilation - ph, b * dilation - pw, patch)
+                gw[:, :, a, b] = gflat @ patch.reshape(c_in, h * wd).T
+        del patch  # freed before the input gradient is formed
+    if not need_gx:
+        return None, gw
+    gxp = np.zeros_like(xd) if kh == kw == 1 else np.zeros((c_in, h + 2 * ph, wd + 2 * pw))
+    for rows in reversed(_blocks(h, _BLOCK_ELEMS // (max(c_in, out_c) * wd))):
+        n = rows.stop - rows.start
+        g_rows = gflat[:, rows.start * wd: rows.stop * wd]
+        gx_rows = gxp[:, rows.start: rows.stop + 2 * ph]
+        for _, _, win, tap in _conv_taps(wt, dilation, n, wd):
+            gx_rows[win] += (tap.T @ g_rows).reshape(c_in, n, wd)
+    return gxp[:, ph: ph + h, pw: pw + wd], gw
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -647,14 +688,16 @@ def outer_sum_mlp(m: Tensor, y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w
     factors.  The MLP's part walks the same slabs twice, rebuilding each
     block of pre each time, so it holds one whole (h*w, d) array at once.
     The first walk writes the GELU output into it; lin2's weight gradient
-    is one product over that array, which is then freed.  The second walk
-    writes the hidden cotangent, from which the factored layer norm and
-    first projection take their gradients.  The GELU's erf runs once more
-    than with both arrays filled in one walk.  Each factor is
-    listed twice among the parents, residual use first, and every
-    reduction runs once over all rows, so values and gradients equal, bit
-    for bit, those of the unfused chain that forms all of pre at once and
-    then runs gelu, matmul and the adds one op at a time.
+    is one product over that array and the cotangent's (h*w, c) token
+    copy, both then freed.  The second walk forms each slab's rows of that
+    copy from the cotangent again and writes the hidden cotangent, from
+    which the factored layer norm and first projection take their
+    gradients.  The GELU's erf runs once more than with both arrays filled
+    in one walk.  Each factor is listed twice among the parents, residual
+    use first, and every reduction runs once over all rows, so values and
+    gradients equal, bit for bit, those of the unfused chain that forms
+    all of pre at once and then runs gelu, matmul and the adds one op at a
+    time.
     """
     factors = _outer_sum_ln_factors(y, x, gain, bias, w1, b1)
     (h, c), nw, d = y.shape, x.shape[0], w1.shape[1]
@@ -684,15 +727,17 @@ def outer_sum_mlp(m: Tensor, y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w
         for _, tokens, pre in _outer_sum_slabs(factors):
             np.multiply(pre, _gelu_cdf(pre), out=act[tokens])
         gw2 = act.T @ gtok
-        del act  # freed before the second walk fills the hidden cotangent
+        gb2 = gtok.sum(axis=0)
+        # freed before the second walk fills the hidden cotangent, which
+        # forms each slab's rows of gtok from g again
+        del act, gtok
         ghidden = np.empty((h * nw, d))
-        for _, tokens, pre in _outer_sum_slabs(factors):
-            np.multiply(_gelu_slope(pre, _gelu_cdf(pre)), gtok[tokens] @ w2d.T,
-                        out=ghidden[tokens])
+        for rows, tokens, pre in _outer_sum_slabs(factors):
+            gslab = g[:, rows].transpose(1, 2, 0).reshape(-1, c)
+            np.multiply(_gelu_slope(pre, _gelu_cdf(pre)), gslab @ w2d.T, out=ghidden[tokens])
         gy = _unbroadcast(g, (c, h, 1)).transpose(1, 2, 0).reshape(h, c)
         gx = _unbroadcast(g, (c, 1, nw)).transpose(1, 2, 0).reshape(nw, c)
-        return ((g, gy, gx) + _outer_sum_ln_vjp(factors, ghidden, gd, bd, w1d)
-                + (gw2, gtok.sum(axis=0)))
+        return (g, gy, gx) + _outer_sum_ln_vjp(factors, ghidden, gd, bd, w1d) + (gw2, gb2)
 
     return Tensor._from_op(out, (m, y, x, y, x, gain, bias, w1, b1, w2, b2), vjp)
 
@@ -711,9 +756,13 @@ def softmax_pool(x: Tensor, w: Tensor, axis: int) -> Tensor:
     When the op is recorded, each block's softmax is also written into one
     map-sized array, which the VJP holds with the arrays of x and w, and
     from which it runs the product's, the softmax's and the conv's VJP
-    math.  x is listed twice among the parents, product use first, as the
-    unfused chain conv2d -> softmax -> mul -> sum accumulates it, so values
-    and gradients equal that chain's bit for bit.
+    math over the same blocks of channels: it writes the logit cotangent
+    block by block into one map-sized array, the weighted cotangent and
+    the softmax VJP's temporaries are one block each, and the conv's VJP
+    walks blocks of rows.  x is listed twice among the parents, product
+    use first, as the unfused chain conv2d -> softmax -> mul -> sum
+    accumulates it, so values and gradients equal that chain's bit for
+    bit.
     """
     if x.ndim != 3:
         raise ContractViolation(f"softmax_pool expects (c, h, w), got shape {x.shape}")
@@ -750,14 +799,20 @@ def softmax_pool(x: Tensor, w: Tensor, axis: int) -> Tensor:
 
     def vjp(g):
         gp = np.broadcast_to(g, xd.shape)
-        gatt = gp * xd
-        if axis == 2:
-            glogits = _softmax_rows_vjp(sm, gatt.reshape(c * h, wd)).reshape(c, h, wd)
-        else:
-            glogits = _softmax_rows_vjp(sm, gatt.transpose(0, 2, 1).reshape(c * wd, h))
-            glogits = glogits.reshape(c, wd, h).transpose(0, 2, 1)
-        del gatt
+        glogits = np.empty((c, h, wd))
+        for ch in _blocks(c, _BLOCK_ELEMS // (h * wd)):
+            n = ch.stop - ch.start
+            # the block's weighted cotangent, laid out as its softmax rows
+            # (for axis 1 in a transposed block), and then, in place, their
+            # softmax VJP: the block's logit cotangent
+            rows = glogits[ch] if axis == 2 else np.empty((n, wd, h))
+            np.multiply(gp[ch], xd[ch], out=pooling_weights(rows, n))
+            _softmax_rows_vjp(sm[ch.start * per: ch.stop * per], rows.reshape(-1, n_row))
+            if axis == 1:
+                glogits[ch] = pooling_weights(rows, n)
+            del rows  # freed before the next block's
         gx_logits, gw = _conv2d_vjp(xd, wt, 1, glogits)
+        del glogits  # freed before the pooled input's gradient is formed
         return gp * pooling_weights(sm, c), gx_logits, gw
 
     return Tensor._from_op(out, (x, x, w), vjp)
@@ -785,8 +840,9 @@ def outer_sum_distance(m: Tensor, y: Tensor, x: Tensor) -> Tensor:
         np.subtract(md, gd, out=gd)
         gd *= g
         gd /= max(nrm, 1e-300)
-        gr = -gd
-        return gd, _unbroadcast(gr, yd.shape), _unbroadcast(gr, xd.shape)
+        # the factors' cotangent is -gd; negation is exact, so negating
+        # gd's sums gives the sums of its negation, without a copy of it
+        return gd, -_unbroadcast(gd, yd.shape), -_unbroadcast(gd, xd.shape)
 
     return Tensor._from_op(np.asarray(nrm), (m, y, x), vjp)
 
@@ -945,7 +1001,8 @@ class Mlp(Module):
     at a time and is added, with the map and the outer sum, straight into
     the output.  The recorded VJP keeps only factor-sized arrays.  When it
     runs, it rebuilds the hidden array slab by slab, twice, and holds one
-    hidden-sized array at a time."""
+    hidden-sized array at a time; beside the hidden cotangent it forms the
+    map's cotangent in token order one slab at a time."""
 
     def __init__(self, rng: np.random.Generator, d: int, hidden_ratio: float = 4.0,
                  name: str = "mlp"):

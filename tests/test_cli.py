@@ -2,6 +2,7 @@
 files, and determinism guarantees."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -301,3 +302,42 @@ class TestEntryPoint:
         # so does the process's peak resident memory
         assert "peak RSS" in proc.stderr
         assert "RSS" not in proc.stdout and "RSS" not in out.read_text()
+
+
+# dims at which the level maps' products are large enough for OpenBLAS to
+# split them across threads; lr small enough that 5 steps stay finite
+THREADS_CFG = """\
+channels: 32
+in_channels: 32
+base_hw: [32, 32]
+train:
+  steps: 5
+  lr: 1.0e-4
+  channels: 32
+  base_hw: [32, 32]
+  levels: [4, 5]
+"""
+
+
+class TestBlasThreads:
+    def test_reports_independent_of_thread_count(self, tmp_path):
+        """`forward --out` and `train --out` write the same bytes with
+        OpenBLAS on 1 thread and on 3 (more threads than cores only
+        oversubscribes them).  The four processes run at once."""
+        cfg = tmp_path / "threads.yaml"
+        cfg.write_text(THREADS_CFG)
+        runs = {}
+        for cmd in ("forward", "train"):
+            for threads in ("1", "3"):
+                out = tmp_path / f"{cmd}_{threads}.json"
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+                runs[out] = subprocess.Popen(
+                    [sys.executable, "-m", "sdtp.cli", cmd, "--config", str(cfg),
+                     "--out", str(out)],
+                    env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        for proc in runs.values():
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+        for cmd in ("forward", "train"):
+            one = (tmp_path / f"{cmd}_1.json").read_bytes()
+            assert one == (tmp_path / f"{cmd}_3.json").read_bytes()

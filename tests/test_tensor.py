@@ -706,7 +706,15 @@ class TestSoftmaxPool:
 
 # (c_in, c_out, h, w, kh, kw, dilation, rows per block): several blocks and
 # a partial last one, also on maps smaller than the dilation; where the
-# last block would be one row (h % rows == 1), it joins the one before it
+# last block would be one row (h % rows == 1), it joins the one before it.
+# On one-column maps (w == 1) a tap's rows clipped to a block's reach can
+# leave one row, and a product over one column is a vector product (gemv),
+# which sums in another order than the whole map's matrix product; the
+# orders' results differ once the product sums 16 output channels.  The
+# input width stays at most 8: at 16, a forward block that starts at a
+# column offset that is not a multiple of 8 rounds otherwise than the
+# whole map (OpenBLAS computes 8 columns per kernel step; a FOUND in
+# CHANGES.md).
 BLOCKED_CONVS = [
     (3, 4, 11, 5, 3, 3, 1, 3),
     (3, 4, 11, 5, 3, 3, 3, 4),
@@ -717,14 +725,28 @@ BLOCKED_CONVS = [
     (3, 4, 8, 5, 3, 1, 3, 3),
     (3, 4, 7, 1, 3, 1, 1, 2),
     (4, 3, 8, 5, 1, 3, 1, 3),
+    (8, 16, 7, 1, 3, 3, 1, 2),
+    (8, 16, 7, 1, 3, 3, 6, 2),
+    (8, 16, 9, 1, 3, 1, 2, 3),
+    (3, 4, 9, 4, 3, 3, 2, 3),
+    (4, 16, 6, 1, 1, 3, 1, 2),
 ]
+
+
+def assert_same_arrays(got, want):
+    """Equal bits and equal memory layout: a reduction over a gradient sums
+    in an order set by its strides, so a gradient laid out otherwise can
+    move the low bits of what is formed from it downstream."""
+    assert np.array_equal(got, want)
+    assert got.strides == want.strides
 
 
 class TestBlocks:
     """conv2d and softmax_pool form their temporaries one block of about
-    _BLOCK_ELEMS elements at a time.  With the block patched small, so
-    that a map spans several blocks and a partial last one, values and
-    both VJP outputs equal the unblocked references' bit for bit."""
+    _BLOCK_ELEMS elements at a time, in the forward and in the VJP.  With
+    the block patched small, so that a map spans several blocks and a
+    partial last one, values and both VJP outputs equal the unblocked
+    references' bit for bit, and the gradients are laid out as theirs."""
 
     @pytest.mark.parametrize("c_in,c_out,h,w,kh,kw,dil,rows", BLOCKED_CONVS)
     def test_conv2d_bit_identical_to_unblocked(self, monkeypatch, c_in, c_out, h, w, kh, kw,
@@ -738,7 +760,7 @@ class TestBlocks:
         want = unblocked_conv2d(Tensor(x, requires_grad=True), Tensor(wt), dil)
         assert np.array_equal(got.data, want.data)
         for a, b in zip(got._node._vjp(g), want._node._vjp(g)):
-            assert np.array_equal(a, b)
+            assert_same_arrays(a, b)
 
     def test_1x1_conv2d_reads_a_permuted_view_as_laid_out(self, monkeypatch):
         """A 1x1 conv2d is not blocked, even with blocks smaller than the
@@ -755,7 +777,7 @@ class TestBlocks:
         got, want = T.conv2d(x, wt), unblocked_conv2d(x, wt)
         assert np.array_equal(got.data, want.data)
         for a, b in zip(got._node._vjp(g), want._node._vjp(g)):
-            assert np.array_equal(a, b)
+            assert_same_arrays(a, b)
 
     @pytest.mark.parametrize("axis", [1, 2])
     @pytest.mark.parametrize("c", [8, 7])
@@ -780,7 +802,32 @@ class TestBlocks:
         assert np.array_equal(blocked, whole)
         assert np.array_equal(blocked, unfused_softmax_pool(Tensor(x), Tensor(wt), axis).data)
         for a, b in zip(blocked_grads, whole_grads):
-            assert np.array_equal(a, b)
+            assert_same_arrays(a, b)
+
+    @pytest.mark.parametrize("op", ["conv2d_3x3", "conv2d_1x1", "softmax_pool_1",
+                                    "softmax_pool_2", "outer_sum_mlp"])
+    def test_second_backward_doubles_gradients(self, monkeypatch, op):
+        """A second backward() over the same graph runs the blocked VJPs
+        again on what the graph holds, so every leaf's gradient after it is
+        twice the first pass's, bit for bit: no VJP changes what it reads."""
+        monkeypatch.setattr(T, "_BLOCK_ELEMS", 16)
+        rng = np.random.default_rng(7)
+        shapes, call = {
+            "conv2d_3x3": ([(3, 9, 5), (4, 3, 3, 3)], lambda x, w: T.conv2d(x, w)),
+            "conv2d_1x1": ([(3, 9, 5), (4, 3, 1, 1)], lambda x, w: T.conv2d(x, w)),
+            "softmax_pool_1": ([(5, 9, 4), (5, 5, 1, 1)], lambda x, w: T.softmax_pool(x, w, 1)),
+            "softmax_pool_2": ([(5, 9, 4), (5, 5, 1, 1)], lambda x, w: T.softmax_pool(x, w, 2)),
+            "outer_sum_mlp": ([(4, 9, 3), (9, 4), (3, 4), (4,), (4,), (4, 8), (8,), (8, 4), (4,)],
+                              T.outer_sum_mlp),
+        }[op]
+        ts = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+        out = call(*ts)
+        upstream = rng.standard_normal(out.shape)
+        out.backward(upstream)
+        first = [t.grad for t in ts]
+        out.backward(upstream)
+        for t, g in zip(ts, first):
+            assert np.array_equal(t.grad, 2 * g)
 
 
 def no_grad_peak(fn):
@@ -798,11 +845,30 @@ def no_grad_peak(fn):
     return out, peak
 
 
+def vjp_peak(out, upstream):
+    """The recorded VJP's gradients for upstream, the tracemalloc peak of
+    what the VJP allocates while it runs, and the bytes of the arrays that
+    own its gradients' memory (a view counts as its base)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grads = out._node._vjp(upstream)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    owners = {id(a.base if a.base is not None else a): a.base if a.base is not None else a
+              for a in grads if a is not None}
+    return grads, peak, sum(a.nbytes for a in owners.values())
+
+
 class TestLevel2Memory:
     """At level-2 dims, a (256, 64, 64) map, each no-grad op over the map
     allocates its output plus the temporaries of one block at a time: at
     most four arrays of one block, 2 MiB, where the whole-map versions
-    formed two to four map-sized (8 MiB) ones."""
+    formed two to four map-sized (8 MiB) ones.  Their recorded VJPs, too,
+    allocate their gradients plus a stated number of blocks, where the
+    whole-map versions formed two to four map-sized temporaries."""
 
     block = 2 * 2 ** 20
 
@@ -847,6 +913,42 @@ class TestLevel2Memory:
         y, x = Tensor(rng.standard_normal((256, 64, 1))), Tensor(rng.standard_normal((256, 1, 64)))
         _, peak = no_grad_peak(lambda: T.outer_sum_distance(m, y, x))
         assert peak <= m.data.nbytes + self.block
+
+    @pytest.mark.parametrize("k", [3, 1])
+    def test_conv2d_backward(self, level2, k):
+        """Two blocks: one block's product of a tap and the cotangent, plus
+        the tap's copy.  The weight gradient's map-sized patch of the padded
+        input (3x3) is freed before the input gradient is allocated."""
+        rng, x = level2
+        w = Tensor(rng.standard_normal((256, 256, k, k)))
+        out = T.conv2d(Tensor(x.data, requires_grad=True), w)
+        grads, peak, owned = vjp_peak(out, rng.standard_normal(out.shape))
+        assert grads[0].shape == x.shape and grads[1].shape == w.shape
+        assert peak <= owned + 2 * self.block
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_softmax_pool_backward(self, level2, axis):
+        """Two blocks: the weighted cotangent's block (transposed for axis
+        1) and its softmax VJP's product, then the logit conv's block.  The
+        map-sized logit cotangent is freed before the pooled gradient is
+        formed."""
+        rng, x = level2
+        w = Tensor(rng.standard_normal((256, 256, 1, 1)))
+        out = T.softmax_pool(Tensor(x.data, requires_grad=True), w, axis)
+        grads, peak, owned = vjp_peak(out, rng.standard_normal(out.shape))
+        assert [a.shape for a in grads] == [x.shape, x.shape, w.shape]
+        assert peak <= owned + 2 * self.block
+
+    def test_outer_sum_distance_backward(self, level2):
+        """The map's gradient and the factors' sums of it, with no negated
+        copy of it."""
+        rng, m = level2
+        y, x = (Tensor(rng.standard_normal(s), requires_grad=True)
+                for s in ((256, 64, 1), (256, 1, 64)))
+        out = T.outer_sum_distance(Tensor(m.data, requires_grad=True), y, x)
+        grads, peak, owned = vjp_peak(out, np.asarray(1.0))
+        assert grads[0].shape == m.shape
+        assert peak <= owned + self.block
 
 
 class TestOuterSumDistance:
