@@ -100,7 +100,7 @@ def _flops_renders(table: dict) -> tuple[str, str]:
     for k, row in enumerate(table["levels"]):
         lines.append(f"{k:>5} {row['h']:>5} {row['w']:>5} {row['c']:>4} {row['s']:>2} {counts(row)}")
     t = table["totals"]
-    lines.append(f"{'total':>23} {'':>4} {'':>2} {counts(t)}")
+    lines.append(f"{'total':>5} {'':>5} {'':>5} {'':>4} {'':>2} {counts(t)}")
     lines.append(f"ordering decoupled < strided < full: {table['ordering_ok']}")
     text = "\n".join(lines) + "\n"
 

@@ -11,8 +11,12 @@ operations record nothing, so inference holds no intermediate arrays.
 The graph is kept apart from the values, as in PyTorch's autograd: a node
 holds its VJP and its parents' nodes, never a Tensor, and every VJP closure
 holds shapes and the arrays it reads.  So an op output's array is freed as
-soon as its caller drops the Tensor, unless a VJP reads it.
-``tape_arrays`` lists what a graph keeps alive.
+soon as its caller drops the Tensor, unless a VJP reads it.  ``backward``
+consumes the graph, as PyTorch's does by default: once a node's VJP has
+run, the node drops it and its parent links, so what only that VJP read is
+freed while the pass goes on, and a second pass over the graph, or over a
+graph that shares a consumed part, raises ContractViolation before it
+changes any gradient.  ``tape_arrays`` lists what a graph keeps alive.
 
 The ops over a (c, h, w) level map bound their working set: each forms its
 temporaries one block at a time, so a no-grad call allocates its output
@@ -26,12 +30,15 @@ order whatever the block size, and each gradient is laid out as the whole
 map's was.  So values and gradients are the same bits as over the whole
 map at once wherever BLAS forms a product's columns and rows the same way
 in a block as in the whole: OpenBLAS on x86-64 does for blocks that start
-at multiples of 8 columns and 4 rows, as every block at the default dims
-does, but not always for others once a product sums 16 or more terms.
+at multiples of 8 columns and 4 rows, but not always for others once a
+product sums 16 or more terms.  conv2d's row blocks always start at a
+multiple of 8 columns; the channel blocks and slabs do at the default
+dims.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -126,6 +133,9 @@ class Tensor:
         return self.data.size
 
     def backward(self, grad: np.ndarray | None = None) -> None:
+        """Add this output's gradient, seeded with grad (1 for a scalar),
+        into the .grad of every grad-requiring leaf it depends on, and
+        consume the graph: a second pass over any part of it raises."""
         if not self.requires_grad:
             raise ContractViolation(
                 "backward() on a tensor with no graph: no input requires grad, "
@@ -145,29 +155,44 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._vjp is _consumed:  # refused before any VJP runs
+                _consumed(None)
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen and p.requires_grad:
                     stack.append((p, False))
         # this pass's gradients; each node's entry is dropped once its VJP
-        # has run, and only leaves keep theirs, in .grad.  Closures are kept,
-        # so a second pass over the same graph works.
+        # has run, and only leaves keep theirs, in .grad.  The pass consumes
+        # the graph: each op node gives up its VJP closure and its parent
+        # links as it is reached, so the arrays only that closure held are
+        # freed as the pass goes, and a later pass through it is refused.
         grads = {id(root): np.asarray(grad, dtype=self.data.dtype)}
         for node in reversed(topo):
             g_node = grads.pop(id(node), None)
+            if node._vjp is None:  # a leaf
+                if g_node is not None:
+                    node.grad = g_node if node.grad is None else node.grad + g_node
+                continue
+            vjp, parents = node._vjp, node._parents
+            node._vjp, node._parents = _consumed, ()
             if g_node is None:
                 continue
-            if node._vjp is None:
-                node.grad = g_node if node.grad is None else node.grad + g_node
-                continue
-            for p, g in zip(node._parents, node._vjp(g_node)):
+            pgrads = vjp(g_node)
+            vjp = g_node = None  # frees the closure's arrays and the cotangent
+            for p, g in zip(parents, pgrads):
                 if p.requires_grad and g is not None:
                     grads[id(p)] = g if id(p) not in grads else grads[id(p)] + g
+            pgrads = g = None  # and the parent gradients summed into others
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad}{tag})"
+
+
+def _consumed(g):
+    """The VJP of every op node that an earlier backward() has reached."""
+    raise ContractViolation("graph already consumed by an earlier backward()")
 
 
 # stands in for every parent that needs no gradient, so that a graph keeps
@@ -181,7 +206,8 @@ class _Node:
     own node, _CONSTANT stands in for a parent that needs no gradient) and
     a weak reference to its output array.  ``data`` is that array while
     the output Tensor or a VJP closure keeps it alive, and an empty array
-    after it is freed."""
+    after it is freed.  Once a backward pass has run the VJP, the node
+    holds _consumed in its place and no parents."""
 
     __slots__ = ("_parents", "_vjp", "_value")
 
@@ -203,7 +229,8 @@ def tape_arrays(*outputs: Tensor) -> list[np.ndarray]:
     live value of every node reachable from them (the outputs' own and the
     grad-requiring leaves' included) and every array a VJP closure holds,
     through cells, nested closures, tuples, lists and dict values.  A view
-    counts as the array that owns its memory."""
+    counts as the array that owns its memory.  A consumed node keeps
+    nothing, so after backward() the list is empty."""
     found: dict[int, np.ndarray] = {}
     seen: set[int] = set()
     stack: list = [t._node for t in outputs]
@@ -217,6 +244,8 @@ def tape_arrays(*outputs: Tensor) -> list[np.ndarray]:
                 v = v.base
             found[id(v)] = v
         elif isinstance(v, (Tensor, _Node)):
+            if v._vjp is _consumed:  # a consumed graph keeps nothing alive
+                continue
             if v.data is not _CONSTANT.data:  # not a freed node value
                 stack.append(v.data)
             stack.extend(p for p in v._parents if p.requires_grad)
@@ -360,8 +389,16 @@ def _gelu_cdf(x: np.ndarray) -> np.ndarray:
 
 
 def _gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """d gelu / dx at x, given cdf = _gelu_cdf(x)."""
-    return cdf + x * (np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi))
+    """d gelu / dx at x, given cdf = _gelu_cdf(x): the value of
+    cdf + x * (exp(-0.5 * x * x) / sqrt(2 pi)), formed in place in one
+    temporary (scaling x * x by -0.5 is exact)."""
+    t = x * x
+    t *= -0.5
+    np.exp(t, out=t)
+    t /= np.sqrt(2.0 * np.pi)
+    t *= x
+    t += cdf
+    return t
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -411,6 +448,18 @@ def _blocks(n: int, per: int) -> list[slice]:
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _conv_row_blocks(c: int, h: int, wd: int) -> list[slice]:
+    """conv2d's blocks of output rows over an (c, h, wd) map, in the
+    forward and the VJP: about _BLOCK_ELEMS elements each, in a multiple
+    of 8 // gcd(wd, 8) rows (at least that many), so that every block
+    starts at a multiple of 8 columns of the flattened map.  OpenBLAS's
+    x86-64 double kernels step 8 columns, so a block's product columns
+    then have the bits of the same columns of the whole map's product."""
+    step = 8 // math.gcd(wd, 8)
+    per = _BLOCK_ELEMS // (c * wd)
+    return _blocks(h, max(step, per - per % step))
 
 
 def _conv_pad(x: np.ndarray, ph: int, pw: int, r0: int, r1: int) -> np.ndarray:
@@ -483,7 +532,7 @@ def conv2d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
                   out=out.reshape(out_c, h * wd))
     else:
         ph, pw = (kh - 1) * dilation // 2, (kw - 1) * dilation // 2
-        for rows in _blocks(h, _BLOCK_ELEMS // (max(c_in, out_c) * wd)):
+        for rows in _conv_row_blocks(max(c_in, out_c), h, wd):
             n = rows.stop - rows.start
             xp = _conv_pad(xd, ph, pw, rows.start, rows.stop)
             out_rows = out[:, rows].reshape(out_c, n * wd)
@@ -540,7 +589,7 @@ def _conv2d_vjp(xd: np.ndarray, wt: np.ndarray, dilation: int, g: np.ndarray,
     if not need_gx:
         return None, gw
     gxp = np.zeros_like(xd) if kh == kw == 1 else np.zeros((c_in, h + 2 * ph, wd + 2 * pw))
-    for rows in reversed(_blocks(h, _BLOCK_ELEMS // (max(c_in, out_c) * wd))):
+    for rows in reversed(_conv_row_blocks(max(c_in, out_c), h, wd)):
         n = rows.stop - rows.start
         g_rows = gflat[:, rows.start * wd: rows.stop * wd]
         gx_rows = gxp[:, rows.start: rows.stop + 2 * ph]
@@ -634,7 +683,9 @@ def _outer_sum_ln_vjp(factors: tuple[np.ndarray, ...], g: np.ndarray, gain: np.n
                       bias: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
     """Gradients of Linear(LayerNorm(y_i + x_j)) with respect to its
     (y, x, gain, bias, w, b) for the (h*w, d) cotangent g of its rows,
-    from the arrays of gain, bias and w."""
+    from the arrays of gain, bias and w.  Every later step reads only
+    factor-sized reductions of g, so g is freed once they are formed
+    unless the caller holds it too."""
     yc, xc, inv, gw, a_f, b_f, _ = factors
     h, nw = inv.shape
     c, d = w.shape
@@ -645,6 +696,7 @@ def _outer_sum_ln_vjp(factors: tuple[np.ndarray, ...], g: np.ndarray, gain: np.n
     gbf = np.matmul(inv.T[:, None, :], g3.transpose(1, 0, 2))[:, 0, :]
     ginv = (np.matmul(g3, a_f[:, :, None])[:, :, 0]
             + np.matmul(g3.transpose(1, 0, 2), b_f[:, :, None])[:, :, 0].T)
+    del g, g3
     gv = (-1.0 / c) * inv ** 3 * ginv       # (2 / c) * d(loss)/d(var)
     gyc = gv.sum(axis=1)[:, None] * yc + gv @ xc + ga @ gw.T
     gxc = gv.sum(axis=0)[:, None] * xc + gv.T @ yc + gbf @ gw.T
@@ -692,12 +744,12 @@ def outer_sum_mlp(m: Tensor, y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w
     copy, both then freed.  The second walk forms each slab's rows of that
     copy from the cotangent again and writes the hidden cotangent, from
     which the factored layer norm and first projection take their
-    gradients.  The GELU's erf runs once more than with both arrays filled
-    in one walk.  Each factor is listed twice among the parents, residual
-    use first, and every reduction runs once over all rows, so values and
-    gradients equal, bit for bit, those of the unfused chain that forms
-    all of pre at once and then runs gelu, matmul and the adds one op at a
-    time.
+    gradients; it is freed once reduced to factor-sized sums.  The GELU's
+    erf runs once more than with both arrays filled in one walk.  Each
+    factor is listed twice among the parents, residual use first, and
+    every reduction runs once over all rows, so values and gradients
+    equal, bit for bit, those of the unfused chain that forms all of pre
+    at once and then runs gelu, matmul and the adds one op at a time.
     """
     factors = _outer_sum_ln_factors(y, x, gain, bias, w1, b1)
     (h, c), nw, d = y.shape, x.shape[0], w1.shape[1]
@@ -728,18 +780,34 @@ def outer_sum_mlp(m: Tensor, y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w
             np.multiply(pre, _gelu_cdf(pre), out=act[tokens])
         gw2 = act.T @ gtok
         gb2 = gtok.sum(axis=0)
-        # freed before the second walk fills the hidden cotangent, which
-        # forms each slab's rows of gtok from g again
-        del act, gtok
-        ghidden = np.empty((h * nw, d))
-        for rows, tokens, pre in _outer_sum_slabs(factors):
-            gslab = g[:, rows].transpose(1, 2, 0).reshape(-1, c)
-            np.multiply(_gelu_slope(pre, _gelu_cdf(pre)), gslab @ w2d.T, out=ghidden[tokens])
+        # freed before the second walk fills the hidden cotangent, with the
+        # first walk's slab buffer
+        del act, gtok, pre
+        # only _outer_sum_ln_vjp holds the hidden cotangent, so it is freed
+        # once reduced there
+        ln_grads = _outer_sum_ln_vjp(factors, _outer_sum_hidden_grad(factors, g, w2d),
+                                     gd, bd, w1d)
         gy = _unbroadcast(g, (c, h, 1)).transpose(1, 2, 0).reshape(h, c)
         gx = _unbroadcast(g, (c, 1, nw)).transpose(1, 2, 0).reshape(nw, c)
-        return (g, gy, gx) + _outer_sum_ln_vjp(factors, ghidden, gd, bd, w1d) + (gw2, gb2)
+        return (g, gy, gx) + ln_grads + (gw2, gb2)
 
     return Tensor._from_op(out, (m, y, x, y, x, gain, bias, w1, b1, w2, b2), vjp)
+
+
+def _outer_sum_hidden_grad(factors: tuple[np.ndarray, ...], g: np.ndarray,
+                           w2: np.ndarray) -> np.ndarray:
+    """The (h*w, d) cotangent of outer_sum_mlp's pre-activation for the
+    (c, h, w) cotangent g of its output: (g's tokens @ w2.T) times the GELU
+    slope, formed slab by slab, each slab's product written straight into
+    its rows and scaled there."""
+    c, h, nw = g.shape
+    ghidden = np.empty((h * nw, w2.shape[0]))
+    for rows, tokens, pre in _outer_sum_slabs(factors):
+        gslab = g[:, rows].transpose(1, 2, 0).reshape(-1, c)
+        out = ghidden[tokens]
+        np.matmul(gslab, w2.T, out=out)
+        out *= _gelu_slope(pre, _gelu_cdf(pre))
+    return ghidden
 
 
 def softmax_pool(x: Tensor, w: Tensor, axis: int) -> Tensor:

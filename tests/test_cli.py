@@ -3,6 +3,7 @@ files, and determinism guarantees."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -178,6 +179,14 @@ class TestFlops:
         assert main(["flops", "--config", tiny_cfg]) == 0
         text = capsys.readouterr().out
         assert "ordering decoupled < strided < full: True" in text
+
+    def test_table_columns_align(self, capsys):
+        """Every count column ends at the same offset on the header, on each
+        level row and on the total row."""
+        assert main(["flops"]) == 0
+        lines = capsys.readouterr().out.splitlines()[:-1]  # not the ordering line
+        ends = {tuple(m.end() for m in list(re.finditer(r"\S+", line))[-3:]) for line in lines}
+        assert lines[-1].split()[0] == "total" and len(ends) == 1
 
     def test_no_renders_key_in_file(self, tiny_cfg, tmp_path):
         """The private table/csv renders never leak into the JSON file."""

@@ -159,15 +159,35 @@ class TestBackwardStructure:
         np.testing.assert_allclose(a.grad, 2 * a.data, rtol=1e-15, atol=1e-15)
         np.testing.assert_allclose(b.grad, 2 * b.data, rtol=1e-15, atol=1e-15)
 
-    def test_repeated_backward_adds_one_gradient_per_pass(self):
-        """A second backward() through the same graph adds exactly one more
-        gradient to the leaves; intermediate nodes carry nothing over."""
+    def test_second_backward_is_refused(self):
+        """backward() consumes the graph, so a second pass over it raises,
+        and every leaf keeps the gradient the first pass left."""
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         z = T.sum_all(T.mul(x, x))
         z.backward()
+        first = x.grad
+        with pytest.raises(ContractViolation, match="already consumed"):
+            z.backward()
+        assert x.grad is first
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
-        z.backward()
-        np.testing.assert_array_equal(x.grad, [4.0, 8.0])
+
+    @pytest.mark.parametrize("shared_first", [True, False])
+    def test_backward_through_a_consumed_subgraph_is_refused(self, shared_first):
+        """A pass from another output that shares a subgraph an earlier pass
+        consumed is refused before any VJP runs: it changes no leaf's
+        gradient, also on a leaf that only its other term reaches, whichever
+        term the pass would reach first."""
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        j = Tensor(np.array([3.0, -1.0]), requires_grad=True)
+        shared = T.mul(x, x)
+        T.sum_all(shared).backward()
+        gx = x.grad
+        terms = [T.sum_all(T.mul(shared, x)), T.sum_all(T.mul(j, j))]
+        other = T.add(*(terms if shared_first else terms[::-1]))
+        with pytest.raises(ContractViolation, match="already consumed"):
+            other.backward()
+        assert x.grad is gx and j.grad is None
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
     def test_backward_rejects_non_scalar_without_seed(self):
         """Calling backward() on a non-scalar without a seed grad fails."""
@@ -318,7 +338,7 @@ class TestGraphNodes:
         """Once the caller drops an op's output Tensor, its array is freed
         while the graph lives on, if no VJP reads it (add and sum_all read
         shapes only), and backward() gives the same gradients as with the
-        Tensor kept, twice over."""
+        Tensor kept."""
         def run(keep):
             rng = np.random.default_rng(5)
             x = Tensor(rng.standard_normal((2, 2, 3)), requires_grad=True)
@@ -330,14 +350,42 @@ class TestGraphNodes:
                 del mid
                 assert ref() is None
                 assert out._node._vjp is not None
-            grads = []
-            for _ in range(2):
-                out.backward()
-                grads.append((x.grad.copy(), y.grad.copy()))
-            return grads
+            out.backward()
+            return x.grad, y.grad
 
-        for (gx, gy), (kx, ky) in zip(run(keep=False), run(keep=True)):
-            assert np.array_equal(gx, kx) and np.array_equal(gy, ky)
+        (gx, gy), (kx, ky) = run(keep=False), run(keep=True)
+        assert np.array_equal(gx, kx) and np.array_equal(gy, ky)
+
+    @pytest.mark.parametrize("op", sorted(RECORDED_OPS))
+    def test_backward_frees_what_only_the_graph_held(self, op):
+        """backward() consumes the graph: once a VJP has run, every array
+        that only its closure held is freed, while the output Tensor is
+        still alive, and the graph keeps nothing."""
+        out = RECORDED_OPS[op]()
+        read = [weakref.ref(v) for v in closure_objects(out._node._vjp)
+                if isinstance(v, np.ndarray) and v is not out.data and v.base is not out.data]
+        out.backward(np.ones(out.shape))
+        assert [r() for r in read if r() is not None] == [], op
+        assert T.tape_arrays(out) == []
+
+    def test_backward_frees_each_vjp_as_it_goes(self):
+        """An op output that the caller dropped and a VJP reads lives until
+        that VJP has run, not until the pass ends: a VJP that runs later in
+        the same pass finds it freed."""
+        found = []
+
+        def probe(g):  # an identity op's VJP, run after mul's and gelu's
+            found.append(ref())
+            return (g,)
+
+        x = Tensor(rand(3, 4), requires_grad=True)
+        mid = T.gelu(Tensor._from_op(x.data.copy(), (x,), probe))
+        ref = weakref.ref(mid.data)
+        out = T.sum_all(T.mul(mid, mid))
+        del mid
+        assert ref() is not None
+        out.backward()
+        assert found == [None] and x.grad is not None
 
     def test_node_data_after_free(self):
         """A node's data is its output's array while that lives and an empty
@@ -706,15 +754,17 @@ class TestSoftmaxPool:
 
 # (c_in, c_out, h, w, kh, kw, dilation, rows per block): several blocks and
 # a partial last one, also on maps smaller than the dilation; where the
-# last block would be one row (h % rows == 1), it joins the one before it.
-# On one-column maps (w == 1) a tap's rows clipped to a block's reach can
-# leave one row, and a product over one column is a vector product (gemv),
-# which sums in another order than the whole map's matrix product; the
-# orders' results differ once the product sums 16 output channels.  The
-# input width stays at most 8: at 16, a forward block that starts at a
-# column offset that is not a multiple of 8 rounds otherwise than the
-# whole map (OpenBLAS computes 8 columns per kernel step; a FOUND in
-# CHANGES.md).
+# last block would be one row, it joins the one before it.  conv2d rounds
+# the rows per block to a multiple of 8 // gcd(w, 8), so that each block
+# starts at a multiple of 8 columns of the flattened map (OpenBLAS computes
+# 8 columns per kernel step); a map of fewer than two such steps of rows is
+# one block.  On one-column maps (w == 1) a tap's rows clipped to a block's
+# reach can leave one row, and a product over one column is a vector
+# product (gemv), which sums in another order than the whole map's matrix
+# product; the orders' results differ once the product sums 16 output
+# channels.  The rows with 16 input channels and widths 1, 3, 5 and 7 give
+# other bits than the whole map wherever a block starts off a multiple of
+# 8 columns.
 BLOCKED_CONVS = [
     (3, 4, 11, 5, 3, 3, 1, 3),
     (3, 4, 11, 5, 3, 3, 3, 4),
@@ -730,6 +780,14 @@ BLOCKED_CONVS = [
     (8, 16, 9, 1, 3, 1, 2, 3),
     (3, 4, 9, 4, 3, 3, 2, 3),
     (4, 16, 6, 1, 1, 3, 1, 2),
+    (16, 8, 19, 1, 3, 3, 6, 2),
+    (16, 16, 17, 1, 3, 3, 1, 2),
+    (16, 16, 18, 1, 3, 1, 2, 3),
+    (16, 16, 16, 1, 1, 3, 1, 2),
+    (16, 8, 21, 3, 1, 3, 1, 5),
+    (16, 8, 19, 5, 3, 1, 3, 3),
+    (16, 8, 18, 5, 3, 3, 2, 4),
+    (16, 8, 12, 7, 3, 3, 1, 3),
 ]
 
 
@@ -752,7 +810,10 @@ class TestBlocks:
     def test_conv2d_bit_identical_to_unblocked(self, monkeypatch, c_in, c_out, h, w, kh, kw,
                                                dil, rows):
         monkeypatch.setattr(T, "_BLOCK_ELEMS", rows * max(c_in, c_out) * w)
-        assert len(T._blocks(h, rows)) > 1
+        blocks = T._conv_row_blocks(max(c_in, c_out), h, w)
+        step = 8 // np.gcd(w, 8)
+        assert all(b.start * w % 8 == 0 for b in blocks)
+        assert len(blocks) > 1 or h < 2 * step
         rng = np.random.default_rng(h * 100 + dil * 10 + kh)
         x, wt = rng.standard_normal((c_in, h, w)), rng.standard_normal((c_out, c_in, kh, kw))
         g = rng.standard_normal((c_out, h, w))
@@ -806,10 +867,10 @@ class TestBlocks:
 
     @pytest.mark.parametrize("op", ["conv2d_3x3", "conv2d_1x1", "softmax_pool_1",
                                     "softmax_pool_2", "outer_sum_mlp"])
-    def test_second_backward_doubles_gradients(self, monkeypatch, op):
-        """A second backward() over the same graph runs the blocked VJPs
-        again on what the graph holds, so every leaf's gradient after it is
-        twice the first pass's, bit for bit: no VJP changes what it reads."""
+    def test_vjp_leaves_what_it_reads_unchanged(self, monkeypatch, op):
+        """The recorded VJP, called twice on one graph, returns the same
+        bits and strides, and leaves the cotangent as it was: no blocked
+        VJP changes what it reads."""
         monkeypatch.setattr(T, "_BLOCK_ELEMS", 16)
         rng = np.random.default_rng(7)
         shapes, call = {
@@ -823,11 +884,13 @@ class TestBlocks:
         ts = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
         out = call(*ts)
         upstream = rng.standard_normal(out.shape)
-        out.backward(upstream)
-        first = [t.grad for t in ts]
-        out.backward(upstream)
-        for t, g in zip(ts, first):
-            assert np.array_equal(t.grad, 2 * g)
+        kept = upstream.copy()
+        first = out._node._vjp(upstream)
+        values = [a.copy() for a in first]
+        for a, b, v in zip(out._node._vjp(upstream), first, values):
+            assert_same_arrays(a, b)
+            assert np.array_equal(b, v)
+        assert np.array_equal(upstream, kept)
 
 
 def no_grad_peak(fn):
