@@ -23,7 +23,8 @@ output only while the caller or a VJP downstream holds it.
   the difference from the map and the factors.
 - outer_sum_mlp: the residual update.  Its layer norm and first projection
   come from the factors; GELU, the second projection and the two sums run
-  a few factor rows at a time, straight into the output, so neither the
+  one slab of factor rows at a time, about tensor._BLOCK_ELEMS hidden
+  elements each, straight into the output, so neither the
   recoupled map, its (h*w, c) tokens, the partial sum, the MLP output nor
   the (h*w, 4c) hidden array is built.
   Its VJP keeps only factor-sized arrays; when the backward pass reaches

@@ -293,8 +293,9 @@ def _(rng):
     return (lambda x, *ps: mlp(x)), [("x", x)] + params
 
 
-# h = 9 factor rows: a full 4-row slab, and one of 5 that takes in the lone
-# last row
+# h = 9 factor rows: one slab at the default block size;
+# tests/test_gradcheck.py also runs it with the blocks patched small, as a
+# 4-row slab and a 5-row one that takes in the lone last row
 _op_case("outer_sum_mlp", lambda *ts: T.outer_sum_mlp(*ts), m=(3, 9, 2),
          y=(9, 3), x=(2, 3), gain=(3,), bias=(3,), w1=(3, 6), b1=(6,), w2=(6, 3), b2=(3,))
 _op_case("softmax_pool_axis1", lambda x, w: T.softmax_pool(x, w, axis=1),

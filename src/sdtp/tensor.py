@@ -20,20 +20,20 @@ changes any gradient.  ``tape_arrays`` lists what a graph keeps alive.
 
 The ops over a (c, h, w) level map bound their working set: each forms its
 temporaries one block at a time, so a no-grad call allocates its output
-and one block's arrays.  conv2d walks blocks of output rows and
-softmax_pool blocks of channels, both about _BLOCK_ELEMS elements, and
-outer_sum_mlp slabs of _MLP_SLAB_ROWS factor rows.  Their recorded VJPs
-walk the same blocks: each forms its input gradients block by block, and
-holds a map-sized temporary only where one product reduces over every
-pixel (a weight gradient).  Every output element is summed in the same
-order whatever the block size, and each gradient is laid out as the whole
-map's was.  So values and gradients are the same bits as over the whole
-map at once wherever BLAS forms a product's columns and rows the same way
-in a block as in the whole: OpenBLAS on x86-64 does for blocks that start
-at multiples of 8 columns and 4 rows, but not always for others once a
-product sums 16 or more terms.  conv2d's row blocks always start at a
-multiple of 8 columns; the channel blocks and slabs do at the default
-dims.
+and one block's arrays.  conv2d walks blocks of output rows,
+softmax_pool blocks of channels and outer_sum_mlp slabs of factor rows,
+all cut by one rule, _blocks: about _BLOCK_ELEMS elements a block,
+aligned so that every block starts at a multiple of 8 along the axis a
+product cuts.  Their recorded VJPs walk the same blocks: each forms its
+input gradients block by block, and holds a map-sized temporary only
+where one product reduces over every pixel (a weight gradient).  Every
+output element is summed in the same order whatever the block size, and
+each gradient is laid out as the whole map's was.  So values and
+gradients are the same bits as over the whole map at once wherever BLAS
+forms a product's columns and rows the same way in a block as in the
+whole: OpenBLAS on x86-64 does for blocks that start at multiples of 8
+columns and 4 rows, but not always for others once a product sums 16 or
+more terms, and every block starts at such a multiple.
 """
 
 from __future__ import annotations
@@ -133,9 +133,10 @@ class Tensor:
         return self.data.size
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Add this output's gradient, seeded with grad (1 for a scalar),
-        into the .grad of every grad-requiring leaf it depends on, and
-        consume the graph: a second pass over any part of it raises."""
+        """Add this output's gradient, seeded with grad (1 for a scalar;
+        else of the output's shape), into the .grad of every grad-requiring
+        leaf it depends on, and consume the graph: a second pass over any
+        part of it raises."""
         if not self.requires_grad:
             raise ContractViolation(
                 "backward() on a tensor with no graph: no input requires grad, "
@@ -144,6 +145,9 @@ class Tensor:
             if self.data.size != 1:
                 raise ContractViolation("backward() without a seed gradient needs a scalar output")
             grad = np.ones_like(self.data)
+        elif np.shape(grad) != self.data.shape:  # refused before any gradient changes
+            raise ContractViolation(f"backward() seed gradient of shape {np.shape(grad)} "
+                                    f"for an output of shape {self.data.shape}")
         root = self._node
         topo: list = []
         seen: set[int] = set()
@@ -432,34 +436,30 @@ def _softmax_rows_vjp(out: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g
 
 
-# the size, in float64 elements, that bounds each temporary of conv2d's and
-# softmax_pool's blocks: they form their arrays that many elements at a time
+# the size, in float64 elements, that bounds each temporary of a blocked op
+# (conv2d, softmax_pool, outer_sum_mlp): they form their arrays about that
+# many elements at a time
 _BLOCK_ELEMS = 2 ** 18
 
 
-def _blocks(n: int, per: int) -> list[slice]:
-    """Split range(n) into blocks of per rows (at least 2), the last one
-    shorter.  A lone last row joins the block before it: numpy multiplies
-    a one-row matrix as a vector, which BLAS sums in another order than a
-    matrix, so a product over a block of one row would not have the bits
-    of the same row in a product over all rows."""
-    per = max(2, per)
+def _blocks(n: int, row_elems: int, row_len: int) -> list[slice]:
+    """Split range(n), rows of row_elems elements each that lie row_len
+    apart along the axis a product cuts, into blocks of about
+    _BLOCK_ELEMS // row_elems rows: rounded down to a multiple of
+    step = 8 // gcd(row_len, 8), and at least step and 2 rows.  So every
+    block starts at a multiple of 8 along that axis; OpenBLAS's x86-64
+    double kernels step 8 columns, so a block's product columns then have
+    the bits of the same columns of the whole product.  A lone last row
+    joins the block before it: numpy multiplies a one-row matrix as a
+    vector, which BLAS sums in another order than a matrix, so a product
+    over a block of one row would not have the bits of the same row in a
+    product over all rows."""
+    step = 8 // math.gcd(row_len, 8)
+    per = max(step, 2, _BLOCK_ELEMS // row_elems // step * step)
     starts = list(range(0, n, per))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
-
-
-def _conv_row_blocks(c: int, h: int, wd: int) -> list[slice]:
-    """conv2d's blocks of output rows over an (c, h, wd) map, in the
-    forward and the VJP: about _BLOCK_ELEMS elements each, in a multiple
-    of 8 // gcd(wd, 8) rows (at least that many), so that every block
-    starts at a multiple of 8 columns of the flattened map.  OpenBLAS's
-    x86-64 double kernels step 8 columns, so a block's product columns
-    then have the bits of the same columns of the whole map's product."""
-    step = 8 // math.gcd(wd, 8)
-    per = _BLOCK_ELEMS // (c * wd)
-    return _blocks(h, max(step, per - per % step))
 
 
 def _conv_pad(x: np.ndarray, ph: int, pw: int, r0: int, r1: int) -> np.ndarray:
@@ -497,10 +497,11 @@ def conv2d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
     equal the input's.
     A 1x1 kernel is one product over x's array as it is laid out, with no
     copy: a copy of a strided x (a permuted view) would change the low bits
-    of the product.  A larger footprint walks blocks of output rows, about
-    _BLOCK_ELEMS elements of the input or output wide, and zero-pads only
-    each block's rows plus the rows its taps reach above and below; each
-    tap's patch and product are one block's size.  Every output column
+    of the product.  A larger footprint walks blocks of output rows (see
+    _blocks), about _BLOCK_ELEMS elements of the input or output wide and
+    each starting at a multiple of 8 columns of the flattened map, and
+    zero-pads only each block's rows plus the rows its taps reach above
+    and below; each tap's patch and product are one block's size.  Every output column
     sums its taps' products in the same order as over the whole map, so
     the values do not depend on the block size.
     The recorded VJP holds only the arrays of x and w: it rebuilds each
@@ -532,7 +533,7 @@ def conv2d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
                   out=out.reshape(out_c, h * wd))
     else:
         ph, pw = (kh - 1) * dilation // 2, (kw - 1) * dilation // 2
-        for rows in _conv_row_blocks(max(c_in, out_c), h, wd):
+        for rows in _blocks(h, max(c_in, out_c) * wd, wd):
             n = rows.stop - rows.start
             xp = _conv_pad(xd, ph, pw, rows.start, rows.stop)
             out_rows = out[:, rows].reshape(out_c, n * wd)
@@ -589,7 +590,7 @@ def _conv2d_vjp(xd: np.ndarray, wt: np.ndarray, dilation: int, g: np.ndarray,
     if not need_gx:
         return None, gw
     gxp = np.zeros_like(xd) if kh == kw == 1 else np.zeros((c_in, h + 2 * ph, wd + 2 * pw))
-    for rows in reversed(_conv_row_blocks(max(c_in, out_c), h, wd)):
+    for rows in reversed(_blocks(h, max(c_in, out_c) * wd, wd)):
         n = rows.stop - rows.start
         g_rows = gflat[:, rows.start * wd: rows.stop * wd]
         gx_rows = gxp[:, rows.start: rows.stop + 2 * ph]
@@ -626,11 +627,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return Tensor._from_op(out, (x, gain, bias), vjp)
 
 
-# factor rows per slab of outer_sum_mlp: its layer norm's variance and its
-# hidden array are formed (rows, w, .) at a time
-_MLP_SLAB_ROWS = 4
-
-
 def _outer_sum_ln_factors(y: Tensor, x: Tensor, gain: Tensor, bias: Tensor,
                           w: Tensor, b: Tensor) -> tuple[np.ndarray, ...]:
     """Check the arguments of outer_sum_mlp's Linear(LayerNorm(y_i + x_j))
@@ -651,7 +647,7 @@ def _outer_sum_ln_factors(y: Tensor, x: Tensor, gain: Tensor, bias: Tensor,
     yc = y.data - y.data.sum(axis=1, keepdims=True) / c
     xc = x.data - x.data.sum(axis=1, keepdims=True) / c
     var = np.empty((h, nw))
-    for rows in _blocks(h, _MLP_SLAB_ROWS):
+    for rows in _blocks(h, nw * w.shape[1], nw):
         sq = yc[rows, None, :] + xc
         sq *= sq
         sq.sum(axis=2, out=var[rows])
@@ -662,14 +658,15 @@ def _outer_sum_ln_factors(y: Tensor, x: Tensor, gain: Tensor, bias: Tensor,
 
 
 def _outer_sum_slabs(factors: tuple[np.ndarray, ...]):
-    """Yield (rows, tokens, pre) for each slab of _MLP_SLAB_ROWS factor
+    """Yield (rows, tokens, pre) for each slab of factor rows, about
+    _BLOCK_ELEMS elements of pre each and starting at a multiple of 8 token
     rows (see _blocks): the slice of factor rows, the slice of token rows
     it covers and its (rows*w, d) block of Linear(LayerNorm(y_i + x_j)),
     which is inv_ij * (A_i + B_j) + b'.  Every block is written into one
     reused buffer, so it is valid only until the next one is yielded."""
     _, _, inv, _, a_f, b_f, b_out = factors
     (h, nw), d = inv.shape, a_f.shape[1]
-    slabs = _blocks(h, _MLP_SLAB_ROWS)
+    slabs = _blocks(h, nw * d, nw)
     buf = np.empty((max(s.stop - s.start for s in slabs), nw, d))
     for rows in slabs:
         slab = buf[: rows.stop - rows.start]
@@ -730,9 +727,10 @@ def outer_sum_mlp(m: Tensor, y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w
     (|yc_i| + |xc_j| = kappa * |yc_i + xc_j| with kappa >> 1), A_i + B_j
     cancels too, and pre agrees with the dense layer_norm and matmul to
     about 1e-16 * kappa relative instead of to rounding.  Each slab of
-    _MLP_SLAB_ROWS factor rows, a (rows*w, d) block of pre, goes through
-    gelu and matmul under no_grad, and its rows of the sum are written
-    straight into the (c, h, w) output.
+    factor rows (see _outer_sum_slabs), a (rows*w, d) block of pre of at
+    most about _BLOCK_ELEMS elements, goes through gelu and matmul under
+    no_grad, and its rows of the sum are written straight into the
+    (c, h, w) output.
 
     The VJP keeps only the factor-side arrays and the arrays of gain, bias,
     w1 and w2 (gradient checkpointing of one layer).  The residual needs
@@ -815,8 +813,9 @@ def softmax_pool(x: Tensor, w: Tensor, axis: int) -> Tensor:
     softmax(conv2d(x, w)) along that axis (w a (c, c, 1, 1) logit kernel),
     then the weighted sum of x along it, kept with length 1.
 
-    It walks blocks of channels, about _BLOCK_ELEMS elements of the map
-    each: a block's logits come from the module-level conv2d on the
+    It walks blocks of channels (see _blocks), about _BLOCK_ELEMS elements
+    of the map each and each starting at a multiple of 8 channels: a
+    block's logits come from the module-level conv2d on the
     block's rows of w, its row softmax from the module-level softmax_rows
     (for axis 1 on a transposed copy), both under no_grad, and its weighted
     sum is written into the output; each row of every step depends on its
@@ -852,8 +851,9 @@ def softmax_pool(x: Tensor, w: Tensor, axis: int) -> Tensor:
     recording = _RECORDING and (x.requires_grad or w.requires_grad)
     sm = np.empty((c * per, n_row)) if recording else None
     out = np.empty((c, 1, wd) if axis == 1 else (c, h, 1))
+    blocks = _blocks(c, h * wd, 1)
     with no_grad():
-        for ch in _blocks(c, _BLOCK_ELEMS // (h * wd)):
+        for ch in blocks:
             logits = conv2d(x, Tensor(wt[ch])).data
             if axis == 1:
                 logits = logits.transpose(0, 2, 1)
@@ -868,7 +868,7 @@ def softmax_pool(x: Tensor, w: Tensor, axis: int) -> Tensor:
     def vjp(g):
         gp = np.broadcast_to(g, xd.shape)
         glogits = np.empty((c, h, wd))
-        for ch in _blocks(c, _BLOCK_ELEMS // (h * wd)):
+        for ch in blocks:
             n = ch.stop - ch.start
             # the block's weighted cotangent, laid out as its softmax rows
             # (for axis 1 in a transposed block), and then, in place, their
@@ -1065,12 +1065,13 @@ class Mlp(Module):
 
     The input is a token matrix, or an OuterSum, which goes through
     outer_sum_mlp and yields the updated (c, h, w) map: the normalisation
-    and first map come from its factors, the rest runs a few factor rows
-    at a time and is added, with the map and the outer sum, straight into
-    the output.  The recorded VJP keeps only factor-sized arrays.  When it
-    runs, it rebuilds the hidden array slab by slab, twice, and holds one
-    hidden-sized array at a time; beside the hidden cotangent it forms the
-    map's cotangent in token order one slab at a time."""
+    and first map come from its factors, the rest runs one slab of factor
+    rows at a time, about _BLOCK_ELEMS hidden elements each, and is added,
+    with the map and the outer sum, straight into the output.  The
+    recorded VJP keeps only factor-sized arrays.  When it runs, it rebuilds
+    the hidden array slab by slab, twice, and holds one hidden-sized array
+    at a time; beside the hidden cotangent it forms the map's cotangent in
+    token order one slab at a time."""
 
     def __init__(self, rng: np.random.Generator, d: int, hidden_ratio: float = 4.0,
                  name: str = "mlp"):

@@ -158,6 +158,19 @@ def test_every_case_passes_at_drawn_seeds(seed):
         assert r.passed, r.to_dict()
 
 
+def test_multi_slab_outer_sum_mlp_passes(monkeypatch):
+    """The registered outer_sum_mlp case (a (3, 9, 2) map, hidden width 6)
+    runs as one slab at the default block size.  With _BLOCK_ELEMS patched
+    to 4 factor rows' worth, it spans two aligned slabs, the second of 5
+    rows taking in the lone last row, and its VJP passes the
+    finite-difference check at 10 points with the default tolerance and
+    step."""
+    monkeypatch.setattr(T, "_BLOCK_ELEMS", 4 * 2 * 6)
+    assert T._blocks(9, 2 * 6, 2) == [slice(0, 4), slice(4, 9)]
+    rep = run_case("outer_sum_mlp", points=10)
+    assert rep.passed, rep.to_dict()
+
+
 # (config seed, case, point k) where an input of the refinement gate sits
 # closer to its kink at 0 than the base step reaches, so the first central
 # difference straddles the kink; `sdtp gradcheck --seed N` failed there

@@ -411,6 +411,28 @@ class TestToyTraining:
         assert t1.task == t2.task
         assert t1.dep == t2.dep
 
+    def test_results_do_not_depend_on_the_block_size(self, monkeypatch):
+        """Three steps at the train: dims give the same loss traces and
+        trained weights, bit for bit, with _BLOCK_ELEMS at its default
+        (every op one block) and at 64, 96 and 200, where conv2d and
+        outer_sum_mlp walk several blocks of each map (softmax_pool's 8
+        channels are one aligned block at any size)."""
+        def run():
+            cfg = PipelineConfig.for_train(PipelineConfig())
+            pipe = Pipeline(cfg)
+            trace = toy_train(pipe, synthetic_pyramid(cfg), steps=3)
+            return (trace.total, trace.task, trace.dep), [p.data for p in pipe.params()]
+
+        want_trace, want_params = run()
+        for elems in (64, 96, 200):
+            monkeypatch.setattr(T, "_BLOCK_ELEMS", elems)
+            assert len(T._blocks(8, 8 * 8, 8)) > 1  # the level-4 convs' rows
+            trace, params = run()
+            assert trace == want_trace
+            assert len(params) == len(want_params)
+            for got, want in zip(params, want_params):
+                assert np.array_equal(got, want)
+
     def test_penalty_recorded_for_full_variant(self):
         """The decoupling penalty stream is positive for the full pipeline
         and zero for the baseline."""

@@ -2,8 +2,11 @@
 gradient checker, and structural contracts (shapes, accumulation, views)."""
 
 import itertools
+import math
+import re
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -188,6 +191,22 @@ class TestBackwardStructure:
             other.backward()
         assert x.grad is gx and j.grad is None
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+    @pytest.mark.parametrize("seed_shape", [(2, 3), (1,), (3, 1)])
+    def test_backward_rejects_a_seed_of_another_shape(self, seed_shape):
+        """The seed gradient must have the output's shape: a (2, 3) seed for
+        a (3,) output would add up its rows into the leaf's gradient, and a
+        (1,) seed would be broadcast.  It is refused, naming both shapes,
+        before the graph is walked: no gradient changes, and the graph can
+        still run a pass with a seed of the right shape."""
+        x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+        out = T.mul(x, x)
+        with pytest.raises(ContractViolation,
+                           match=re.escape(f"shape {seed_shape} for an output of shape (3,)")):
+            out.backward(np.ones(seed_shape))
+        assert x.grad is None
+        out.backward(np.ones(3))
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0])
 
     def test_backward_rejects_non_scalar_without_seed(self):
         """Calling backward() on a non-scalar without a seed grad fails."""
@@ -550,21 +569,34 @@ class TestOuterSumMlp:
         shapes = [(c, h, w), (h, c), (w, c), (c,), (c,), (c, d), (d,), (d, c), (c,)]
         return [rng.standard_normal(s) for s in shapes]
 
-    # h = k * rows + extra: one row, a slab short of full, one full slab,
+    # factor rows per slab on a map 6 columns wide, a multiple of
+    # 8 // gcd(6, 8) = 4, so that every slab starts at a multiple of 8 tokens
+    SLAB = 4
+
+    @staticmethod
+    def patch_slabs(monkeypatch, rows, w=6, d=16):
+        """Patch _BLOCK_ELEMS to `rows` factor rows of a map w columns wide
+        with hidden width d: outer_sum_mlp's slabs are then that many rows,
+        rounded down to a multiple of 8 // gcd(w, 8)."""
+        monkeypatch.setattr(T, "_BLOCK_ELEMS", rows * w * d)
+
+    # h = k * SLAB + extra: one row, a slab short of full, one full slab,
     # one row past it, two full slabs and a partial one
     @pytest.mark.parametrize("k,extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
-    def test_forward_bit_identical_to_chain(self, k, extra):
-        arrays = self.inputs(k * T._MLP_SLAB_ROWS + extra, seed=k * 10 + extra)
+    def test_forward_bit_identical_to_chain(self, monkeypatch, k, extra):
+        self.patch_slabs(monkeypatch, self.SLAB)
+        arrays = self.inputs(k * self.SLAB + extra, seed=k * 10 + extra)
         got = T.outer_sum_mlp(*map(Tensor, arrays)).data
         want = unfused_outer_sum_mlp(*map(Tensor, arrays)).data
         assert got.shape == want.shape
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("extra", [1, 3])
-    def test_gradients_bit_identical_to_chain(self, extra):
+    def test_gradients_bit_identical_to_chain(self, monkeypatch, extra):
         """Every input's gradient equals backprop through the unfused chain,
         bit for bit, also where the forward spans a partial slab."""
-        arrays = self.inputs(2 * T._MLP_SLAB_ROWS + extra, seed=extra)
+        self.patch_slabs(monkeypatch, self.SLAB)
+        arrays = self.inputs(2 * self.SLAB + extra, seed=extra)
         upstream = np.random.default_rng(9).standard_normal(arrays[0].shape)
 
         def grads(fn):
@@ -575,12 +607,15 @@ class TestOuterSumMlp:
         for got, want in zip(grads(T.outer_sum_mlp), grads(unfused_outer_sum_mlp)):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("h", [T._MLP_SLAB_ROWS + 1, 2 * T._MLP_SLAB_ROWS + 1])
-    def test_one_column_map_bit_identical_to_chain(self, h):
+    @pytest.mark.parametrize("h", [5, 9, 17])
+    def test_one_column_map_bit_identical_to_chain(self, monkeypatch, h):
         """On a map one column wide, a slab of one factor row would be one
         token row, which numpy multiplies as a vector, with other bits; the
-        lone last row joins the slab before it, and values and gradients
-        equal the unfused chain's bit for bit."""
+        slabs are 8 rows (a partial one at h = 5), the lone last row joins
+        the slab before it, and values and gradients equal the unfused
+        chain's bit for bit."""
+        self.patch_slabs(monkeypatch, 8, w=1)
+        assert T._blocks(h, 16, 1)[-1] == slice(max(h - 9, 0), h)
         arrays = self.inputs(h, w=1, seed=h)
         upstream = np.random.default_rng(h).standard_normal(arrays[0].shape)
         fused = grads_of(T.outer_sum_mlp, arrays, upstream)
@@ -590,12 +625,35 @@ class TestOuterSumMlp:
         for got, want in zip(fused, chain):
             assert np.array_equal(got, want)
 
-    def test_graph_keeps_no_hidden_sized_array(self):
+    @pytest.mark.parametrize("rows", [2, 3, 5])
+    @pytest.mark.parametrize("w", [3, 5, 7])
+    def test_odd_width_slabs_start_at_multiples_of_8_tokens(self, monkeypatch, w, rows):
+        """On odd widths a slab of 2, 3 or 5 factor rows would start off a
+        multiple of 8 tokens, where OpenBLAS sums the second projection's
+        product rows otherwise than over the whole token matrix.  The slabs
+        are rounded down to a multiple of 8 rows (one step of 8 // gcd(w, 8)),
+        and values and gradients equal the unfused chain's bit for bit
+        (c = 35, hidden width 64)."""
+        c, d, h = 35, 64, 19
+        self.patch_slabs(monkeypatch, rows, w=w, d=d)
+        slabs = T._blocks(h, w * d, w)
+        assert len(slabs) > 1 and all(s.start * w % 8 == 0 for s in slabs)
+        arrays = self.inputs(h, w=w, c=c, d=d, seed=10 * w + rows)
+        upstream = np.random.default_rng(w).standard_normal(arrays[0].shape)
+        assert np.array_equal(T.outer_sum_mlp(*map(Tensor, arrays)).data,
+                              unfused_outer_sum_mlp(*map(Tensor, arrays)).data)
+        fused = grads_of(T.outer_sum_mlp, arrays, upstream)
+        chain = grads_of(unfused_outer_sum_mlp, arrays, upstream)
+        for got, want in zip(fused, chain):
+            assert np.array_equal(got, want)
+
+    def test_graph_keeps_no_hidden_sized_array(self, monkeypatch):
         """Besides the output and the input map, the graph holds factor-sized
         arrays only, nothing as large as the (h*w, c) token matrix, let
         alone the (h*w, 4c) hidden one: no recoupled map, partial sum or MLP
         output either."""
-        h, wd, c = 2 * T._MLP_SLAB_ROWS + 3, 6, 4
+        self.patch_slabs(monkeypatch, self.SLAB)
+        h, wd, c = 2 * self.SLAB + 3, 6, 4
         ts = [Tensor(a, requires_grad=True) for a in self.inputs(h, wd, c)]
         out = T.outer_sum_mlp(*ts)
         held = [a for a in T.tape_arrays(out) if a is not out.data and a is not ts[0].data]
@@ -799,9 +857,30 @@ def assert_same_arrays(got, want):
     assert got.strides == want.strides
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 200), st.integers(1, 4096), st.integers(1, 64), st.integers(1, 2 ** 14))
+def test_blocks_is_one_aligned_rule(n, row_elems, row_len, block_elems):
+    """Property: _blocks covers range(n) with consecutive blocks, in order;
+    each starts at a multiple of step = 8 // gcd(row_len, 8) rows, so at a
+    multiple of 8 along the axis the product cuts; no block is one row
+    unless n is; and each holds at most one step's rows beyond
+    max(step, 2, _BLOCK_ELEMS // row_elems), the rows a lone last row adds."""
+    with mock.patch.object(T, "_BLOCK_ELEMS", block_elems):
+        blocks = T._blocks(n, row_elems, row_len)
+    step = 8 // math.gcd(row_len, 8)
+    assert blocks[0].start == 0 and blocks[-1].stop == n
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    assert all(b.step is None and b.stop > b.start for b in blocks)
+    assert all(b.start % step == 0 and b.start * row_len % 8 == 0 for b in blocks)
+    assert n == 1 or all(b.stop - b.start > 1 for b in blocks)
+    most = max(step, 2, block_elems // row_elems) + step
+    assert all(b.stop - b.start <= most for b in blocks)
+
+
 class TestBlocks:
-    """conv2d and softmax_pool form their temporaries one block of about
-    _BLOCK_ELEMS elements at a time, in the forward and in the VJP.  With
+    """conv2d, softmax_pool and outer_sum_mlp form their temporaries one
+    block of about _BLOCK_ELEMS elements at a time (see _blocks), in the
+    forward and in the VJP.  With
     the block patched small, so that a map spans several blocks and a
     partial last one, values and both VJP outputs equal the unblocked
     references' bit for bit, and the gradients are laid out as theirs."""
@@ -810,7 +889,7 @@ class TestBlocks:
     def test_conv2d_bit_identical_to_unblocked(self, monkeypatch, c_in, c_out, h, w, kh, kw,
                                                dil, rows):
         monkeypatch.setattr(T, "_BLOCK_ELEMS", rows * max(c_in, c_out) * w)
-        blocks = T._conv_row_blocks(max(c_in, c_out), h, w)
+        blocks = T._blocks(h, max(c_in, c_out) * w, w)
         step = 8 // np.gcd(w, 8)
         assert all(b.start * w % 8 == 0 for b in blocks)
         assert len(blocks) > 1 or h < 2 * step
@@ -841,11 +920,12 @@ class TestBlocks:
             assert_same_arrays(a, b)
 
     @pytest.mark.parametrize("axis", [1, 2])
-    @pytest.mark.parametrize("c", [8, 7])
+    @pytest.mark.parametrize("c", [24, 23, 17])
     def test_softmax_pool_bit_identical_to_unblocked(self, monkeypatch, c, axis):
-        """Blocks of 3 channels, the last of 2 channels, or of 4 where one
-        would be left alone: values and gradients equal the op's with the
-        whole map in one block, and values equal the unfused chain's."""
+        """Blocks of 8 channels, the last one full, of 7 channels, or of 9
+        where one would be left alone: values and gradients equal the op's
+        with the whole map in one block, and values equal the unfused
+        chain's."""
         rng = np.random.default_rng(10 * c + axis)
         x, wt = rng.standard_normal((c, 4, 5)), rng.standard_normal((c, c, 1, 1))
         pooled = [c, 4, 5]
@@ -858,7 +938,8 @@ class TestBlocks:
             return out.data, out._node._vjp(g)
 
         whole, whole_grads = run()
-        monkeypatch.setattr(T, "_BLOCK_ELEMS", 3 * 4 * 5)
+        monkeypatch.setattr(T, "_BLOCK_ELEMS", 8 * 4 * 5)
+        assert len(T._blocks(c, 4 * 5, 1)) > 1
         blocked, blocked_grads = run()
         assert np.array_equal(blocked, whole)
         assert np.array_equal(blocked, unfused_softmax_pool(Tensor(x), Tensor(wt), axis).data)
@@ -870,15 +951,17 @@ class TestBlocks:
     def test_vjp_leaves_what_it_reads_unchanged(self, monkeypatch, op):
         """The recorded VJP, called twice on one graph, returns the same
         bits and strides, and leaves the cotangent as it was: no blocked
-        VJP changes what it reads."""
+        VJP changes what it reads.  Each map spans several blocks."""
         monkeypatch.setattr(T, "_BLOCK_ELEMS", 16)
         rng = np.random.default_rng(7)
         shapes, call = {
-            "conv2d_3x3": ([(3, 9, 5), (4, 3, 3, 3)], lambda x, w: T.conv2d(x, w)),
-            "conv2d_1x1": ([(3, 9, 5), (4, 3, 1, 1)], lambda x, w: T.conv2d(x, w)),
-            "softmax_pool_1": ([(5, 9, 4), (5, 5, 1, 1)], lambda x, w: T.softmax_pool(x, w, 1)),
-            "softmax_pool_2": ([(5, 9, 4), (5, 5, 1, 1)], lambda x, w: T.softmax_pool(x, w, 2)),
-            "outer_sum_mlp": ([(4, 9, 3), (9, 4), (3, 4), (4,), (4,), (4, 8), (8,), (8, 4), (4,)],
+            "conv2d_3x3": ([(3, 9, 4), (4, 3, 3, 3)], lambda x, w: T.conv2d(x, w)),
+            "conv2d_1x1": ([(3, 9, 4), (4, 3, 1, 1)], lambda x, w: T.conv2d(x, w)),
+            "softmax_pool_1": ([(17, 9, 4), (17, 17, 1, 1)],
+                               lambda x, w: T.softmax_pool(x, w, 1)),
+            "softmax_pool_2": ([(17, 9, 4), (17, 17, 1, 1)],
+                               lambda x, w: T.softmax_pool(x, w, 2)),
+            "outer_sum_mlp": ([(4, 9, 4), (9, 4), (4, 4), (4,), (4,), (4, 8), (8,), (8, 4), (4,)],
                               T.outer_sum_mlp),
         }[op]
         ts = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
@@ -956,16 +1039,31 @@ class TestLevel2Memory:
         out, peak = no_grad_peak(lambda: T.softmax_pool(x, w, axis))
         assert peak <= out.data.nbytes + 4 * self.block
 
-    def test_outer_sum_mlp(self, level2):
-        """Beside the factor side (gain * w1, A and B: (c + h + w, 4c)),
-        one slab of _MLP_SLAB_ROWS factor rows, whose (rows*w, 4c) hidden
-        block is one _BLOCK_ELEMS block at these dims: the block, its GELU
-        cdf and GELU output, and the second projection's output."""
-        rng, m = level2
+    def outer_sum_mlp_peak(self, rng, m):
+        """A no-grad Mlp(OuterSum) call's output and its tracemalloc peak on
+        the (256, hw, hw) map m, and the bytes of its factor side (gain * w1,
+        A and B: (c + h + w, 4c))."""
+        hw = m.shape[1]
         mlp, ln = T.Mlp(rng, 256), T.LayerNorm(256)
-        y, x = (Tensor(rng.standard_normal((64, 256))) for _ in range(2))
+        y, x = (Tensor(rng.standard_normal((hw, 256))) for _ in range(2))
         out, peak = no_grad_peak(lambda: mlp(T.OuterSum(m, y, x, ln)))
-        factor_side = (256 + 64 + 64) * 1024 * 8
+        return out, peak, (256 + hw + hw) * 1024 * 8
+
+    def test_outer_sum_mlp(self, level2):
+        """Beside the factor side, one slab of 4 factor rows, whose
+        (rows*w, 4c) hidden block is one _BLOCK_ELEMS block: the block, its
+        GELU cdf and GELU output, and the second projection's output."""
+        rng, m = level2
+        out, peak, factor_side = self.outer_sum_mlp_peak(rng, m)
+        assert peak <= out.data.nbytes + factor_side + 4 * self.block
+
+    @pytest.mark.parametrize("hw", [32, 16])
+    def test_outer_sum_mlp_deeper_levels(self, level2, hw):
+        """The same bound at the level-3 and level-4 dims, whose slabs of 8
+        and 16 factor rows are one _BLOCK_ELEMS block each too."""
+        rng, _ = level2
+        out, peak, factor_side = self.outer_sum_mlp_peak(
+            rng, Tensor(rng.standard_normal((256, hw, hw))))
         assert peak <= out.data.nbytes + factor_side + 4 * self.block
 
     def test_outer_sum_distance(self, level2):
