@@ -7,7 +7,8 @@ from .attention import AttentionWeights, attention_weights, multi_head_attention
 from .cdi import (CdiBlock, DecoupledPair, DecoupleWeights, decouple,
                   decouple_loss, mga, recouple, total_loss)
 from .complexity import (COCO_LEVEL_DIMS, LevelDims, MacCounter, flops_decoupled,
-                         flops_full, flops_strided, flops_table, measured_macs)
+                         flops_full, flops_strided, flops_table, input_level_dims,
+                         measured_macs, resolution_sweep)
 from .config import ConfigurationError, PipelineConfig, load_config
 from .gradcheck import GradCheckReport, registered_cases, run_all, run_case, vjp_check
 from .isp import IspBlock, generate_states, mma, sinusoidal_embedding_2d
@@ -24,7 +25,8 @@ __all__ = [
     "CdiBlock", "DecoupledPair", "DecoupleWeights", "decouple",
     "decouple_loss", "mga", "recouple", "total_loss",
     "COCO_LEVEL_DIMS", "LevelDims", "MacCounter", "flops_decoupled",
-    "flops_full", "flops_strided", "flops_table", "measured_macs",
+    "flops_full", "flops_strided", "flops_table", "input_level_dims",
+    "measured_macs", "resolution_sweep",
     "ConfigurationError", "PipelineConfig", "load_config",
     "GradCheckReport", "registered_cases", "run_all", "run_case", "vjp_check",
     "IspBlock", "generate_states", "mma", "sinusoidal_embedding_2d",

@@ -2,13 +2,16 @@
 
 Subcommands: forward (synthetic-pyramid forward pass + report), gradcheck
 (finite-difference verification of every registered op and the end-to-end
-pipeline), flops (analytic attention-cost tables), train (toy identity
-regression), variants (structural comparison of all ablation variants).
+pipeline), flops (analytic attention-cost tables at the configured level
+dims, and the sweep over the standard input resolutions), train (toy
+identity regression), variants (structural comparison of all ablation
+variants; with --train-steps N, also each variant's loss ratio after N toy
+training steps).
 
 Exit codes: 0 success, 1 check failure (gradient mismatch, contract
-violation, divergence), 2 configuration error.  Reports are deterministic
-for a fixed config and seed: wall-clock timings and peak memory go to
-stderr only, never into the serialized report.
+violation, divergence, a failed cost ordering), 2 configuration error.
+Reports are deterministic for a fixed config and seed: wall-clock timings
+and peak memory go to stderr only, never into the serialized report.
 """
 
 from __future__ import annotations
@@ -70,6 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="probe channel width (kept small for speed)")
     va.add_argument("--base-hw", type=int, nargs=2, default=(16, 16),
                     help="probe spatial dims at the shallowest level")
+    va.add_argument("--train-steps", type=int, default=0,
+                    help="also run this many toy-training steps per variant")
     return ap
 
 
@@ -90,18 +95,28 @@ def _emit(report: dict, args, table_text: str, csv_text: str | None = None) -> N
         Path(args.out).write_text(payload)
 
 
-def _flops_renders(table: dict) -> tuple[str, str]:
+def _flops_renders(table: dict, sweep: list[dict]) -> tuple[str, str]:
+    """The table text (the level table, then the sweep, its counts under
+    the level table's) and the csv (the level table only)."""
     layouts = list(table["totals"])
 
     def counts(values: dict) -> str:  # the full layout's counts run longest
         return " ".join(f"{values[k]:>{16 if k == 'full' else 14}}" for k in layouts)
 
-    lines = [f"{'level':>5} {'h':>5} {'w':>5} {'c':>4} {'s':>2} {counts({k: k for k in layouts})}"]
+    names = counts({k: k for k in layouts})
+    lines = [f"{'level':>5} {'h':>5} {'w':>5} {'c':>4} {'s':>2} {names}"]
     for k, row in enumerate(table["levels"]):
         lines.append(f"{k:>5} {row['h']:>5} {row['w']:>5} {row['c']:>4} {row['s']:>2} {counts(row)}")
     t = table["totals"]
     lines.append(f"{'total':>5} {'':>5} {'':>5} {'':>4} {'':>2} {counts(t)}")
     lines.append(f"ordering decoupled < strided < full: {table['ordering_ok']}")
+    # the sweep's input column is as wide as the level table's h, w, c, s
+    lines += ["", f"{'input':>25} {names} {'full/decoupled':>15} {'strided/decoupled':>18}"]
+    for row in sweep:
+        lines.append(f"{'x'.join(map(str, row['input'])):>25} {counts(row)} "
+                     f"{row['full_over_decoupled']:>15.1f} {row['strided_over_decoupled']:>18.2f}")
+    every = all(row["ordering_ok"] for row in sweep)
+    lines.append(f"ordering decoupled < strided < full at every input: {every}")
     text = "\n".join(lines) + "\n"
 
     # a level row holds h, w, c, s, then the layouts: the csv columns
@@ -218,15 +233,17 @@ def _complexity_dims(cfg: PipelineConfig) -> list[CX.LevelDims]:
 def cmd_flops(args) -> int:
     cfg = _load(args)
     table = CX.flops_table(_complexity_dims(cfg))
-    text, csv = _flops_renders(table)
+    sweep = CX.resolution_sweep(cfg.complexity.channels, cfg.complexity.strides)
+    text, csv = _flops_renders(table, sweep)
     report = {
         "kind": "flops",
         "config": cfg.to_dict(),
         "seed": cfg.seed,
         "flops": table,
+        "sweep": sweep,
     }
     _emit(report, args, text, csv)
-    return 0
+    return 0 if all(t["ordering_ok"] for t in (table, *sweep)) else 1
 
 
 def cmd_train(args) -> int:
@@ -264,11 +281,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_variants(args) -> int:
+    if args.train_steps < 0:
+        raise ConfigurationError(f"--train-steps: must be >= 0, got {args.train_steps}")
     cfg = _load(args)
     probe = cfg.shrink(args.channels, tuple(args.base_hw), cfg.cdi.levels)
-    rows = P.variant_rows(probe)
+    rows = P.variant_rows(probe, args.train_steps)
     lines = [f"{r['variant']:<18} params={r['n_params']:>8} "
-             f"dep_loss={r['dep_loss']:>12.5f} cross_level={r['any_cross_level']}" for r in rows]
+             f"dep_loss={r['dep_loss']:>12.5f} cross_level={r['any_cross_level']}"
+             + (f" loss_ratio={r['train']['ratio']:.4f}" if "train" in r else "") for r in rows]
     report = {
         "kind": "variants",
         "config": probe.to_dict(),

@@ -9,11 +9,17 @@ value matmuls; a layout's cost sums that over its sets and the levels, in
 exact integer arithmetic.  The instrumented counter measures exactly those
 matmuls inside the attention core (convolutions and MLPs are deliberately
 not counted), so measured and analytic numbers compare term by term.
+
+An H x W input yields one level per key-sampling stride: level k (k = 0,
+1, ...) sits at backbone stride 2^(k+2) with dims ceil(H / 2^(k+2)) by
+ceil(W / 2^(k+2)).  input_level_dims applies that rule; COCO_LEVEL_DIMS is
+it at 800x1344, and resolution_sweep tabulates the costs at each of
+SWEEP_INPUTS.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,13 +42,18 @@ class LevelDims:
                 raise ContractViolation(f"LevelDims.{nm} must be a positive integer, got {v!r}")
 
 
-# detection-scale defaults: 800x1344 input, backbone strides 4/8/16/32
-COCO_LEVEL_DIMS = (
-    LevelDims(200, 336, 256, 8),
-    LevelDims(100, 168, 256, 4),
-    LevelDims(50, 84, 256, 2),
-    LevelDims(25, 42, 256, 1),
-)
+def input_level_dims(h: int, w: int, c: int, strides) -> tuple[LevelDims, ...]:
+    """The levels of an h x w input, one per key-sampling stride: level k
+    is ceil(h / 2^(k+2)) by ceil(w / 2^(k+2)) at width c."""
+    return tuple(LevelDims(-(-h // 2 ** (k + 2)), -(-w // 2 ** (k + 2)), c, s)
+                 for k, s in enumerate(strides))
+
+
+# detection-scale defaults: the 800x1344 input, backbone strides 4/8/16/32
+COCO_LEVEL_DIMS = input_level_dims(800, 1344, 256, (8, 4, 2, 1))
+
+# the standard input resolutions (h, w) of the sweep, smallest first
+SWEEP_INPUTS = ((200, 336), (400, 672), (800, 1344), (1600, 2688))
 
 
 # layout -> the token counts of the sets one level attends within
@@ -84,6 +95,26 @@ def flops_table(dims) -> dict:
         "totals": totals,
         "ordering_ok": totals["decoupled"] < totals["strided"] < totals["full"],
     }
+
+
+def resolution_sweep(c: int, strides) -> list[dict]:
+    """One row per input of SWEEP_INPUTS: its levels at width c and the
+    given strides, each layout's total MACs, the ratios of full and strided
+    to decoupled, and the ordering verdict of flops_table."""
+    rows = []
+    for h, w in SWEEP_INPUTS:
+        dims = input_level_dims(h, w, c, strides)
+        table = flops_table(dims)
+        f, s, d = (table["totals"][k] for k in ("full", "strided", "decoupled"))
+        rows.append({
+            "input": [h, w],
+            "levels": [asdict(dd) for dd in dims],
+            "full": f, "strided": s, "decoupled": d,
+            "full_over_decoupled": f / d,
+            "strided_over_decoupled": s / d,
+            "ordering_ok": table["ordering_ok"],
+        })
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,8 @@ class PipelineConfig:
 
         _check_int("complexity.channels", self.complexity.channels, low=1)
         _check_list("complexity.dims", self.complexity.dims)
+        if not self.complexity.dims:
+            raise ConfigurationError("complexity.dims: needs at least one level, got []")
         dims = tuple(_check_hw(f"complexity.dims[{k}]", d) for k, d in enumerate(self.complexity.dims))
         self.complexity.dims = dims
         self.complexity.strides = _check_int_tuple("complexity.strides", self.complexity.strides, low=1)
@@ -242,6 +244,8 @@ def _check_hw(path: str, v) -> tuple[int, int]:
 
 def _check_levels(path: str, v) -> tuple[int, ...]:
     levels = _check_int_tuple(path, v, low=2)
+    if not levels:
+        raise ConfigurationError(f"{path}: needs at least one level, got []")
     if any(lvl > 5 for lvl in levels):
         raise ConfigurationError(f"{path}: levels live in 2..5, got {list(levels)}")
     if list(levels) != sorted(set(levels)):

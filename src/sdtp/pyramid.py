@@ -205,10 +205,13 @@ def cross_level_sensitivity(pipe: Pipeline, pyramid: FeaturePyramid,
     return levels, matrix
 
 
-def variant_rows(probe: PipelineConfig) -> list[dict]:
+def variant_rows(probe: PipelineConfig, train_steps: int = 0) -> list[dict]:
     """Build and probe every variant of `probe` on its synthetic pyramid:
     the base tags, then single_input_<level> per level.  One row each, with
-    its penalty, sensitivity matrix, cross-level verdict and parameter count."""
+    its penalty, sensitivity matrix, cross-level verdict and parameter count.
+    With train_steps > 0 each row also gets a `train` block: the variant's
+    toy_train run of that many steps at probe's train.lr and cdi.lambda,
+    with its initial and final total losses and their ratio."""
     tags = list(VARIANT_BASE_TAGS) + [f"single_input_{lvl}" for lvl in probe.cdi.levels]
     rows = []
     for tag in tags:
@@ -219,14 +222,20 @@ def variant_rows(probe: PipelineConfig) -> list[dict]:
         levels, sens = cross_level_sensitivity(pipe, pyr, outs)
         off = sens.copy()
         np.fill_diagonal(off, 0.0)
-        rows.append({
+        row = {
             "variant": tag,
             "dep_loss": dep,
             "levels": levels,
             "sensitivity": sens.tolist(),
             "any_cross_level": bool(off.max() > 0.0),
             "n_params": int(sum(p.size for p in pipe.params())),
-        })
+        }
+        if train_steps:
+            trace = toy_train(pipe, pyr, steps=train_steps)
+            row["train"] = {"steps": train_steps, "lr": probe.train.lr,
+                            "initial": trace.initial, "final": trace.final,
+                            "ratio": trace.final / trace.initial}
+        rows.append(row)
     return rows
 
 

@@ -140,6 +140,22 @@ class TestGradcheck:
         assert "'gelu'" not in err
         assert not out.exists()
 
+    def test_case_diagnostic_printed(self, tiny_cfg, monkeypatch, capsys):
+        """A case that cannot be checked fails, and the table prints its
+        diagnostic on the line below it."""
+        from sdtp import gradcheck as GC
+        from sdtp import tensor as T
+
+        def nonfinite(rng):
+            x = T.Tensor(rng.standard_normal(3))
+            return (lambda x: T.scale(x, float("inf"))), [("x", x)]
+
+        monkeypatch.setitem(GC._REGISTRY, "nonfinite_forward", nonfinite)
+        assert main(["gradcheck", "--config", tiny_cfg, "--ops", "nonfinite_forward"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split()[:2] == ["nonfinite_forward", "FAIL"]
+        assert lines[1] == "    point 0: non-finite forward output"
+
     def test_report_structure(self, tiny_cfg, tmp_path):
         out = tmp_path / "gc.json"
         rc = main(["gradcheck", "--config", tiny_cfg, "--ops", "gelu",
@@ -180,13 +196,65 @@ class TestFlops:
         text = capsys.readouterr().out
         assert "ordering decoupled < strided < full: True" in text
 
+    def test_sweep_rows_match_flops_table(self, tmp_path):
+        """One sweep row per standard input, in order, each carrying
+        flops_table's totals over its own levels, and the ordering holds at
+        every input."""
+        from sdtp.complexity import LevelDims, flops_table
+        out = tmp_path / "fl.json"
+        assert main(["flops", "--out", str(out)]) == 0
+        sweep = json.loads(out.read_text())["sweep"]
+        assert [r["input"] for r in sweep] == [[200, 336], [400, 672], [800, 1344], [1600, 2688]]
+        for row in sweep:
+            assert list(row) == ["input", "levels", "full", "strided", "decoupled",
+                                 "full_over_decoupled", "strided_over_decoupled", "ordering_ok"]
+            totals = flops_table([LevelDims(**lv) for lv in row["levels"]])["totals"]
+            assert {k: row[k] for k in ("full", "strided", "decoupled")} == totals
+            assert row["ordering_ok"] is True
+
+    def test_sweep_at_800x1344_is_the_default_level_table(self, tmp_path):
+        """At the default config the 800x1344 input's levels are the
+        configured ones, so its totals are the level table's frozen totals."""
+        out = tmp_path / "fl.json"
+        assert main(["flops", "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        row = next(r for r in rep["sweep"] if r["input"] == [800, 1344])
+        assert [[lv["h"], lv["w"]] for lv in row["levels"]] == rep["config"]["complexity"]["dims"]
+        assert {k: row[k] for k in ("full", "strided", "decoupled")} == rep["flops"]["totals"] == {
+            "full": 2489609472000, "strided": 3358924800, "decoupled": 367424000}
+
+    @pytest.mark.parametrize("section, table_ok, sweep_ok", [
+        ("  dims: [[2, 2]]\n  channels: 8\n  strides: [2]\n", False, True),
+        ("  dims: [[8, 8], [4, 4]]\n  channels: 8\n  strides: [1, 1]\n", False, False),
+    ], ids=["level_table", "both"])
+    def test_failed_ordering_exits_one(self, tmp_path, capsys, section, table_ok, sweep_ok):
+        """A cost ordering that fails, in the level table or at any sweep
+        input, exits 1; the report is written all the same."""
+        p = tmp_path / "c.yaml"
+        p.write_text("complexity:\n" + section)
+        out = tmp_path / "fl.json"
+        assert main(["flops", "--config", str(p), "--out", str(out)]) == 1
+        rep = json.loads(out.read_text())
+        assert rep["flops"]["ordering_ok"] is table_ok
+        assert all(r["ordering_ok"] for r in rep["sweep"]) is sweep_ok
+        text = capsys.readouterr().out
+        assert f"ordering decoupled < strided < full: {table_ok}" in text
+        assert f"ordering decoupled < strided < full at every input: {sweep_ok}" in text
+
     def test_table_columns_align(self, capsys):
-        """Every count column ends at the same offset on the header, on each
-        level row and on the total row."""
+        """Every count column of the level table ends at the same offset on
+        the header, on each level row and on the total row; the sweep block
+        below it puts its counts at those offsets too."""
         assert main(["flops"]) == 0
-        lines = capsys.readouterr().out.splitlines()[:-1]  # not the ordering line
+        level_table, sweep = capsys.readouterr().out.split("\n\n")
+        lines = level_table.splitlines()[:-1]  # not the ordering line
         ends = {tuple(m.end() for m in list(re.finditer(r"\S+", line))[-3:]) for line in lines}
         assert lines[-1].split()[0] == "total" and len(ends) == 1
+        lines = sweep.splitlines()[:-1]  # the header and one row per input
+        assert len(lines) == 5
+        sweep_ends = {tuple(m.end() for m in list(re.finditer(r"\S+", line))[-5:-2])
+                      for line in lines}
+        assert sweep_ends == ends
 
     def test_no_renders_key_in_file(self, tiny_cfg, tmp_path):
         """The private table/csv renders never leak into the JSON file."""
@@ -241,6 +309,13 @@ class TestTrain:
         assert main(["train", "--config", str(p)]) == 1
         assert "training diverged: loss became non-finite at step 2: nan" in capsys.readouterr().err
 
+    def test_divergence_in_the_final_evaluation_exits_one(self, tmp_path, capsys):
+        """A loss that first goes non-finite after the last step exits 1 too."""
+        p = tmp_path / "diverge.yaml"
+        p.write_text(TINY_CFG.replace("  steps: 10\n", "  steps: 1\n  lr: 1.0e+100\n"))
+        assert main(["train", "--config", str(p)]) == 1
+        assert "training diverged: loss became non-finite at step 1: nan" in capsys.readouterr().err
+
     def test_reproducible(self, tiny_cfg, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["train", "--config", tiny_cfg, "--out", str(a)])
@@ -263,6 +338,36 @@ class TestVariants:
         assert by_tag["fpn_baseline"]["dep_loss"] == 0.0
         assert by_tag["no_interaction"]["any_cross_level"] is False
         assert by_tag["sdtp"]["any_cross_level"] is True
+        assert not any("train" in r for r in rep["variants"])
+        assert "loss_ratio" not in capsys.readouterr().out
+
+    def test_train_steps_adds_train_block(self, tiny_cfg, tmp_path, capsys):
+        """--train-steps 2 gives every row a train block at train.lr after
+        the probe's keys, and two steps lower each variant's loss."""
+        out = tmp_path / "va.json"
+        assert main(["variants", "--config", tiny_cfg, "--channels", "8", "--base-hw", "8", "8",
+                     "--train-steps", "2", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["variants"]
+        assert len(rows) == 6
+        for row in rows:
+            assert list(row) == ["variant", "dep_loss", "levels", "sensitivity",
+                                 "any_cross_level", "n_params", "train"]
+            assert row["levels"] == [4, 5]
+            train = row["train"]
+            assert (train["steps"], train["lr"]) == (2, 0.1)
+            assert train["final"] < train["initial"]
+            assert train["ratio"] == train["final"] / train["initial"]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[-1] for line in lines] == \
+            [f"loss_ratio={r['train']['ratio']:.4f}" for r in rows]
+
+    def test_diverging_variant_exits_one(self, tmp_path, capsys):
+        """A variant whose training diverges exits 1, not with a traceback."""
+        p = tmp_path / "diverge.yaml"
+        p.write_text(TINY_CFG.replace("  steps: 10\n", "  lr: 1.0e+100\n"))
+        assert main(["variants", "--config", str(p), "--channels", "8", "--base-hw", "8", "8",
+                     "--train-steps", "1"]) == 1
+        assert "training diverged: loss became non-finite at step 1" in capsys.readouterr().err
 
 
 class TestErrors:
@@ -288,6 +393,23 @@ class TestErrors:
     ])
     def test_malformed_value_names_field(self, tmp_path, capsys, text, argv, field):
         """A mistyped value exits 2 with its dotted path, never a traceback."""
+        p = tmp_path / "c.yaml"
+        p.write_text(text)
+        assert main(argv + ["--config", str(p)]) == 2
+        assert f"configuration error: {field}:" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("text, argv, field", [
+        ("cdi:\n  levels: []\n", ["forward"], "cdi.levels"),
+        ("cdi:\n  levels: []\n", ["variants", "--channels", "8", "--base-hw", "8", "8"],
+         "cdi.levels"),
+        ("train:\n  levels: []\n", ["train"], "train.levels"),
+        ("complexity:\n  dims: []\n  strides: []\n", ["flops"], "complexity.dims"),
+        ("", ["variants", "--train-steps", "-1"], "--train-steps"),
+    ], ids=["cdi_forward", "cdi_variants", "train", "complexity", "train_steps"])
+    def test_empty_level_list_is_config_error(self, tmp_path, capsys, text, argv, field):
+        """An empty level list (or a negative --train-steps) builds nothing
+        to report on, so it exits 2 naming its key."""
         p = tmp_path / "c.yaml"
         p.write_text(text)
         assert main(argv + ["--config", str(p)]) == 2

@@ -14,6 +14,7 @@ from sdtp.complexity import (
     flops_full,
     flops_strided,
     flops_table,
+    input_level_dims,
     measured_macs,
 )
 from sdtp.tensor import ContractViolation
@@ -66,6 +67,20 @@ class TestFrozenBenchmarkTotals:
         assert tab["ordering_ok"] is True
         assert tab["totals"]["full"] == 2489609472000
         assert len(tab["levels"]) == 4
+
+
+class TestInputLevels:
+    def test_coco_dims_are_the_rule_at_800x1344(self):
+        """The detection-scale levels: 800x1344 at strides 4, 8, 16, 32."""
+        assert COCO_LEVEL_DIMS == (
+            LevelDims(200, 336, 256, 8), LevelDims(100, 168, 256, 4),
+            LevelDims(50, 84, 256, 2), LevelDims(25, 42, 256, 1))
+
+    def test_ceil_division_per_level(self):
+        """Level k is ceil(h / 2^(k+2)) by ceil(w / 2^(k+2)), one per stride."""
+        assert input_level_dims(9, 33, 4, (3, 2, 1)) == (
+            LevelDims(3, 9, 4, 3), LevelDims(2, 5, 4, 2), LevelDims(1, 3, 4, 1))
+        assert input_level_dims(9, 33, 4, ()) == ()
 
 
 class TestIdentities:

@@ -104,7 +104,14 @@ class TestValidation:
          r"cdi.levels: levels must be strictly ascending, got \[3, 3\]"),
         (lambda: config_from_dict([1, 2]), r"config root must be a mapping, got list"),
         (lambda: config_from_dict({"isp": 3}), r"isp: expected a mapping, got 3"),
-    ], ids=["cdi_heads", "cdi_levels_repeat", "root_not_mapping", "section_not_mapping"])
+        (lambda: config_from_dict({"cdi": {"levels": []}}),
+         r"cdi.levels: needs at least one level, got \[\]"),
+        (lambda: config_from_dict({"train": {"levels": []}}),
+         r"train.levels: needs at least one level, got \[\]"),
+        (lambda: config_from_dict({"complexity": {"dims": [], "strides": []}}),
+         r"complexity.dims: needs at least one level, got \[\]"),
+    ], ids=["cdi_heads", "cdi_levels_repeat", "root_not_mapping", "section_not_mapping",
+            "cdi_levels_empty", "train_levels_empty", "complexity_dims_empty"])
     def test_error_names_the_field(self, call, match):
         with pytest.raises(ConfigurationError, match=match):
             call()

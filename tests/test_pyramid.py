@@ -460,6 +460,14 @@ class TestToyTraining:
         with pytest.raises(TrainingDiverged):
             toy_train(Pipeline(cfg), synthetic_pyramid(cfg), steps=60, lr=50.0)
 
+    def test_divergence_in_the_final_evaluation_raises(self):
+        """A loss that first goes non-finite in the evaluation after the
+        last step raises too, naming that evaluation as step `steps`."""
+        cfg = PipelineConfig.for_train(PipelineConfig())
+        with pytest.raises(TrainingDiverged, match="at step 1: nan") as exc:
+            toy_train(Pipeline(cfg), synthetic_pyramid(cfg), steps=1, lr=1e100)
+        assert exc.value.step == 1
+
     def test_channel_mismatch_rejected(self):
         """Identity regression requires in_channels == channels."""
         cfg = small_cfg()
