@@ -24,8 +24,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import complexity as CX
 from . import gradcheck as GC
 from . import pyramid as P
@@ -33,12 +31,11 @@ from .config import ConfigurationError, PipelineConfig, load_config
 from .tensor import ContractViolation
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
+def _add_common(sp: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
     sp.add_argument("--config", default=None, help="YAML/JSON config file")
     sp.add_argument("--seed", type=int, default=None, help="override config seed")
     sp.add_argument("--out", default=None, help="write the JSON report here")
-    sp.add_argument("--format", choices=("table", "json"), default="table",
-                    help="stdout format")
+    sp.add_argument("--format", choices=formats, default="table", help="stdout format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,28 +44,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     fwd = sub.add_parser("forward", help="synthetic-pyramid forward pass and report")
-    _add_common(fwd)
+    _add_common(fwd, ("table", "json"))
     fwd.add_argument("--variant", default=None, help="override config variant")
 
     gc = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    _add_common(gc)
+    _add_common(gc, ("table", "json"))
     gc.add_argument("--ops", default=None,
                     help="comma-separated subset of registered cases")
     gc.add_argument("--negative-control", action="store_true",
                     help="include a deliberately corrupted gradient (must fail)")
 
-    # flops alone renders csv, so its --format replaces the common one
-    fl = sub.add_parser("flops", help="analytic attention-cost tables",
-                        conflict_handler="resolve")
-    _add_common(fl)
-    fl.add_argument("--format", choices=("table", "csv", "json"), default="table",
-                    help="stdout format")
+    # flops alone renders csv
+    fl = sub.add_parser("flops", help="analytic attention-cost tables")
+    _add_common(fl, ("table", "csv", "json"))
 
     tr = sub.add_parser("train", help="toy identity-regression training run")
-    _add_common(tr)
+    _add_common(tr, ("table", "json"))
 
     va = sub.add_parser("variants", help="compare the ablation variants structurally")
-    _add_common(va)
+    _add_common(va, ("table", "json"))
     va.add_argument("--channels", type=int, default=16,
                     help="probe channel width (kept small for speed)")
     va.add_argument("--base-hw", type=int, nargs=2, default=(16, 16),
@@ -136,8 +130,6 @@ def cmd_forward(args) -> int:
     outs, dep = pipe.forward(pyr)
     wall = time.perf_counter() - t0
     levels, sens = P.cross_level_sensitivity(pipe, pyr, outs)
-    off_diag = sens.copy()
-    np.fill_diagonal(off_diag, 0.0)
     flops = CX.flops_table(_complexity_dims(cfg))
 
     report = {
@@ -156,7 +148,7 @@ def cmd_forward(args) -> int:
         "cross_level_sensitivity": {
             "levels": levels,
             "matrix": sens.tolist(),
-            "any_cross_level": bool(off_diag.max() > 0.0),
+            "any_cross_level": P.any_cross_level(sens),
         },
     }
     lines = [f"variant: {cfg.variant}   seed: {cfg.seed}   dep_loss: {dep!r}"]
@@ -253,7 +245,6 @@ def cmd_train(args) -> int:
     t0 = time.perf_counter()
     trace = P.toy_train(pipe, pyr)
     wall = time.perf_counter() - t0
-    ratio = trace.final / trace.initial if trace.initial else float("nan")
     report = {
         "kind": "train",
         "config": toy.to_dict(),
@@ -262,7 +253,7 @@ def cmd_train(args) -> int:
         "lr": toy.train.lr,
         "initial_total": trace.initial,
         "final_total": trace.final,
-        "reduction_ratio": ratio,
+        "reduction_ratio": trace.ratio,
         "trace_total": trace.total,
         "trace_task": trace.task,
         "trace_dep": trace.dep,
@@ -272,7 +263,7 @@ def cmd_train(args) -> int:
         f"lambda={toy.cdi.lam}",
         f"initial total loss: {trace.initial!r}",
         f"final   total loss: {trace.final!r}",
-        f"reduction ratio:    {ratio!r}",
+        f"reduction ratio:    {trace.ratio!r}",
     ]
     _emit(report, args, "\n".join(lines) + "\n")
     print(f"train wall time: {wall:.3f}s   peak RSS: {_peak_rss_mib():.1f} MiB",

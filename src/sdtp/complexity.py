@@ -10,11 +10,13 @@ exact integer arithmetic.  The instrumented counter measures exactly those
 matmuls inside the attention core (convolutions and MLPs are deliberately
 not counted), so measured and analytic numbers compare term by term.
 
-An H x W input yields one level per key-sampling stride: level k (k = 0,
-1, ...) sits at backbone stride 2^(k+2) with dims ceil(H / 2^(k+2)) by
-ceil(W / 2^(k+2)).  input_level_dims applies that rule; COCO_LEVEL_DIMS is
-it at 800x1344, and resolution_sweep tabulates the costs at each of
-SWEEP_INPUTS.
+level_hw is the one rule for level dims: k halvings of h x w, each
+rounding up, give ceil(h / 2^k) by ceil(w / 2^k).  The config's level dims,
+the pyramid's shape check and input_level_dims all apply it.  An H x W
+input yields one level per key-sampling stride: level k (k = 0, 1, ...)
+sits at backbone stride 2^(k+2), so its dims are level_hw(H, W, k + 2).
+COCO_LEVEL_DIMS is that at 800x1344, and resolution_sweep tabulates the
+costs at each of SWEEP_INPUTS.
 """
 
 from __future__ import annotations
@@ -42,11 +44,16 @@ class LevelDims:
                 raise ContractViolation(f"LevelDims.{nm} must be a positive integer, got {v!r}")
 
 
+def level_hw(h: int, w: int, k: int) -> tuple[int, int]:
+    """The dims of an h x w map halved k times, each rounding up:
+    (ceil(h / 2^k), ceil(w / 2^k))."""
+    return -(-h // 2 ** k), -(-w // 2 ** k)
+
+
 def input_level_dims(h: int, w: int, c: int, strides) -> tuple[LevelDims, ...]:
     """The levels of an h x w input, one per key-sampling stride: level k
-    is ceil(h / 2^(k+2)) by ceil(w / 2^(k+2)) at width c."""
-    return tuple(LevelDims(-(-h // 2 ** (k + 2)), -(-w // 2 ** (k + 2)), c, s)
-                 for k, s in enumerate(strides))
+    is level_hw(h, w, k + 2) at width c."""
+    return tuple(LevelDims(*level_hw(h, w, k + 2), c, s) for k, s in enumerate(strides))
 
 
 # detection-scale defaults: the 800x1344 input, backbone strides 4/8/16/32

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import yaml
 
-from .complexity import COCO_LEVEL_DIMS
+from .complexity import COCO_LEVEL_DIMS, level_hw
 
 
 class ConfigurationError(ValueError):
@@ -97,13 +97,8 @@ class PipelineConfig:
 
     def level_dims(self) -> dict[int, tuple[int, int]]:
         """Spatial dims per level: base_hw at the shallowest level, then
-        ceil-halved per deeper level."""
-        dims: dict[int, tuple[int, int]] = {}
-        h, w = self.base_hw
-        for lvl in self.cdi.levels:
-            dims[lvl] = (h, w)
-            h, w = math.ceil(h / 2), math.ceil(w / 2)
-        return dims
+        ceil-halved per deeper level (complexity.level_hw)."""
+        return {lvl: level_hw(*self.base_hw, k) for k, lvl in enumerate(self.cdi.levels)}
 
     def single_input_level(self) -> int | None:
         m = _SINGLE_INPUT.fullmatch(self.variant)
@@ -255,14 +250,9 @@ def _check_levels(path: str, v) -> tuple[int, ...]:
     return levels
 
 
-_SECTION_TYPES = {
-    "arf": ArfConfig,
-    "isp": IspConfig,
-    "cdi": CdiConfig,
-    "train": TrainConfig,
-    "gradcheck": GradCheckConfig,
-    "complexity": ComplexityConfig,
-}
+# section name -> its dataclass: the PipelineConfig fields built by a factory
+_SECTION_TYPES = {f.name: f.default_factory for f in dataclasses.fields(PipelineConfig)
+                  if f.default_factory is not dataclasses.MISSING}
 
 # dataclass field -> YAML key, for names Python reserves; the field name
 # itself is not a YAML key
@@ -285,21 +275,13 @@ def config_from_dict(raw: dict) -> PipelineConfig:
             for sk, sv in value.items():
                 if sk not in sect_fields:
                     raise ConfigurationError(f"{key}.{sk}: unknown config key")
-                if isinstance(sv, list):
-                    sv = _tuplify(sv)
                 sect_kwargs[sect_fields[sk]] = sv
             kwargs[key] = cls(**sect_kwargs)
         elif key in top_fields:
-            if isinstance(value, list):
-                value = _tuplify(value)
             kwargs[key] = value
         else:
             raise ConfigurationError(f"{key}: unknown config key")
     return PipelineConfig(**kwargs)
-
-
-def _tuplify(v):
-    return tuple(_tuplify(x) if isinstance(x, list) else x for x in v)
 
 
 def load_config(path: str | Path | None) -> PipelineConfig:

@@ -12,13 +12,13 @@ the same decoder vocabulary.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .cdi import CdiBlock, total_loss
+from .complexity import level_hw
 from .config import VARIANT_BASE_TAGS, PipelineConfig
 from .isp import IspBlock
 from .tensor import ContractViolation, Tensor
@@ -54,11 +54,11 @@ class FeaturePyramid:
                 raise ContractViolation(
                     f"level {lvl} has {arr.shape[0]} channels, expected {c}")
             if prev is not None:
-                eh, ew = math.ceil(prev[0] / 2), math.ceil(prev[1] / 2)
-                if arr.shape[1:] != (eh, ew):
+                want = level_hw(*prev, 1)
+                if arr.shape[1:] != want:
                     raise ContractViolation(
                         f"level {lvl} dims {arr.shape[1:]} should ceil-halve the previous "
-                        f"level's {prev} to {(eh, ew)}")
+                        f"level's {prev} to {want}")
             prev = arr.shape[1:]
             self.levels[lvl] = arr
 
@@ -205,6 +205,14 @@ def cross_level_sensitivity(pipe: Pipeline, pyramid: FeaturePyramid,
     return levels, matrix
 
 
+def any_cross_level(matrix: np.ndarray) -> bool:
+    """Whether a sensitivity matrix of cross_level_sensitivity shows some
+    output seeing another level: an off-diagonal entry above 0."""
+    off = matrix.copy()
+    np.fill_diagonal(off, 0.0)
+    return bool(off.max() > 0.0)
+
+
 def variant_rows(probe: PipelineConfig, train_steps: int = 0) -> list[dict]:
     """Build and probe every variant of `probe` on its synthetic pyramid:
     the base tags, then single_input_<level> per level.  One row each, with
@@ -220,21 +228,19 @@ def variant_rows(probe: PipelineConfig, train_steps: int = 0) -> list[dict]:
         pyr = synthetic_pyramid(cfg)
         outs, dep = pipe.forward(pyr)
         levels, sens = cross_level_sensitivity(pipe, pyr, outs)
-        off = sens.copy()
-        np.fill_diagonal(off, 0.0)
         row = {
             "variant": tag,
             "dep_loss": dep,
             "levels": levels,
             "sensitivity": sens.tolist(),
-            "any_cross_level": bool(off.max() > 0.0),
+            "any_cross_level": any_cross_level(sens),
             "n_params": int(sum(p.size for p in pipe.params())),
         }
         if train_steps:
             trace = toy_train(pipe, pyr, steps=train_steps)
             row["train"] = {"steps": train_steps, "lr": probe.train.lr,
                             "initial": trace.initial, "final": trace.final,
-                            "ratio": trace.final / trace.initial}
+                            "ratio": trace.ratio}
         rows.append(row)
     return rows
 
@@ -261,6 +267,11 @@ class TrainTrace:
     @property
     def final(self) -> float:
         return self.total[-1]
+
+    @property
+    def ratio(self) -> float:
+        """final / initial total loss; nan when the initial loss is 0."""
+        return self.final / self.initial if self.initial else float("nan")
 
 
 def toy_train(pipe: Pipeline, pyramid: FeaturePyramid, steps: int | None = None,

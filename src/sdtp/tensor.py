@@ -26,7 +26,9 @@ all cut by one rule, _blocks: about _BLOCK_ELEMS elements a block,
 aligned so that every block starts at a multiple of 8 along the axis a
 product cuts.  Their recorded VJPs walk the same blocks: each forms its
 input gradients block by block, and holds a map-sized temporary only
-where one product reduces over every pixel (a weight gradient).  Every
+where one product reduces over every pixel (a weight gradient).
+resample_nearest's VJP, too, walks _blocks of channels, summing each
+block's outputs onto their sources in raster order with np.bincount.  Every
 output element is summed in the same order whatever the block size, and
 each gradient is laid out as the whole map's was.  So values and
 gradients are the same bits as over the whole map at once wherever BLAS
@@ -437,8 +439,8 @@ def _softmax_rows_vjp(out: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 # the size, in float64 elements, that bounds each temporary of a blocked op
-# (conv2d, softmax_pool, outer_sum_mlp): they form their arrays about that
-# many elements at a time
+# (conv2d, softmax_pool, outer_sum_mlp and the resample_nearest VJP): they
+# form their arrays about that many elements at a time
 _BLOCK_ELEMS = 2 ** 18
 
 
@@ -947,45 +949,20 @@ def resample_nearest(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
     ih = (np.arange(oh) * h) // oh
     iw = (np.arange(ow) * w) // ow
     out = x.data[:, ih[:, None], iw[None, :]]
-    shape = x.shape
 
     def vjp(g):
-        # np.add.at(gx, (:, ih, iw), g) without its per-element overhead:
-        # one add per pair of occurrence ranks, row rank outer, column rank
-        # inner, each onto distinct sources, so every source sums its
-        # outputs in the same raster order
-        gx = np.zeros(shape)
-        for out_r, src_r in _rank_groups(ih):
-            if not isinstance(out_r, slice):
-                out_r, src_r = out_r[:, None], src_r[:, None]
-            for out_c, src_c in _rank_groups(iw):
-                gx[:, src_r, src_c] += g[:, out_r, out_c]
+        # np.add.at(gx, (:, ih, iw), g) without its per-element overhead, one
+        # block of channels at a time: bincount adds each source's outputs
+        # in raster order, as add.at does
+        src = (ih[:, None] * w + iw[None, :]).ravel()
+        gx = np.empty((c, h, w))
+        for blk in _blocks(c, oh * ow, 1):
+            n = blk.stop - blk.start
+            idx = (np.arange(n)[:, None] * (h * w) + src).ravel()
+            gx[blk] = np.bincount(idx, g[blk].reshape(-1), minlength=n * h * w).reshape(n, h, w)
         return (gx,)
 
     return Tensor._from_op(out, (x,), vjp)
-
-
-def _rank_groups(idx: np.ndarray) -> list[tuple]:
-    """Split a non-decreasing index map by occurrence rank: entry r pairs
-    the output positions that are the r-th to read their source with those
-    sources, both as slices where both step evenly (2x up or down), else
-    both as index arrays."""
-    first = np.searchsorted(idx, idx)  # the first output reading each source
-    rank = np.arange(len(idx)) - first
-    groups = []
-    for r in range(int(rank.max()) + 1):
-        pos = np.flatnonzero(rank == r)
-        as_slices = tuple(_as_slice(a) for a in (pos, idx[pos]))
-        groups.append(as_slices if None not in as_slices else (pos, idx[pos]))
-    return groups
-
-
-def _as_slice(a: np.ndarray) -> slice | None:
-    """The slice that selects the indices a, if they rise by one fixed step."""
-    step = int(a[1] - a[0]) if len(a) > 1 else 1
-    if step < 1 or np.any(np.diff(a) != step):
-        return None
-    return slice(int(a[0]), int(a[-1]) + 1, step)
 
 
 def uniform_param(rng: np.random.Generator, shape, fan_in: int, name: str | None = None) -> Tensor:

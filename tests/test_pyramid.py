@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from sdtp import tensor as T
 from sdtp.cdi import total_loss
+from sdtp.complexity import input_level_dims, level_hw
 from sdtp.config import (
     ARF_MODES,
     VARIANT_BASE_TAGS,
@@ -94,6 +95,33 @@ class TestFeaturePyramid:
         for lvl in a.levels:
             np.testing.assert_array_equal(a.levels[lvl], b.levels[lvl])
         assert any(np.any(a.levels[lvl] != cdiff.levels[lvl]) for lvl in a.levels)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 300), st.integers(0, 6),
+           st.lists(st.integers(1, 8), max_size=5), st.integers(2, 4), st.data())
+    def test_one_level_rule(self, h, w, k, strides, lo, data):
+        """level_hw halves one step at a time, rounding up;
+        input_level_dims puts level k at level_hw(H, W, k + 2); and a
+        config's synthetic pyramid has level_hw(*base_hw, k) at its k-th
+        level and passes FeaturePyramid's check, which rejects it with a
+        deeper level one row taller."""
+        assert level_hw(h, w, 1) == ((h + 1) // 2, (w + 1) // 2)
+        assert level_hw(h, w, k + 1) == level_hw(*level_hw(h, w, k), 1)
+        dims = input_level_dims(h, w, 4, strides)
+        assert [(d.h, d.w) for d in dims] == [level_hw(h, w, i + 2) for i in range(len(strides))]
+
+        base_hw = data.draw(st.tuples(st.integers(1, 24), st.integers(1, 24)), "base_hw")
+        levels = tuple(range(lo, data.draw(st.integers(lo + 1, 5), "last level") + 1))
+        cfg = PipelineConfig(channels=2, in_channels=2, base_hw=base_hw,
+                             isp=IspConfig(heads=1), cdi=CdiConfig(heads=1, levels=levels))
+        pyr = synthetic_pyramid(cfg)
+        assert [pyr.levels[lvl].shape[1:] for lvl in levels] == [
+            level_hw(*base_hw, i) for i in range(len(levels))]
+        taller = data.draw(st.sampled_from(levels[1:]), "taller level")
+        bad = dict(pyr.levels)
+        bad[taller] = np.concatenate([bad[taller], bad[taller][:, :1]], axis=1)
+        with pytest.raises(ContractViolation, match="should ceil-halve"):
+            FeaturePyramid(levels=bad)
 
 
 class TestBaselineAgainstReference:

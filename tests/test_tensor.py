@@ -1111,6 +1111,19 @@ class TestLevel2Memory:
         assert grads[0].shape == m.shape
         assert peak <= owned + self.block
 
+    def test_resample_nearest_backward(self, level2):
+        """Level 3 upsampled to level 2, on a strided cotangent (the
+        interior of a padded array, as the smooth conv's VJP hands over):
+        the gradient plus one block of channels' source indices, cotangent
+        copy and sums, never a map-sized temporary."""
+        rng, _ = level2
+        x = Tensor(rng.standard_normal((256, 32, 32)), requires_grad=True)
+        out = T.resample_nearest(x, (64, 64))
+        g = np.pad(rng.standard_normal(out.shape), ((0, 0), (1, 1), (1, 1)))[:, 1:-1, 1:-1]
+        grads, peak, owned = vjp_peak(out, g)
+        assert grads[0].shape == x.shape
+        assert peak <= owned + 3 * self.block
+
 
 class TestOuterSumDistance:
     @pytest.mark.parametrize("dims", POOL_DIMS)
@@ -1195,20 +1208,31 @@ def test_contract_violations_name_the_argument(call, match):
     ((3, 4), (5, 7)), ((2, 3), (7, 10)), ((5, 5), (5, 5)), ((1, 1), (3, 4)),
     ((6, 2), (6, 7)), ((33, 17), (65, 33)), ((9, 4), (5, 8)), ((4, 9), (8, 5)),
 ])
-def test_resample_nearest_vjp_matches_add_at(in_hw, out_hw):
+def test_resample_nearest_vjp_matches_add_at(in_hw, out_hw, monkeypatch):
     """The VJP equals np.add.at over the index map bit for bit, for up,
     down, non-integer and identity ratios: every source sums its outputs
-    in raster order."""
+    in raster order.  So it does with the channels cut into three blocks,
+    the last one partial, on a strided cotangent like the one the smooth
+    conv's VJP hands over (the interior of a padded array), and the
+    gradient has add.at's strides."""
     rng = np.random.default_rng(in_hw[0] * 100 + out_hw[1])
-    x = Tensor(rng.standard_normal((3, *in_hw)), requires_grad=True)
-    out = T.resample_nearest(x, out_hw)
-    g = rng.standard_normal(out.shape)
     ih = (np.arange(out_hw[0]) * in_hw[0]) // out_hw[0]
     iw = (np.arange(out_hw[1]) * in_hw[1]) // out_hw[1]
-    want = np.zeros_like(x.data)
-    np.add.at(want, (slice(None), ih[:, None], iw[None, :]), g)
-    (got,) = out._node._vjp(g)
-    assert got.tobytes() == want.tobytes()
+
+    def check(c, cotangent):
+        x = Tensor(rng.standard_normal((c, *in_hw)), requires_grad=True)
+        out = T.resample_nearest(x, out_hw)
+        g = cotangent(out.shape)
+        want = np.zeros_like(x.data)
+        np.add.at(want, (slice(None), ih[:, None], iw[None, :]), g)
+        (got,) = out._node._vjp(g)
+        assert got.tobytes() == want.tobytes()
+        assert got.strides == want.strides
+
+    check(3, rng.standard_normal)
+    monkeypatch.setattr(T, "_BLOCK_ELEMS", 8 * out_hw[0] * out_hw[1])
+    assert [b.stop - b.start for b in T._blocks(21, out_hw[0] * out_hw[1], 1)] == [8, 8, 5]
+    check(21, lambda shape: np.pad(rng.standard_normal(shape), 1)[1:-1, 1:-1, 1:-1])
 
 
 class TestModule:
