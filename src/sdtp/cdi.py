@@ -28,10 +28,12 @@ output only while the caller or a VJP downstream holds it.
   recoupled map, its (h*w, c) tokens, the partial sum, the MLP output nor
   the (h*w, 4c) hidden array is built.
   Its VJP keeps only factor-sized arrays; when the backward pass reaches
-  it, it rebuilds the hidden array slab by slab, once for lin2's weight
-  gradient and once for the hidden cotangent, and holds one hidden-sized
-  array at a time.
-Values and gradients equal those of the unfused op chains bit for bit.
+  it, it walks the slabs once, rebuilding each slab of the hidden array
+  and adding its shares into lin2's weight gradient and the factor-side
+  sums, and never holds a hidden-sized array.
+Values and gradients equal those of the unfused op chains bit for bit,
+apart from outer_sum_mlp's gradients over more than one slab (as at the
+default dims' level 2), whose slab-wise sums agree to rounding.
 
 The decoupling penalty measures, per level, the Frobenius distance between
 the original map and the outer-sum of its raw (pre-attention) factors; the

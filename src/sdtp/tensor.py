@@ -25,17 +25,23 @@ softmax_pool blocks of channels and outer_sum_mlp slabs of factor rows,
 all cut by one rule, _blocks: about _BLOCK_ELEMS elements a block,
 aligned so that every block starts at a multiple of 8 along the axis a
 product cuts.  Their recorded VJPs walk the same blocks: each forms its
-input gradients block by block, and holds a map-sized temporary only
-where one product reduces over every pixel (a weight gradient).
-resample_nearest's VJP, too, walks _blocks of channels, summing each
-block's outputs onto their sources in raster order with np.bincount.  Every
-output element is summed in the same order whatever the block size, and
-each gradient is laid out as the whole map's was.  So values and
-gradients are the same bits as over the whole map at once wherever BLAS
-forms a product's columns and rows the same way in a block as in the
-whole: OpenBLAS on x86-64 does for blocks that start at multiples of 8
-columns and 4 rows, but not always for others once a product sums 16 or
-more terms, and every block starts at such a multiple.
+input gradients block by block.  conv2d's and softmax_pool's hold a
+map-sized temporary only where one product reduces over every pixel (a
+weight gradient); outer_sum_mlp's holds none, since it adds each slab's
+share into its weight gradients and its factor-side sums over all token
+rows as it walks.  resample_nearest's VJP, too, walks _blocks of
+channels, summing each block's outputs onto their sources in raster
+order with np.bincount.  Every output element is summed in the same
+order whatever the block size, and each gradient is laid out as the
+whole map's was.  So values and gradients are the same bits as over the
+whole map at once wherever BLAS forms a product's columns and rows the
+same way in a block as in the whole: OpenBLAS on x86-64 does for blocks
+that start at multiples of 8 columns and 4 rows, but not always for
+others once a product sums 16 or more terms, and every block starts at
+such a multiple.  The exception is outer_sum_mlp's gradients over more
+than one slab: its slab-wise sums add in another order than one
+reduction over all rows, so they agree with the whole map's to rounding,
+not bit for bit.
 """
 
 from __future__ import annotations
@@ -660,12 +666,12 @@ def _outer_sum_ln_factors(y: Tensor, x: Tensor, gain: Tensor, bias: Tensor,
 
 
 def _outer_sum_slabs(factors: tuple[np.ndarray, ...]):
-    """Yield (rows, tokens, pre) for each slab of factor rows, about
-    _BLOCK_ELEMS elements of pre each and starting at a multiple of 8 token
-    rows (see _blocks): the slice of factor rows, the slice of token rows
-    it covers and its (rows*w, d) block of Linear(LayerNorm(y_i + x_j)),
-    which is inv_ij * (A_i + B_j) + b'.  Every block is written into one
-    reused buffer, so it is valid only until the next one is yielded."""
+    """Yield (rows, pre) for each slab of factor rows, about _BLOCK_ELEMS
+    elements of pre each and starting at a multiple of 8 token rows (see
+    _blocks): the slice of factor rows and its (rows*w, d) block of
+    Linear(LayerNorm(y_i + x_j)), which is inv_ij * (A_i + B_j) + b'.
+    Every block is written into one reused buffer, so it is valid only
+    until the next one is yielded."""
     _, _, inv, _, a_f, b_f, b_out = factors
     (h, nw), d = inv.shape, a_f.shape[1]
     slabs = _blocks(h, nw * d, nw)
@@ -675,34 +681,46 @@ def _outer_sum_slabs(factors: tuple[np.ndarray, ...]):
         np.add(a_f[rows, None, :], b_f, out=slab)
         slab *= inv[rows, :, None]
         slab += b_out
-        yield rows, slice(rows.start * nw, rows.stop * nw), slab.reshape(-1, d)
+        yield rows, slab.reshape(-1, d)
 
 
-def _outer_sum_ln_vjp(factors: tuple[np.ndarray, ...], g: np.ndarray, gain: np.ndarray,
-                      bias: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Gradients of Linear(LayerNorm(y_i + x_j)) with respect to its
-    (y, x, gain, bias, w, b) for the (h*w, d) cotangent g of its rows,
-    from the arrays of gain, bias and w.  Every later step reads only
-    factor-sized reductions of g, so g is freed once they are formed
-    unless the caller holds it too."""
-    yc, xc, inv, gw, a_f, b_f, _ = factors
-    h, nw = inv.shape
-    c, d = w.shape
-    g3 = g.reshape(h, nw, d)
-    gb = g.sum(axis=0)
-    # weighted row and column sums of the cotangent over the h x w grid
+def _outer_sum_ln_reduce(factors: tuple[np.ndarray, ...], rows: slice,
+                         g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The factor-sized sums, over the (n*w, d) cotangent g of the token
+    rows of factor rows `rows`, that the gradients of
+    Linear(LayerNorm(y_i + x_j)) read: the weighted row sums ga and the
+    cotangent of inv, ginv, for those factor rows, and these rows' shares
+    of the sums over all rows, gb (by token) and gbf (by column j)."""
+    _, _, inv, _, a_f, b_f, _ = factors
+    inv, (nw, d) = inv[rows], b_f.shape
+    g3 = g.reshape(-1, nw, d)
+    # weighted row and column sums of the cotangent over the slab's grid
     ga = np.matmul(inv[:, None, :], g3)[:, 0, :]
     gbf = np.matmul(inv.T[:, None, :], g3.transpose(1, 0, 2))[:, 0, :]
-    ginv = (np.matmul(g3, a_f[:, :, None])[:, :, 0]
+    ginv = (np.matmul(g3, a_f[rows, :, None])[:, :, 0]
             + np.matmul(g3.transpose(1, 0, 2), b_f[:, :, None])[:, :, 0].T)
-    del g, g3
+    return ga, ginv, g.sum(axis=0), gbf
+
+
+def _outer_sum_ln_finish(factors: tuple[np.ndarray, ...], ga: np.ndarray, ginv: np.ndarray,
+                         gb: np.ndarray, gbf: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                         w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Gradients of Linear(LayerNorm(y_i + x_j)) with respect to its
+    (y, x, gain, bias, w, b) from the sums _outer_sum_ln_reduce forms over
+    all rows and from the arrays of gain, bias and w; every array here is
+    factor-sized."""
+    yc, xc, inv, gw, _, _, _ = factors
+    c = w.shape[0]
     gv = (-1.0 / c) * inv ** 3 * ginv       # (2 / c) * d(loss)/d(var)
     gyc = gv.sum(axis=1)[:, None] * yc + gv @ xc + ga @ gw.T
     gxc = gv.sum(axis=0)[:, None] * xc + gv.T @ yc + gbf @ gw.T
-    ggw = yc.T @ ga + xc.T @ gbf
+    # in place: the same sums as a + b, with one (c, d) temporary fewer
+    ggw = yc.T @ ga
+    ggw += xc.T @ gbf
     gy = gyc - gyc.mean(axis=1, keepdims=True)
     gx = gxc - gxc.mean(axis=1, keepdims=True)
-    gw_full = gain[:, None] * ggw + np.outer(bias, gb)
+    gw_full = gain[:, None] * ggw
+    gw_full += np.outer(bias, gb)
     return gy, gx, (ggw * w).sum(axis=1), w @ gb, gw_full, gb
 
 
@@ -737,19 +755,26 @@ def outer_sum_mlp(m: Tensor, y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w
     The VJP keeps only the factor-side arrays and the arrays of gain, bias,
     w1 and w2 (gradient checkpointing of one layer).  The residual needs
     none: the cotangent goes to m as it is, and its w- and h-sums to the
-    factors.  The MLP's part walks the same slabs twice, rebuilding each
-    block of pre each time, so it holds one whole (h*w, d) array at once.
-    The first walk writes the GELU output into it; lin2's weight gradient
-    is one product over that array and the cotangent's (h*w, c) token
-    copy, both then freed.  The second walk forms each slab's rows of that
-    copy from the cotangent again and writes the hidden cotangent, from
-    which the factored layer norm and first projection take their
-    gradients; it is freed once reduced to factor-sized sums.  The GELU's
-    erf runs once more than with both arrays filled in one walk.  Each
-    factor is listed twice among the parents, residual use first, and
-    every reduction runs once over all rows, so values and gradients
-    equal, bit for bit, those of the unfused chain that forms all of pre
-    at once and then runs gelu, matmul and the adds one op at a time.
+    factors.  The MLP's part walks the same slabs once more, rebuilding
+    each block of pre and its GELU cdf, and never holds a hidden-sized
+    array, as FlashAttention's backward recomputes each block.  Per slab
+    it forms the hidden cotangent, (the slab's tokens of the cotangent @
+    w2.T) times the GELU slope, and reduces it at once to factor-sized
+    sums (_outer_sum_ln_reduce): the slab's own rows of the row sums, and
+    its shares of the sums over all rows; then it overwrites the cdf with
+    the GELU output and adds the slab's share of lin2's weight and bias
+    gradients.  The factored layer norm and first projection take their
+    gradients from those sums once the walk is done
+    (_outer_sum_ln_finish).  Each factor is listed twice among the
+    parents, residual use first.  Values equal, bit for bit, those of the
+    unfused chain that forms all of pre at once and then runs gelu,
+    matmul and the adds one op at a time.  So do the gradients where the
+    map is one slab, as at the train: dims: each running sum starts as
+    the first slab's share.  Over several slabs, lin2's weight and bias
+    gradients and the sums over all rows add their slabs' shares, in
+    another order than one reduction over every row, and the gradients
+    agree with the chain's to rounding: at level 2 of the default config,
+    within 4.4e-15 max-norm relative.
     """
     factors = _outer_sum_ln_factors(y, x, gain, bias, w1, b1)
     (h, c), nw, d = y.shape, x.shape[0], w1.shape[1]
@@ -763,7 +788,7 @@ def outer_sum_mlp(m: Tensor, y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w
     # the module-level gelu and matmul, so that a wrapper installed on them
     # (a MAC or element counter) sees every slab
     with no_grad():
-        for rows, _, pre in _outer_sum_slabs(factors):
+        for rows, pre in _outer_sum_slabs(factors):
             o = out[:, rows]
             np.add(yt[:, rows, None], xt[:, None, :], out=o)
             o += m.data[:, rows]  # r + m: float addition commutes, so m + r's bits
@@ -774,40 +799,33 @@ def outer_sum_mlp(m: Tensor, y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w
     gd, bd, w1d, w2d = gain.data, bias.data, w1.data, w2.data
 
     def vjp(g):
-        gtok = g.transpose(1, 2, 0).reshape(h * nw, c)
-        act = np.empty((h * nw, d))
-        for _, tokens, pre in _outer_sum_slabs(factors):
-            np.multiply(pre, _gelu_cdf(pre), out=act[tokens])
-        gw2 = act.T @ gtok
-        gb2 = gtok.sum(axis=0)
-        # freed before the second walk fills the hidden cotangent, with the
-        # first walk's slab buffer
-        del act, gtok, pre
-        # only _outer_sum_ln_vjp holds the hidden cotangent, so it is freed
-        # once reduced there
-        ln_grads = _outer_sum_ln_vjp(factors, _outer_sum_hidden_grad(factors, g, w2d),
-                                     gd, bd, w1d)
+        ga, ginv = np.empty((h, d)), np.empty((h, nw))
+        sums = None  # gb, gbf, gw2, gb2: the first slab's shares, then the running sums
+        for rows, pre in _outer_sum_slabs(factors):
+            gslab = g[:, rows].transpose(1, 2, 0).reshape(-1, c)
+            cdf = _gelu_cdf(pre)
+            # the slab's hidden cotangent, reduced at once to factor-sized
+            # sums: its own rows of ga and ginv, its shares of gb and gbf
+            ghid = gslab @ w2d.T
+            ghid *= _gelu_slope(pre, cdf)
+            ga[rows], ginv[rows], *shares = _outer_sum_ln_reduce(factors, rows, ghid)
+            del ghid
+            act = np.multiply(pre, cdf, out=cdf)  # the GELU output, in place of its cdf
+            shares += [act.T @ gslab, gslab.sum(axis=0)]
+            if sums is None:
+                sums = shares
+            else:
+                for acc, share in zip(sums, shares):
+                    acc += share
+            del act, cdf, shares  # freed before the next slab's
+        del pre  # the slab buffer, freed before the finish
+        gb, gbf, gw2, gb2 = sums
+        ln_grads = _outer_sum_ln_finish(factors, ga, ginv, gb, gbf, gd, bd, w1d)
         gy = _unbroadcast(g, (c, h, 1)).transpose(1, 2, 0).reshape(h, c)
         gx = _unbroadcast(g, (c, 1, nw)).transpose(1, 2, 0).reshape(nw, c)
         return (g, gy, gx) + ln_grads + (gw2, gb2)
 
     return Tensor._from_op(out, (m, y, x, y, x, gain, bias, w1, b1, w2, b2), vjp)
-
-
-def _outer_sum_hidden_grad(factors: tuple[np.ndarray, ...], g: np.ndarray,
-                           w2: np.ndarray) -> np.ndarray:
-    """The (h*w, d) cotangent of outer_sum_mlp's pre-activation for the
-    (c, h, w) cotangent g of its output: (g's tokens @ w2.T) times the GELU
-    slope, formed slab by slab, each slab's product written straight into
-    its rows and scaled there."""
-    c, h, nw = g.shape
-    ghidden = np.empty((h * nw, w2.shape[0]))
-    for rows, tokens, pre in _outer_sum_slabs(factors):
-        gslab = g[:, rows].transpose(1, 2, 0).reshape(-1, c)
-        out = ghidden[tokens]
-        np.matmul(gslab, w2.T, out=out)
-        out *= _gelu_slope(pre, _gelu_cdf(pre))
-    return ghidden
 
 
 def softmax_pool(x: Tensor, w: Tensor, axis: int) -> Tensor:
@@ -953,13 +971,18 @@ def resample_nearest(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
     def vjp(g):
         # np.add.at(gx, (:, ih, iw), g) without its per-element overhead, one
         # block of channels at a time: bincount adds each source's outputs
-        # in raster order, as add.at does
+        # in raster order, as add.at does.  The flattened index map is built
+        # once, for the largest block (a lone last channel joins the block
+        # before it), and each block takes a prefix of it.
+        blocks = _blocks(c, oh * ow, 1)
         src = (ih[:, None] * w + iw[None, :]).ravel()
+        n_max = max(blk.stop - blk.start for blk in blocks)
+        idx = (np.arange(n_max)[:, None] * (h * w) + src).ravel()
         gx = np.empty((c, h, w))
-        for blk in _blocks(c, oh * ow, 1):
+        for blk in blocks:
             n = blk.stop - blk.start
-            idx = (np.arange(n)[:, None] * (h * w) + src).ravel()
-            gx[blk] = np.bincount(idx, g[blk].reshape(-1), minlength=n * h * w).reshape(n, h, w)
+            gx[blk] = np.bincount(idx[: n * oh * ow], g[blk].reshape(-1),
+                                  minlength=n * h * w).reshape(n, h, w)
         return (gx,)
 
     return Tensor._from_op(out, (x,), vjp)
@@ -1045,10 +1068,10 @@ class Mlp(Module):
     and first map come from its factors, the rest runs one slab of factor
     rows at a time, about _BLOCK_ELEMS hidden elements each, and is added,
     with the map and the outer sum, straight into the output.  The
-    recorded VJP keeps only factor-sized arrays.  When it runs, it rebuilds
-    the hidden array slab by slab, twice, and holds one hidden-sized array
-    at a time; beside the hidden cotangent it forms the map's cotangent in
-    token order one slab at a time."""
+    recorded VJP keeps only factor-sized arrays.  When it runs, it walks
+    the slabs once more, rebuilding each block of the hidden array and
+    reducing its cotangent to factor-sized sums before the next, so it
+    never holds a hidden-sized array."""
 
     def __init__(self, rng: np.random.Generator, d: int, hidden_ratio: float = 4.0,
                  name: str = "mlp"):

@@ -440,11 +440,17 @@ class TestToyTraining:
         assert t1.dep == t2.dep
 
     def test_results_do_not_depend_on_the_block_size(self, monkeypatch):
-        """Three steps at the train: dims give the same loss traces and
-        trained weights, bit for bit, with _BLOCK_ELEMS at its default
+        """Three steps at the train: dims with _BLOCK_ELEMS at its default
         (every op one block) and at 64, 96 and 200, where conv2d and
         outer_sum_mlp walk several blocks of each map (softmax_pool's 8
-        channels are one aligned block at any size)."""
+        channels are one aligned block at any size).  The first losses,
+        from the same weights, are the same bits.  outer_sum_mlp's VJP sums
+        its weight gradients and factor-side sums slab by slab, in another
+        order over several slabs, so the later losses and the trained
+        weights agree to rounding: measured, within 1.8e-16 and 6.9e-16
+        max-norm relative; the bound leaves over 100 times that."""
+        rel = 1e-13
+
         def run():
             cfg = PipelineConfig.for_train(PipelineConfig())
             pipe = Pipeline(cfg)
@@ -456,10 +462,12 @@ class TestToyTraining:
             monkeypatch.setattr(T, "_BLOCK_ELEMS", elems)
             assert len(T._blocks(8, 8 * 8, 8)) > 1  # the level-4 convs' rows
             trace, params = run()
-            assert trace == want_trace
+            for got, want in zip(trace, want_trace):
+                assert got[0] == want[0]
+                assert np.allclose(got, want, rtol=rel, atol=0)
             assert len(params) == len(want_params)
             for got, want in zip(params, want_params):
-                assert np.array_equal(got, want)
+                assert np.abs(got - want).max() <= rel * np.abs(want).max()
 
     def test_penalty_recorded_for_full_variant(self):
         """The decoupling penalty stream is positive for the full pipeline

@@ -48,7 +48,9 @@ def outer_sum_ln_linear(y, x, gain, bias, w, b):
     out = out.reshape(-1, out.shape[2]).copy()
     gd, bd, wd = gain.data, bias.data, w.data
     return Tensor._from_op(out, (y, x, gain, bias, w, b),
-                           lambda g: T._outer_sum_ln_vjp(factors, g, gd, bd, wd))
+                           lambda g: T._outer_sum_ln_finish(
+                               factors, *T._outer_sum_ln_reduce(factors, slice(None), g),
+                               gd, bd, wd))
 
 
 def unfused_outer_sum_mlp(m, y, x, gain, bias, w1, b1, w2, b2):
