@@ -4,8 +4,9 @@ Queries come from one token matrix; keys and values are projected from a
 list of token matrices and concatenated along the token axis, which is how
 both the multi-receptive-state attention and the cross-level grouped
 attention consume several sources at once.  Scores are scaled by
-1/sqrt(d_head) and passed through a pluggable activation: row softmax,
-elementwise tanh, or the refinement gate.  Projections are bias-free.
+1/sqrt(d_head) and passed through the activation the weights carry: row
+softmax, elementwise tanh, or the refinement gate at their tau.
+Projections are bias-free.
 
 Every dense matmul in this core reports its multiply-accumulate count to
 the instrumentation hook in the complexity module; convolutions and MLPs
@@ -28,13 +29,16 @@ from .tensor import ContractViolation, Tensor
 
 @dataclass
 class AttentionWeights(T.Module):
-    """Bias-free projection matrices; heads are column blocks of each."""
+    """Bias-free projection matrices, heads being column blocks of each,
+    and the score activation: its mode and the refinement gate's tau."""
 
     wq: Tensor
     wk: Tensor
     wv: Tensor
     wo: Tensor
     n_heads: int
+    mode: str
+    tau: float
 
     def __post_init__(self):
         c = self.wq.shape[0]
@@ -50,22 +54,22 @@ class AttentionWeights(T.Module):
         return self.wq.shape[0]
 
 
-def attention_weights(rng: np.random.Generator, c: int, n_heads: int,
-                      name: str = "attn") -> AttentionWeights:
+def attention_weights(rng: np.random.Generator, c: int, n_heads: int, mode: str,
+                      tau: float, name: str = "attn") -> AttentionWeights:
     def mk(nm):
         return T.uniform_param(rng, (c, c), c, name=f"{name}.{nm}")
     return AttentionWeights(wq=mk("wq"), wk=mk("wk"), wv=mk("wv"), wo=mk("wo"),
-                            n_heads=n_heads)
+                            n_heads=n_heads, mode=mode, tau=tau)
 
 
-def apply_activation(scores: Tensor, mode: str, tau: float) -> Tensor:
-    if mode == "softmax":
+def apply_activation(scores: Tensor, weights: AttentionWeights) -> Tensor:
+    if weights.mode == "softmax":
         return T.softmax_rows(scores)
-    if mode == "tanh":
+    if weights.mode == "tanh":
         return T.tanh_t(scores)
-    if mode == "arf":
-        return arf_op(scores, tau=tau)
-    raise ConfigurationError(f"unknown attention activation mode {mode!r}")
+    if weights.mode == "arf":
+        return arf_op(scores, tau=weights.tau)
+    raise ConfigurationError(f"unknown attention activation mode {weights.mode!r}")
 
 
 def _matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -76,8 +80,7 @@ def _matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def multi_head_attention(queries: Tensor, keys_values: list[Tensor],
-                         weights: AttentionWeights, mode: str = "softmax",
-                         tau: float = 2.0) -> Tensor:
+                         weights: AttentionWeights) -> Tensor:
     """Attend from `queries` over the concatenation of `keys_values`.
 
     queries: (n_q, c); each entry of keys_values: (n_k, c).  Returns
@@ -107,7 +110,7 @@ def multi_head_attention(queries: Tensor, keys_values: list[Tensor],
         k = T.narrow(k_full, 1, lo, d_head)
         v = T.narrow(v_full, 1, lo, d_head)
         scores = T.scale(_matmul(q, T.permute(k, (1, 0))), inv_sqrt)
-        w = apply_activation(scores, mode, tau)
+        w = apply_activation(scores, weights)
         head_outs.append(_matmul(w, v))
     merged = head_outs[0] if len(head_outs) == 1 else T.concat(head_outs, axis=1)
     return _matmul(merged, weights.wo)

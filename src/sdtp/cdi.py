@@ -8,9 +8,10 @@ produces logits, a softmax along the axis being reduced turns them into
 pooling weights, and a 3x1 (resp. 1x3) convolution refines the pooled
 vector.  Grouped attention then runs over the vertical factors of all
 levels jointly, and separately over the horizontal factors, with shared
-projections, pre-norm, and residuals.  Recoupling broadcasts the refined
-factors back to (c, h, w) by addition, an outer-sum expansion.  A token
-MLP (pre-norm) refines the recoupled map, and the map, the recoupled
+projections, pre-norm, and residuals; each axis's attention weights carry
+the block's score activation (mode and tau).  Recoupling broadcasts the
+refined factors back to (c, h, w) by addition, an outer-sum expansion.  A
+token MLP (pre-norm) refines the recoupled map, and the map, the recoupled
 factors and the MLP output are summed into the level's output.
 
 Each level's map passes through three fused ops, whose recorded graphs keep
@@ -129,8 +130,7 @@ def total_loss(task_loss: Tensor, dep_loss: Tensor, lam: float = 0.01) -> Tensor
     return T.add(task_loss, T.scale(dep_loss, lam))
 
 
-def mga(token_sets: list[Tensor], weights: AttentionWeights, mode: str = "arf",
-        tau: float = 2.0) -> list[Tensor]:
+def mga(token_sets: list[Tensor], weights: AttentionWeights) -> list[Tensor]:
     """Grouped attention across levels: each level's tokens query the
     concatenation of every level's keys/values; projections are shared.
     Token counts per level are preserved."""
@@ -141,8 +141,7 @@ def mga(token_sets: list[Tensor], weights: AttentionWeights, mode: str = "arf",
         if t.ndim != 2 or t.shape[1] != d:
             raise ContractViolation(
                 f"mga token sets must share embed width {d}, got {t.shape}")
-    return [multi_head_attention(q, token_sets, weights, mode=mode, tau=tau)
-            for q in token_sets]
+    return [multi_head_attention(q, token_sets, weights) for q in token_sets]
 
 
 class CdiBlock(T.Module):
@@ -156,21 +155,19 @@ class CdiBlock(T.Module):
     means zeroing the refinement convs together with the attention and
     MLP output projections turns the whole block into an exact identity.
     Returns (updated maps, decoupling penalty), the penalty computed from
-    the raw pre-attention factors.
+    the raw pre-attention factors.  Its parameters are named cdi.*.
     """
 
     def __init__(self, rng: np.random.Generator, c: int, n_heads: int = 8,
-                 mode: str = "arf", tau: float = 2.0, name: str = "cdi"):
+                 mode: str = "arf", tau: float = 2.0):
         self.c = c
-        self.mode = mode
-        self.tau = tau
-        self.dec = DecoupleWeights(rng, c, name=f"{name}.decouple")
-        self.ln_v = T.LayerNorm(c, name=f"{name}.ln_v")
-        self.ln_h = T.LayerNorm(c, name=f"{name}.ln_h")
-        self.attn_v = attention_weights(rng, c, n_heads, name=f"{name}.attn_v")
-        self.attn_h = attention_weights(rng, c, n_heads, name=f"{name}.attn_h")
-        self.ln_m = T.LayerNorm(c, name=f"{name}.ln_m")
-        self.mlp = T.Mlp(rng, c, name=f"{name}.mlp")
+        self.dec = DecoupleWeights(rng, c, name="cdi.decouple")
+        self.ln_v = T.LayerNorm(c, name="cdi.ln_v")
+        self.ln_h = T.LayerNorm(c, name="cdi.ln_h")
+        self.attn_v = attention_weights(rng, c, n_heads, mode, tau, name="cdi.attn_v")
+        self.attn_h = attention_weights(rng, c, n_heads, mode, tau, name="cdi.attn_h")
+        self.ln_m = T.LayerNorm(c, name="cdi.ln_m")
+        self.mlp = T.Mlp(rng, c, name="cdi.mlp")
 
     def __call__(self, maps: dict[int, Tensor]) -> tuple[dict[int, Tensor], Tensor]:
         levels = sorted(maps)
@@ -184,8 +181,8 @@ class CdiBlock(T.Module):
         # a (c, h, 1) factor is a map of h tokens, a (c, 1, w) one of w
         tv = [T.map_to_tokens(p.y) for p in pairs]
         th = [T.map_to_tokens(p.x) for p in pairs]
-        attn_v = mga([self.ln_v(t) for t in tv], self.attn_v, mode=self.mode, tau=self.tau)
-        attn_h = mga([self.ln_h(t) for t in th], self.attn_h, mode=self.mode, tau=self.tau)
+        attn_v = mga([self.ln_v(t) for t in tv], self.attn_v)
+        attn_h = mga([self.ln_h(t) for t in th], self.attn_h)
         v_hat = [T.add(t, a) for t, a in zip(tv, attn_v)]
         h_hat = [T.add(t, a) for t, a in zip(th, attn_h)]
 

@@ -156,10 +156,11 @@ class MacCounter:
 MEASURABLE_SECTIONS = ("full", "decoupled")
 
 
-def measured_macs(section: str, dims, seed: int = 0) -> int:
-    """Run an attention section on random tokens and count its actual MACs:
-    one single-head self-attention per token set of TOKEN_SETS[section] at
-    each level, so the count matches the section's closed form term by term.
+def measured_macs(section: str, dims) -> int:
+    """Run an attention section on random tokens (seed 0) and count its
+    actual MACs: one single-head self-attention per token set of
+    TOKEN_SETS[section] at each level, so the count matches the section's
+    closed form term by term.
     An empty dims list measures an empty section: 0.
     """
     if section not in MEASURABLE_SECTIONS:
@@ -168,11 +169,11 @@ def measured_macs(section: str, dims, seed: int = 0) -> int:
 
     from . import attention as AT  # it imports this module
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     with MacCounter() as counter:
         for d in dims:
             for n in TOKEN_SETS[section](d):
-                w = AT.attention_weights(rng, c=d.c, n_heads=1)
+                w = AT.attention_weights(rng, c=d.c, n_heads=1, mode="softmax", tau=2.0)
                 tokens = Tensor(rng.standard_normal((n, d.c)))
-                AT.multi_head_attention(tokens, [tokens], w, mode="softmax")
+                AT.multi_head_attention(tokens, [tokens], w)
     return counter.total

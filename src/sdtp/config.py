@@ -118,9 +118,8 @@ class PipelineConfig:
                                     levels=levels))
 
     @classmethod
-    def for_train(cls, base: "PipelineConfig | None" = None) -> "PipelineConfig":
+    def for_train(cls, base: "PipelineConfig") -> "PipelineConfig":
         """Shrink the full pipeline to the toy-training dims (identity regression)."""
-        base = base or cls()
         return dataclasses.replace(base, variant="sdtp").shrink(
             base.train.channels, base.train.base_hw, base.train.levels)
 

@@ -226,11 +226,9 @@ def run_case(name: str, points: int = GradCheckConfig.points,
     return folded
 
 
-def run_all(names: list[str] | None = None, points: int = GradCheckConfig.points,
+def run_all(names: list[str], points: int = GradCheckConfig.points,
             tolerance: float = DEFAULT_TOLERANCE, step: float = DEFAULT_STEP,
             seed: int = 0) -> list[GradCheckReport]:
-    if names is None:
-        names = registered_cases()
     return [run_case(n, points=points, tolerance=tolerance, step=step, seed=seed) for n in names]
 
 
@@ -261,10 +259,10 @@ def _attention_params(w: AT.AttentionWeights) -> list[tuple[str, Tensor]]:
 
 def _attention_core(mode: str) -> CaseFactory:
     def factory(rng):
-        w = AT.attention_weights(rng, c=8, n_heads=2)
+        w = AT.attention_weights(rng, c=8, n_heads=2, mode=mode, tau=2.0)
         q = Tensor(rng.standard_normal((5, 8)))
         kv = Tensor(rng.standard_normal((7, 8)))
-        fn = lambda q, kv, *ps: AT.multi_head_attention(q, [kv], w, mode=mode, tau=2.0)
+        fn = lambda q, kv, *ps: AT.multi_head_attention(q, [kv], w)
         return fn, [("q", q), ("kv", kv)] + _attention_params(w)
     return factory
 
@@ -339,7 +337,7 @@ def _(rng):
     params += _attention_params(blk.attn)
 
     def fn(x, *ps):
-        return I.mma(blk.generate_states(x), blk.attn, mode=blk.mode, tau=blk.tau)
+        return I.mma(blk.generate_states(x), blk.attn)
 
     return fn, [("x", x)] + params
 
@@ -369,12 +367,12 @@ _op_case("recouple", lambda y, x: D.recouple(D.DecoupledPair(y=y, x=x, level=2))
 
 @_register("mga")
 def _(rng):
-    w = AT.attention_weights(rng, c=6, n_heads=2)
+    w = AT.attention_weights(rng, c=6, n_heads=2, mode="softmax", tau=2.0)
     t1 = Tensor(rng.standard_normal((4, 6)))
     t2 = Tensor(rng.standard_normal((3, 6)))
 
     def fn(t1, t2, *ps):
-        outs = D.mga([t1, t2], w, mode="softmax")
+        outs = D.mga([t1, t2], w)
         return T.concat(outs, axis=0)
 
     return fn, [("t1", t1), ("t2", t2)] + _attention_params(w)

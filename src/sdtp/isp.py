@@ -6,7 +6,8 @@ The level is expanded into a list of S state maps, one per dilation rate
 positional embedding.  Attention queries come from the rate-1 state only;
 keys and values come from every state, concatenated along the tokens.  The
 surrounding block is a standard pre-norm transformer block: attention with
-a residual, then an MLP with a residual.
+a residual, then an MLP with a residual.  The block hands its score
+activation (mode and tau) to its attention weights, which carry it.
 """
 
 from __future__ import annotations
@@ -81,12 +82,11 @@ def generate_states(c5: Tensor, conv_weights: list[Tensor], rates: tuple[int, ..
     return maps
 
 
-def mma(states: list[Tensor], weights: AttentionWeights, mode: str = "arf",
-        tau: float = 2.0) -> Tensor:
+def mma(states: list[Tensor], weights: AttentionWeights) -> Tensor:
     """Multi-receptive attention: queries from the rate-1 state map, keys and
     values from all state maps concatenated along tokens.  Returns (h*w, c)."""
     tokens = [T.map_to_tokens(m) for m in states]
-    return multi_head_attention(tokens[0], tokens, weights, mode=mode, tau=tau)
+    return multi_head_attention(tokens[0], tokens, weights)
 
 
 class IspBlock(T.Module):
@@ -103,8 +103,6 @@ class IspBlock(T.Module):
         self.c = c
         self.rates = tuple(rates)
         self.pos_mode = pos_embed
-        self.mode = mode
-        self.tau = tau
         self.state_convs = [
             T.conv_param(rng, c, c, 3, 3, name=f"{name}.state_conv_r{r}") for r in self.rates
         ]
@@ -118,7 +116,7 @@ class IspBlock(T.Module):
                                                name=f"{name}.pos_{hw[0]}x{hw[1]}")
         self.ln1 = T.LayerNorm(c, name=f"{name}.ln1")
         self.ln2 = T.LayerNorm(c, name=f"{name}.ln2")
-        self.attn = attention_weights(rng, c, n_heads, name=f"{name}.attn")
+        self.attn = attention_weights(rng, c, n_heads, mode, tau, name=f"{name}.attn")
         self.mlp = T.Mlp(rng, c, name=f"{name}.mlp")
 
     def pos_embedding(self, hw: tuple[int, int]) -> Tensor | np.ndarray | None:
@@ -139,6 +137,6 @@ class IspBlock(T.Module):
         tokens = T.map_to_tokens(x)
         normed_map = T.tokens_to_map(self.ln1(tokens), hw)
         states = self.generate_states(normed_map)
-        attended = T.add(mma(states, self.attn, mode=self.mode, tau=self.tau), tokens)
+        attended = T.add(mma(states, self.attn), tokens)
         out = T.add(self.mlp(self.ln2(attended)), attended)
         return T.tokens_to_map(out, hw)

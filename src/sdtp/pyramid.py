@@ -30,7 +30,8 @@ SENSITIVITY_DELTA = 0.5
 @dataclass
 class FeaturePyramid:
     """Backbone levels keyed by index; level i has stride 2^i and spatial
-    dims that ceil-halve from one level to the next."""
+    dims that ceil-halve from one level to the next.  Each level is stored
+    as float64, the dtype every op computes in."""
 
     levels: dict[int, np.ndarray]
 
@@ -43,7 +44,7 @@ class FeaturePyramid:
         c = None
         prev = None
         for lvl in keys:
-            arr = np.asarray(self.levels[lvl])
+            arr = np.asarray(self.levels[lvl], dtype=np.float64)
             if arr.ndim != 3:
                 raise ContractViolation(f"level {lvl} must be (c, h, w), got shape {arr.shape}")
             if not np.all(np.isfinite(arr)):
@@ -126,14 +127,9 @@ class Pipeline(T.Module):
 
         if self.single_level is not None:
             src = T.conv2d(maps[self.single_level], self.lateral[self.single_level])
-            outs = {
-                lvl: T.resample_nearest(src, (maps[lvl].shape[1], maps[lvl].shape[2]))
-                for lvl in self.levels
-            }
-            outs = {lvl: T.conv2d(outs[lvl], self.smooth[lvl]) for lvl in self.levels}
-            return outs, Tensor(0.0)
-
-        lat = {lvl: T.conv2d(maps[lvl], self.lateral[lvl]) for lvl in self.levels}
+            lat = {lvl: T.resample_nearest(src, maps[lvl].shape[1:]) for lvl in self.levels}
+        else:
+            lat = {lvl: T.conv2d(maps[lvl], self.lateral[lvl]) for lvl in self.levels}
         deepest = max(self.levels)
         dep = Tensor(0.0)
 
@@ -146,7 +142,7 @@ class Pipeline(T.Module):
         elif self.variant == "dilated_c5":
             lat = {**lat, deepest: T.conv2d(lat[deepest], self.dilated, dilation=3)}
 
-        if self.variant == "no_interaction":
+        if self.variant == "no_interaction" or self.single_level is not None:
             return {lvl: T.conv2d(lat[lvl], self.smooth[lvl]) for lvl in self.levels}, dep
 
         # each lateral or CDI map is dropped once read, so that where it is
@@ -196,7 +192,8 @@ def cross_level_sensitivity(pipe: Pipeline, pyramid: FeaturePyramid,
     levels = sorted(pyramid.levels)
     matrix = np.zeros((len(levels), len(levels)))
     for i, src in enumerate(levels):
-        bumped = {lvl: arr.copy() for lvl, arr in pyramid.levels.items()}
+        # only the bumped level is copied; no op writes into its input
+        bumped = {**pyramid.levels, src: pyramid.levels[src].copy()}
         _, h, w = bumped[src].shape
         bumped[src][0, h // 2, w // 2] += SENSITIVITY_DELTA
         outs, _ = pipe.forward(FeaturePyramid(levels=bumped))
@@ -274,15 +271,14 @@ class TrainTrace:
         return self.final / self.initial if self.initial else float("nan")
 
 
-def toy_train(pipe: Pipeline, pyramid: FeaturePyramid, steps: int | None = None,
-              lr: float | None = None, lam: float | None = None) -> TrainTrace:
+def toy_train(pipe: Pipeline, pyramid: FeaturePyramid, steps: int | None = None) -> TrainTrace:
     """Plain gradient descent fitting the pipeline outputs to the inputs.
 
     The task loss is the mean over levels of the per-level mean squared
     error against the raw input maps, so in_channels must equal channels.
     The optimised objective adds lambda times the decoupling penalty.
-    steps, lr and lambda default to the pipeline config's train.steps,
-    train.lr and cdi.lambda.
+    The learning rate and lambda are the pipeline config's train.lr and
+    cdi.lambda; steps defaults to its train.steps.
     Records total/task/penalty at each step plus a final evaluation
     (trace length steps + 1); raises TrainingDiverged on non-finite loss.
     """
@@ -291,8 +287,7 @@ def toy_train(pipe: Pipeline, pyramid: FeaturePyramid, steps: int | None = None,
             "identity regression needs in_channels == channels "
             f"(got {pipe.cfg.in_channels} vs {pipe.cfg.channels})")
     steps = pipe.cfg.train.steps if steps is None else steps
-    lr = pipe.cfg.train.lr if lr is None else lr
-    lam = pipe.cfg.cdi.lam if lam is None else lam
+    lr, lam = pipe.cfg.train.lr, pipe.cfg.cdi.lam
     params = pipe.params()
     trace = TrainTrace()
 
@@ -309,14 +304,14 @@ def toy_train(pipe: Pipeline, pyramid: FeaturePyramid, steps: int | None = None,
         trace.task.append(float(task.data))
         trace.dep.append(float(dep.data))
         trace.total.append(float(total.data))
+        if not np.isfinite(trace.total[-1]):
+            raise TrainingDiverged(len(trace.total) - 1, trace.total[-1])
         return total
 
     # overflow during a diverging run is detected and raised, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(steps):
+        for _ in range(steps):
             total = evaluate()
-            if not np.isfinite(trace.total[-1]):
-                raise TrainingDiverged(step, trace.total[-1])
             total.backward()
             for p in params:
                 if p.grad is not None:
@@ -325,6 +320,4 @@ def toy_train(pipe: Pipeline, pyramid: FeaturePyramid, steps: int | None = None,
 
         with T.no_grad():
             evaluate()
-    if not np.isfinite(trace.total[-1]):
-        raise TrainingDiverged(steps, trace.total[-1])
     return trace

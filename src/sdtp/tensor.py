@@ -312,9 +312,12 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     out = ad * bd
+    square = a is b
 
     def vjp(g):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
+        ga = _unbroadcast(g * bd, ad.shape)
+        # a square's two shares are one array; backward() still adds both
+        return ga, (ga if square else _unbroadcast(g * ad, bd.shape))
 
     return Tensor._from_op(out, (a, b), vjp)
 

@@ -199,8 +199,7 @@ def test_criterion_09_toy_optimization():
         def run():
             pipe = Pipeline(cfg)
             pyr = synthetic_pyramid(cfg)
-            return toy_train(pipe, pyr, steps=cfg.train.steps, lr=cfg.train.lr,
-                             lam=cfg.cdi.lam)
+            return toy_train(pipe, pyr, steps=cfg.train.steps)
 
         t1, t2 = run(), run()
         ratio = t1.final / t1.initial

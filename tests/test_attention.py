@@ -18,8 +18,8 @@ from oracles import naive_multi_head_attention
 RNG = np.random.default_rng(99)
 
 
-def make_weights(c, heads, seed=0):
-    return attention_weights(np.random.default_rng(seed), c, heads)
+def make_weights(c, heads, seed=0, mode="softmax", tau=2.0):
+    return attention_weights(np.random.default_rng(seed), c, heads, mode, tau)
 
 
 class TestAgainstOracle:
@@ -29,7 +29,7 @@ class TestAgainstOracle:
         c, n = 4, 5
         w = make_weights(c, heads)
         q = RNG.standard_normal((n, c))
-        got = multi_head_attention(Tensor(q), [Tensor(q)], w, mode="softmax").data
+        got = multi_head_attention(Tensor(q), [Tensor(q)], w).data
         want = naive_multi_head_attention(
             q, q, w.wq.data, w.wk.data, w.wv.data, w.wo.data, heads)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -37,9 +37,9 @@ class TestAgainstOracle:
     def test_arf_mode_matches_brute_force(self):
         """Gated attention: the oracle applies the activation per score."""
         c, n, tau = 4, 6, 2.0
-        w = make_weights(c, 2, seed=1)
+        w = make_weights(c, 2, seed=1, mode="arf", tau=tau)
         q = RNG.standard_normal((n, c))
-        got = multi_head_attention(Tensor(q), [Tensor(q)], w, mode="arf", tau=tau).data
+        got = multi_head_attention(Tensor(q), [Tensor(q)], w).data
         want = naive_multi_head_attention(
             q, q, w.wq.data, w.wk.data, w.wv.data, w.wo.data, 2,
             activation=lambda s: float(arf(np.array(s), tau=tau)))
@@ -49,9 +49,9 @@ class TestAgainstOracle:
         """tanh-scored attention agrees with the loop oracle."""
         import math
         c, n = 4, 3
-        w = make_weights(c, 1, seed=2)
+        w = make_weights(c, 1, seed=2, mode="tanh")
         q = RNG.standard_normal((n, c))
-        got = multi_head_attention(Tensor(q), [Tensor(q)], w, mode="tanh").data
+        got = multi_head_attention(Tensor(q), [Tensor(q)], w).data
         want = naive_multi_head_attention(
             q, q, w.wq.data, w.wk.data, w.wv.data, w.wo.data, 1,
             activation=math.tanh)
@@ -105,18 +105,18 @@ class TestContracts:
 
     def test_unknown_mode_rejected(self):
         """Unknown activation tags fail loudly."""
-        w = make_weights(4, 2)
+        w = make_weights(4, 2, mode="sigmoid")
         with pytest.raises(ConfigurationError):
             multi_head_attention(Tensor(RNG.standard_normal((2, 4))),
-                                 [Tensor(RNG.standard_normal((2, 4)))], w,
-                                 mode="sigmoid")
+                                 [Tensor(RNG.standard_normal((2, 4)))], w)
 
     def test_non_square_weight_rejected(self):
         """Projection matrices must be square and equal-sized."""
         ts = [Tensor(RNG.standard_normal((4, 4))) for _ in range(3)]
         with pytest.raises(ContractViolation):
             AttentionWeights(wq=ts[0], wk=ts[1], wv=ts[2],
-                             wo=Tensor(RNG.standard_normal((4, 5))), n_heads=2)
+                             wo=Tensor(RNG.standard_normal((4, 5))), n_heads=2,
+                             mode="softmax", tau=2.0)
 
 
 class TestInstrumentation:
@@ -132,9 +132,9 @@ class TestInstrumentation:
 
     def test_grad_flows_through_all_projections(self):
         """Backward reaches every projection matrix."""
-        w = make_weights(4, 2)
+        w = make_weights(4, 2, mode="arf")
         q = Tensor(RNG.standard_normal((3, 4)), requires_grad=True)
-        out = multi_head_attention(q, [q], w, mode="arf")
+        out = multi_head_attention(q, [q], w)
         T.sum_all(out).backward()
         for p in w.params():
             assert p.grad is not None and np.any(p.grad != 0)

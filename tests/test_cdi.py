@@ -46,7 +46,7 @@ def _zeros(*shape):
     (lambda: decouple_loss([_zeros(3, 2, 2)],
                            [DecoupledPair(y=_zeros(2, 2, 1), x=_zeros(2, 1, 2), level=4)]),
      r"level 4: map channels 3 != factor channels 2"),
-    (lambda: mga([], attention_weights(np.random.default_rng(0), 4, 2)),
+    (lambda: mga([], attention_weights(np.random.default_rng(0), 4, 2, "arf", 2.0)),
      r"mga needs at least one token set"),
 ], ids=["pair_vertical", "pair_horizontal", "decouple_rank", "loss_channels", "mga_empty"])
 def test_contract_violations_name_the_argument(call, match):
@@ -195,7 +195,7 @@ class TestGroupedAttention:
     def test_preserves_token_counts(self):
         """Each level keeps its own token count; embed width is shared."""
         c = 4
-        w = attention_weights(np.random.default_rng(0), c, 2)
+        w = attention_weights(np.random.default_rng(0), c, 2, "arf", 2.0)
         sets = [Tensor(RNG.standard_normal((n, c))) for n in (3, 5, 2)]
         outs = mga(sets, w)
         assert [o.shape for o in outs] == [(3, c), (5, c), (2, c)]
@@ -203,7 +203,7 @@ class TestGroupedAttention:
     def test_every_level_sees_every_level(self):
         """Perturbing one level's tokens changes all levels' outputs."""
         c = 4
-        w = attention_weights(np.random.default_rng(1), c, 2)
+        w = attention_weights(np.random.default_rng(1), c, 2, "arf", 2.0)
         base_sets = [RNG.standard_normal((3, c)) for _ in range(3)]
         base = [o.data for o in mga([Tensor(s) for s in base_sets], w)]
         bumped = [s.copy() for s in base_sets]
@@ -214,7 +214,7 @@ class TestGroupedAttention:
 
     def test_width_mismatch_rejected(self):
         """Token sets of different widths cannot be grouped."""
-        w = attention_weights(np.random.default_rng(0), 4, 2)
+        w = attention_weights(np.random.default_rng(0), 4, 2, "arf", 2.0)
         with pytest.raises(ContractViolation):
             mga([Tensor(RNG.standard_normal((3, 4))),
                  Tensor(RNG.standard_normal((3, 5)))], w)

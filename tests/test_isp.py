@@ -130,7 +130,7 @@ class TestMultiReceptiveAttention:
         c, h, w = 4, 3, 3
         convs = [Tensor(RNG.standard_normal((c, c, 3, 3))) for _ in range(3)]
         states = generate_states(Tensor(RNG.standard_normal((c, h, w))), convs, (1, 2, 3))
-        weights = attention_weights(np.random.default_rng(0), c, 2)
+        weights = attention_weights(np.random.default_rng(0), c, 2, "arf", 2.0)
         out = mma(states, weights)
         assert out.shape == (h * w, c)
 
@@ -141,10 +141,10 @@ class TestMultiReceptiveAttention:
         convs = [Tensor(RNG.standard_normal((c, c, 3, 3)))]
         x = Tensor(RNG.standard_normal((c, h, w)))
         states = generate_states(x, convs, (1,))
-        weights = attention_weights(np.random.default_rng(0), c, 2)
-        got = mma(states, weights, mode="softmax").data
+        weights = attention_weights(np.random.default_rng(0), c, 2, "softmax", 2.0)
+        got = mma(states, weights).data
         toks = T.map_to_tokens(states[0])
-        want = multi_head_attention(toks, [toks], weights, mode="softmax").data
+        want = multi_head_attention(toks, [toks], weights).data
         np.testing.assert_array_equal(got, want)
 
 

@@ -419,13 +419,52 @@ class TestSensitivityProbe:
                     assert mat[i, j] > 0
 
 
+    def test_integer_pyramid_probes_as_its_float_copy(self):
+        """A pyramid given in int64 is stored as float64, so the probe's
+        nudge of SENSITIVITY_DELTA is not truncated: its matrix equals that
+        of the pyramid's float64 copy, every output seeing its own level."""
+        cfg = PipelineConfig.for_train(PipelineConfig())
+        pipe = Pipeline(cfg)
+        ints = {lvl: np.rint(3 * arr).astype(np.int64)
+                for lvl, arr in synthetic_pyramid(cfg).levels.items()}
+        pyramids = [FeaturePyramid(levels=dict(ints)),
+                    FeaturePyramid(levels={lvl: a.astype(np.float64) for lvl, a in ints.items()})]
+        (_, got), (_, want) = (cross_level_sensitivity(pipe, p, pipe.forward(p)[0])
+                               for p in pyramids)
+        np.testing.assert_array_equal(got, want)
+        assert np.all(np.diag(got) > 0)
+        assert all(a.dtype == np.float64 for p in pyramids for a in p.levels.values())
+
+    def test_bump_copies_only_its_level(self, monkeypatch):
+        """Each nudged pyramid copies the nudged level alone and shares every
+        other level's array with the caller's pyramid, which the probe leaves
+        as it was."""
+        cfg = small_cfg(levels=(3, 4, 5))
+        pipe = Pipeline(cfg)
+        pyr = synthetic_pyramid(cfg)
+        arrays = dict(pyr.levels)
+        values = {lvl: arr.copy() for lvl, arr in arrays.items()}
+        forward, seen = pipe.forward, []
+        monkeypatch.setattr(pipe, "forward", lambda p: seen.append(dict(p.levels)) or forward(p))
+        cross_level_sensitivity(pipe, pyr, forward(pyr)[0])
+        assert len(seen) == len(arrays)
+        for src, bumped in zip(sorted(arrays), seen):
+            assert sorted(bumped) == sorted(arrays)
+            for lvl, arr in bumped.items():
+                assert (arr is arrays[lvl]) == (lvl != src)
+        assert all(pyr.levels[lvl] is arrays[lvl] for lvl in arrays)
+        for lvl, arr in arrays.items():
+            np.testing.assert_array_equal(arr, values[lvl])
+
+
 class TestToyTraining:
     def test_loss_drops_and_trace_lengths(self):
         """A short run reduces the loss and records steps + 1 entries."""
         cfg = small_cfg()
+        cfg.train.lr = 0.1
         pipe = Pipeline(cfg)
         pyr = synthetic_pyramid(cfg)
-        trace = toy_train(pipe, pyr, steps=20, lr=0.1)
+        trace = toy_train(pipe, pyr, steps=20)
         assert len(trace.total) == 21
         assert trace.final < trace.initial
         assert trace.total[0] == trace.initial
@@ -433,8 +472,9 @@ class TestToyTraining:
     def test_bit_reproducible(self):
         """Two identical runs produce identical traces."""
         cfg = small_cfg()
-        t1 = toy_train(Pipeline(cfg), synthetic_pyramid(cfg), steps=10, lr=0.1)
-        t2 = toy_train(Pipeline(cfg), synthetic_pyramid(cfg), steps=10, lr=0.1)
+        cfg.train.lr = 0.1
+        t1 = toy_train(Pipeline(cfg), synthetic_pyramid(cfg), steps=10)
+        t2 = toy_train(Pipeline(cfg), synthetic_pyramid(cfg), steps=10)
         assert t1.total == t2.total
         assert t1.task == t2.task
         assert t1.dep == t2.dep
@@ -473,35 +513,49 @@ class TestToyTraining:
         """The decoupling penalty stream is positive for the full pipeline
         and zero for the baseline."""
         cfg = small_cfg()
-        trace = toy_train(Pipeline(cfg), synthetic_pyramid(cfg), steps=3, lr=0.05)
+        cfg.train.lr = 0.05
+        trace = toy_train(Pipeline(cfg), synthetic_pyramid(cfg), steps=3)
         assert all(d > 0 for d in trace.dep)
         base_cfg = small_cfg(variant="fpn_baseline")
-        base_trace = toy_train(Pipeline(base_cfg), synthetic_pyramid(base_cfg),
-                               steps=3, lr=0.05)
+        base_cfg.train.lr = 0.05
+        base_trace = toy_train(Pipeline(base_cfg), synthetic_pyramid(base_cfg), steps=3)
         assert all(d == 0.0 for d in base_trace.dep)
 
     def test_defaults_come_from_the_config(self):
-        """steps, lr and lambda default to the config's train.steps,
-        train.lr and cdi.lambda."""
-        cfg = small_cfg()
-        cfg.train.steps, cfg.train.lr, cfg.cdi.lam = 2, 0.02, 0.3
-        got = toy_train(Pipeline(cfg), synthetic_pyramid(cfg))
-        want = toy_train(Pipeline(cfg), synthetic_pyramid(cfg), steps=2, lr=0.02, lam=0.3)
-        assert len(got.total) == 3
-        assert got.total == want.total
+        """toy_train runs the config's train.steps at its train.lr and
+        weighs the penalty by its cdi.lambda: at lr 0 the weights stay put,
+        so every evaluation gives the first loss, while other rates move it
+        apart; and every total is the task loss plus lambda times the
+        penalty, bit for bit."""
+        def run(lr, lam):
+            cfg = small_cfg()
+            cfg.train.steps, cfg.train.lr, cfg.cdi.lam = 2, lr, lam
+            return toy_train(Pipeline(cfg), synthetic_pyramid(cfg))
+
+        still = run(0.0, 0.3)
+        assert len(still.total) == 3 and len(set(still.total)) == 1
+        slow, fast = run(0.02, 0.3), run(0.05, 0.3)
+        assert slow.total[0] == fast.total[0] == still.total[0]
+        assert len({still.total[1], slow.total[1], fast.total[1]}) == 3
+        for lam in (0.0, 0.3, 2.0):
+            trace = run(0.02, lam)
+            assert all(d > 0 for d in trace.dep)
+            assert trace.total == [t + lam * d for t, d in zip(trace.task, trace.dep)]
 
     def test_divergence_raises(self):
         """An absurd learning rate raises TrainingDiverged, not NaN output."""
         cfg = small_cfg()
+        cfg.train.lr = 50.0
         with pytest.raises(TrainingDiverged):
-            toy_train(Pipeline(cfg), synthetic_pyramid(cfg), steps=60, lr=50.0)
+            toy_train(Pipeline(cfg), synthetic_pyramid(cfg), steps=60)
 
     def test_divergence_in_the_final_evaluation_raises(self):
         """A loss that first goes non-finite in the evaluation after the
         last step raises too, naming that evaluation as step `steps`."""
         cfg = PipelineConfig.for_train(PipelineConfig())
+        cfg.train.lr = 1e100
         with pytest.raises(TrainingDiverged, match="at step 1: nan") as exc:
-            toy_train(Pipeline(cfg), synthetic_pyramid(cfg), steps=1, lr=1e100)
+            toy_train(Pipeline(cfg), synthetic_pyramid(cfg), steps=1)
         assert exc.value.step == 1
 
     def test_channel_mismatch_rejected(self):

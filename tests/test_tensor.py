@@ -1153,6 +1153,26 @@ class TestLevel2Memory:
         factor_side = (256 + hw + hw) * 1024 * 8
         assert peak <= owned + factor_side + 4 * self.block
 
+    def test_square_backward(self, level2):
+        """mul(d, d)'s two gradient shares are one array, so backward()
+        allocates that share and the sum it adds it into, where separate
+        shares and their sum took three map-sized arrays (24 MiB); the sum
+        keeps its bits."""
+        rng, x = level2
+        d = Tensor(x.data, requires_grad=True)
+        sq = T.mul(d, d)
+        g = rng.standard_normal(sq.shape)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            sq.backward(g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(d.grad, g * x.data + g * x.data)
+        assert peak <= 2 * x.data.nbytes + self.block
+
     def test_resample_nearest_backward(self, level2):
         """Level 3 upsampled to level 2, on a strided cotangent (the
         interior of a padded array, as the smooth conv's VJP hands over):
