@@ -6,7 +6,9 @@ pipeline), flops (analytic attention-cost tables at the configured level
 dims, and the sweep over the standard input resolutions), train (toy
 identity regression), variants (structural comparison of all ablation
 variants; with --train-steps N, also each variant's loss ratio after N toy
-training steps).
+training steps).  build_parser is the one list of them: each subparser
+names its handler, which main() runs.  Every report opens with its kind,
+config and seed, which _emit writes ahead of the subcommand's own keys.
 
 Exit codes: 0 success, 1 check failure (gradient mismatch, contract
 violation, divergence, a failed cost ordering), 2 configuration error.
@@ -31,7 +33,10 @@ from .config import ConfigurationError, PipelineConfig, load_config
 from .tensor import ContractViolation
 
 
-def _add_common(sp: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
+def _add_common(sp: argparse.ArgumentParser, handler, formats: tuple[str, ...]) -> None:
+    """The subcommand's handler, which main() runs, and the flags every
+    subcommand takes."""
+    sp.set_defaults(handler=handler)
     sp.add_argument("--config", default=None, help="YAML/JSON config file")
     sp.add_argument("--seed", type=int, default=None, help="override config seed")
     sp.add_argument("--out", default=None, help="write the JSON report here")
@@ -44,11 +49,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     fwd = sub.add_parser("forward", help="synthetic-pyramid forward pass and report")
-    _add_common(fwd, ("table", "json"))
+    _add_common(fwd, cmd_forward, ("table", "json"))
     fwd.add_argument("--variant", default=None, help="override config variant")
 
     gc = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    _add_common(gc, ("table", "json"))
+    _add_common(gc, cmd_gradcheck, ("table", "json"))
     gc.add_argument("--ops", default=None,
                     help="comma-separated subset of registered cases")
     gc.add_argument("--negative-control", action="store_true",
@@ -56,13 +61,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     # flops alone renders csv
     fl = sub.add_parser("flops", help="analytic attention-cost tables")
-    _add_common(fl, ("table", "csv", "json"))
+    _add_common(fl, cmd_flops, ("table", "csv", "json"))
 
     tr = sub.add_parser("train", help="toy identity-regression training run")
-    _add_common(tr, ("table", "json"))
+    _add_common(tr, cmd_train, ("table", "json"))
 
     va = sub.add_parser("variants", help="compare the ablation variants structurally")
-    _add_common(va, ("table", "json"))
+    _add_common(va, cmd_variants, ("table", "json"))
     va.add_argument("--channels", type=int, default=16,
                     help="probe channel width (kept small for speed)")
     va.add_argument("--base-hw", type=int, nargs=2, default=(16, 16),
@@ -81,8 +86,11 @@ def _load(args) -> PipelineConfig:
     return cfg
 
 
-def _emit(report: dict, args, table_text: str, csv_text: str | None = None) -> None:
-    """Print the report in the --format asked for, and write it to --out."""
+def _emit(args, kind: str, cfg: PipelineConfig, body: dict, table_text: str,
+          csv_text: str | None = None) -> None:
+    """Print the report, its kind, config and seed followed by body, in the
+    --format asked for, and write it to --out."""
+    report = {"kind": kind, "config": cfg.to_dict(), "seed": cfg.seed, **body}
     payload = json.dumps(report, indent=2) + "\n"
     sys.stdout.write({"table": table_text, "csv": csv_text, "json": payload}[args.format])
     if args.out:
@@ -132,10 +140,9 @@ def cmd_forward(args) -> int:
     levels, sens = P.cross_level_sensitivity(pipe, pyr, outs)
     flops = CX.flops_table(_complexity_dims(cfg))
 
-    report = {
-        "kind": "forward",
-        "config": cfg.to_dict(),
-        "seed": cfg.seed,
+    sensitivity = {"levels": levels, "matrix": sens.tolist(),
+                   "any_cross_level": P.any_cross_level(sens)}
+    body = {
         "variant": cfg.variant,
         "levels": {
             str(lvl): {
@@ -145,11 +152,7 @@ def cmd_forward(args) -> int:
         },
         "dep_loss": dep,
         "flops": flops,
-        "cross_level_sensitivity": {
-            "levels": levels,
-            "matrix": sens.tolist(),
-            "any_cross_level": P.any_cross_level(sens),
-        },
+        "cross_level_sensitivity": sensitivity,
     }
     lines = [f"variant: {cfg.variant}   seed: {cfg.seed}   dep_loss: {dep!r}"]
     for lvl in sorted(outs):
@@ -158,19 +161,18 @@ def cmd_forward(args) -> int:
     for i, lvl in enumerate(levels):
         row = "  ".join(f"{v:.3e}" for v in sens[i])
         lines.append(f"  level {lvl}: {row}")
-    lines.append("any cross-level coupling: "
-                 f"{report['cross_level_sensitivity']['any_cross_level']}")
-    _emit(report, args, "\n".join(lines) + "\n")
-    print(f"forward wall time: {wall:.3f}s   peak RSS: {_peak_rss_mib():.1f} MiB",
-          file=sys.stderr)
+    lines.append(f"any cross-level coupling: {sensitivity['any_cross_level']}")
+    _emit(args, "forward", cfg, body, "\n".join(lines) + "\n")
+    _print_cost("forward", wall)
     return 0
 
 
-def _peak_rss_mib() -> float:
-    """This process's peak resident set size so far (ru_maxrss counts KiB
-    on Linux and bytes on macOS)."""
+def _print_cost(kind: str, wall: float) -> None:
+    """Print the run's wall time and this process's peak resident set size
+    so far to stderr (ru_maxrss counts KiB on Linux and bytes on macOS)."""
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
+    peak /= 2 ** 20 if sys.platform == "darwin" else 2 ** 10
+    print(f"{kind} wall time: {wall:.3f}s   peak RSS: {peak:.1f} MiB", file=sys.stderr)
 
 
 def cmd_gradcheck(args) -> int:
@@ -205,15 +207,8 @@ def cmd_gradcheck(args) -> int:
     all_ok = all(r.passed for r in reports)
     if not all_ok:
         lines.append(f"worst offender: {worst.op} (max_rel_err={worst.max_rel_err:.3e})")
-    report = {
-        "kind": "gradcheck",
-        "config": cfg.to_dict(),
-        "seed": cfg.seed,
-        "tolerance": gc.tolerance,
-        "passed": all_ok,
-        "cases": [r.to_dict() for r in reports],
-    }
-    _emit(report, args, "\n".join(lines) + "\n")
+    body = {"tolerance": gc.tolerance, "passed": all_ok, "cases": [r.to_dict() for r in reports]}
+    _emit(args, "gradcheck", cfg, body, "\n".join(lines) + "\n")
     return 0 if all_ok else 1
 
 
@@ -227,14 +222,7 @@ def cmd_flops(args) -> int:
     table = CX.flops_table(_complexity_dims(cfg))
     sweep = CX.resolution_sweep(cfg.complexity.channels, cfg.complexity.strides)
     text, csv = _flops_renders(table, sweep)
-    report = {
-        "kind": "flops",
-        "config": cfg.to_dict(),
-        "seed": cfg.seed,
-        "flops": table,
-        "sweep": sweep,
-    }
-    _emit(report, args, text, csv)
+    _emit(args, "flops", cfg, {"flops": table, "sweep": sweep}, text, csv)
     return 0 if all(t["ordering_ok"] for t in (table, *sweep)) else 1
 
 
@@ -245,10 +233,7 @@ def cmd_train(args) -> int:
     t0 = time.perf_counter()
     trace = P.toy_train(pipe, pyr)
     wall = time.perf_counter() - t0
-    report = {
-        "kind": "train",
-        "config": toy.to_dict(),
-        "seed": toy.seed,
+    body = {
         "steps": toy.train.steps,
         "lr": toy.train.lr,
         "initial_total": trace.initial,
@@ -265,9 +250,8 @@ def cmd_train(args) -> int:
         f"final   total loss: {trace.final!r}",
         f"reduction ratio:    {trace.ratio!r}",
     ]
-    _emit(report, args, "\n".join(lines) + "\n")
-    print(f"train wall time: {wall:.3f}s   peak RSS: {_peak_rss_mib():.1f} MiB",
-          file=sys.stderr)
+    _emit(args, "train", toy, body, "\n".join(lines) + "\n")
+    _print_cost("train", wall)
     return 0
 
 
@@ -280,27 +264,14 @@ def cmd_variants(args) -> int:
     lines = [f"{r['variant']:<18} params={r['n_params']:>8} "
              f"dep_loss={r['dep_loss']:>12.5f} cross_level={r['any_cross_level']}"
              + (f" loss_ratio={r['train']['ratio']:.4f}" if "train" in r else "") for r in rows]
-    report = {
-        "kind": "variants",
-        "config": probe.to_dict(),
-        "seed": probe.seed,
-        "variants": rows,
-    }
-    _emit(report, args, "\n".join(lines) + "\n")
+    _emit(args, "variants", probe, {"variants": rows}, "\n".join(lines) + "\n")
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "forward": cmd_forward,
-        "gradcheck": cmd_gradcheck,
-        "flops": cmd_flops,
-        "train": cmd_train,
-        "variants": cmd_variants,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -5,10 +5,12 @@ within at one level of dims (h, w, c, s): full, one set of h w tokens;
 strided, one of h w // s^2; decoupled, one of h (vertical) and one of w
 (horizontal).  Self-attention within n tokens costs 4 n c^2 multiply-
 accumulates for the q/k/v/output projections plus 2 n^2 c for the score and
-value matmuls; a layout's cost sums that over its sets and the levels, in
-exact integer arithmetic.  The instrumented counter measures exactly those
-matmuls inside the attention core (convolutions and MLPs are deliberately
-not counted), so measured and analytic numbers compare term by term.
+value matmuls; flops_table sums that over each layout's sets and the levels,
+in exact integer arithmetic, and is the one place a layout's cost is read.
+The instrumented counter measures exactly those matmuls inside the attention
+core (convolutions and MLPs are deliberately not counted), and
+measured_macs runs every layout's sets through it, so measured and analytic
+numbers compare term by term.  A new layout is one more TOKEN_SETS entry.
 
 level_hw is the one rule for level dims: k halvings of h x w, each
 rounding up, give ceil(h / 2^k) by ceil(w / 2^k).  The config's level dims,
@@ -76,21 +78,6 @@ def level_flops(layout: str, d: LevelDims) -> int:
     return sum(4 * n * d.c * d.c + 2 * n * n * d.c for n in TOKEN_SETS[layout](d))
 
 
-def flops_full(dims) -> int:
-    """Self-attention over all h*w tokens at every level."""
-    return sum(level_flops("full", d) for d in dims)
-
-
-def flops_strided(dims) -> int:
-    """Self-attention with per-level token subsampling by stride s."""
-    return sum(level_flops("strided", d) for d in dims)
-
-
-def flops_decoupled(dims) -> int:
-    """Axis-decoupled attention: h vertical plus w horizontal tokens per level."""
-    return sum(level_flops("decoupled", d) for d in dims)
-
-
 def flops_table(dims) -> dict:
     """Per-level and total MAC counts for every layout, plus the expected
     cost ordering verdict (decoupled < strided < full)."""
@@ -152,27 +139,23 @@ class MacCounter:
         _ACTIVE_COUNTERS.remove(self)
 
 
-# strided is a closed form only: no strided attention runs in this package
-MEASURABLE_SECTIONS = ("full", "decoupled")
-
-
 def measured_macs(section: str, dims) -> int:
-    """Run an attention section on random tokens (seed 0) and count its
-    actual MACs: one single-head self-attention per token set of
-    TOKEN_SETS[section] at each level, so the count matches the section's
-    closed form term by term.
+    """Run an attention layout on random tokens (seed 0) and count its
+    actual MACs: one single-head self-attention per non-empty token set of
+    TOKEN_SETS[section] at each level, so the count matches the layout's
+    closed form term by term (an empty set, as a strided level with
+    h*w < s^2 has, costs 0 and runs nothing).
     An empty dims list measures an empty section: 0.
     """
-    if section not in MEASURABLE_SECTIONS:
-        raise ContractViolation(
-            f"unknown section {section!r}; measurable sections: {MEASURABLE_SECTIONS}")
+    if section not in TOKEN_SETS:
+        raise ContractViolation(f"unknown section {section!r}; known sections: {tuple(TOKEN_SETS)}")
 
     from . import attention as AT  # it imports this module
 
     rng = np.random.default_rng(0)
     with MacCounter() as counter:
         for d in dims:
-            for n in TOKEN_SETS[section](d):
+            for n in filter(None, TOKEN_SETS[section](d)):
                 w = AT.attention_weights(rng, c=d.c, n_heads=1, mode="softmax", tau=2.0)
                 tokens = Tensor(rng.standard_normal((n, d.c)))
                 AT.multi_head_attention(tokens, [tokens], w)

@@ -115,66 +115,72 @@ def vjp_check(fn: Callable[..., Tensor], inputs: list[tuple[str, Tensor]],
     report = GradCheckReport(op=op_name, tolerance=tolerance)
     rng = np.random.default_rng(seed)
     tensors = [t for _, t in inputs]
-    for t in tensors:
-        t.requires_grad = True
-        t.grad = None
+    # each input's flag is restored on every return, the early ones too
+    flags = [t.requires_grad for t in tensors]
+    try:
+        for t in tensors:
+            t.requires_grad = True
+            t.grad = None
 
-    out = fn(*tensors)
-    if not np.all(np.isfinite(out.data)):
-        report.diagnostic = "non-finite forward output"
+        out = fn(*tensors)
+        if not np.all(np.isfinite(out.data)):
+            report.diagnostic = "non-finite forward output"
+            return report
+        upstream = rng.standard_normal(out.data.shape)
+        # rounding every term of <upstream, fn(...)> once moves it by about this
+        rounding = np.finfo(np.float64).eps * float(np.abs(out.data * upstream).sum())
+        if out.requires_grad:  # else no input reaches the output: diagnosed below
+            out.backward(upstream)
+        grads = [t.grad for t in tensors]
+        for t in tensors:
+            t.grad = None
+
+        for (name, _), g in zip(inputs, grads):
+            if g is None:
+                report.diagnostic = f"no gradient reached input {name!r}"
+                return report
+            if not np.all(np.isfinite(g)):
+                report.diagnostic = f"non-finite gradient for input {name!r}"
+                return report
+
+        for (name, t), g in zip(inputs, grads):
+            base = t.data.copy()
+            h = step * max(1.0, float(np.abs(base).max()) if base.size else 1.0)
+            worst, worst_step = 0.0, h
+            for _ in range(DIRECTIONS):
+                d = rng.standard_normal(base.shape)
+                nd = float(np.sqrt((d * d).sum()))
+                if nd > 0:
+                    d = d / nd
+                analytic = float((g * d).sum())
+                hd = h
+                numeric = _central_difference(fn, tensors, t, base, d, hd, upstream)
+                err = _rel_err(analytic, numeric)
+                if err >= REFINE_FRACTION * tolerance:
+                    for _ in range(MAX_REFINEMENTS):
+                        if 4.0 * rounding / hd > tolerance * abs(numeric):
+                            hd = h
+                            break
+                        coarse, hd = numeric, hd / 4.0
+                        numeric = _central_difference(fn, tensors, t, base, d, hd, upstream)
+                        if _rel_err(numeric, coarse) < tolerance:
+                            err = _rel_err(analytic, numeric)
+                            break
+                    else:
+                        report.diagnostic = (
+                            f"non-differentiable point: central differences for input {name!r} "
+                            f"still disagree after {MAX_REFINEMENTS} step refinements "
+                            f"(step {h:.1e} down to {hd:.1e})")
+                        return report
+                if err > worst:
+                    worst, worst_step = err, hd
+            report.entries.append(TensorCheck(name=name, rel_err=worst, step=worst_step))
+
+        report.passed = report.max_rel_err < tolerance
         return report
-    upstream = rng.standard_normal(out.data.shape)
-    # rounding every term of <upstream, fn(...)> once moves it by about this
-    rounding = np.finfo(np.float64).eps * float(np.abs(out.data * upstream).sum())
-    if out.requires_grad:  # else no input reaches the output: diagnosed below
-        out.backward(upstream)
-    grads = [t.grad for t in tensors]
-    for t in tensors:
-        t.grad = None
-
-    for (name, _), g in zip(inputs, grads):
-        if g is None:
-            report.diagnostic = f"no gradient reached input {name!r}"
-            return report
-        if not np.all(np.isfinite(g)):
-            report.diagnostic = f"non-finite gradient for input {name!r}"
-            return report
-
-    for (name, t), g in zip(inputs, grads):
-        base = t.data.copy()
-        h = step * max(1.0, float(np.abs(base).max()) if base.size else 1.0)
-        worst, worst_step = 0.0, h
-        for _ in range(DIRECTIONS):
-            d = rng.standard_normal(base.shape)
-            nd = float(np.sqrt((d * d).sum()))
-            if nd > 0:
-                d = d / nd
-            analytic = float((g * d).sum())
-            hd = h
-            numeric = _central_difference(fn, tensors, t, base, d, hd, upstream)
-            err = _rel_err(analytic, numeric)
-            if err >= REFINE_FRACTION * tolerance:
-                for _ in range(MAX_REFINEMENTS):
-                    if 4.0 * rounding / hd > tolerance * abs(numeric):
-                        hd = h
-                        break
-                    coarse, hd = numeric, hd / 4.0
-                    numeric = _central_difference(fn, tensors, t, base, d, hd, upstream)
-                    if _rel_err(numeric, coarse) < tolerance:
-                        err = _rel_err(analytic, numeric)
-                        break
-                else:
-                    report.diagnostic = (
-                        f"non-differentiable point: central differences for input {name!r} "
-                        f"still disagree after {MAX_REFINEMENTS} step refinements "
-                        f"(step {h:.1e} down to {hd:.1e})")
-                    return report
-            if err > worst:
-                worst, worst_step = err, hd
-        report.entries.append(TensorCheck(name=name, rel_err=worst, step=worst_step))
-
-    report.passed = report.max_rel_err < tolerance
-    return report
+    finally:
+        for t, flag in zip(tensors, flags):
+            t.requires_grad = flag
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ SENSITIVITY_DELTA = 0.5
 class FeaturePyramid:
     """Backbone levels keyed by index; level i has stride 2^i and spatial
     dims that ceil-halve from one level to the next.  Each level is stored
-    as float64, the dtype every op computes in."""
+    as float64, the dtype every op computes in, in a dict of the pyramid's
+    own: the caller's dict keeps its arrays."""
 
     levels: dict[int, np.ndarray]
 
@@ -43,6 +44,7 @@ class FeaturePyramid:
             raise ContractViolation(f"pyramid levels must be consecutive, got {keys}")
         c = None
         prev = None
+        levels = {}
         for lvl in keys:
             arr = np.asarray(self.levels[lvl], dtype=np.float64)
             if arr.ndim != 3:
@@ -61,7 +63,8 @@ class FeaturePyramid:
                         f"level {lvl} dims {arr.shape[1:]} should ceil-halve the previous "
                         f"level's {prev} to {want}")
             prev = arr.shape[1:]
-            self.levels[lvl] = arr
+            levels[lvl] = arr
+        self.levels = levels
 
 
 def synthetic_pyramid(cfg: PipelineConfig, seed: int | None = None) -> FeaturePyramid:

@@ -302,9 +302,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
     sa, sb = a.shape, b.shape
+    need_gb = b.requires_grad  # a constant b's negated share is never formed
 
     def vjp(g):
-        return _unbroadcast(g, sa), -_unbroadcast(g, sb)
+        return _unbroadcast(g, sa), (-_unbroadcast(g, sb) if need_gb else None)
 
     return Tensor._from_op(out, (a, b), vjp)
 

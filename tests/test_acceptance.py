@@ -15,9 +15,7 @@ from sdtp.cdi import DecoupledPair, decouple_loss, recouple
 from sdtp.complexity import (
     COCO_LEVEL_DIMS,
     LevelDims,
-    flops_decoupled,
-    flops_full,
-    flops_strided,
+    flops_table,
     measured_macs,
 )
 from sdtp.config import CdiConfig, IspConfig, PipelineConfig
@@ -124,12 +122,11 @@ def test_criterion_04_decoupling_exactness():
 def test_criterion_05_complexity_ordering():
     """5: decoupled < strided < full on benchmark dims; s=1 equals full."""
     with criterion(5, 1.0, "attention-cost ordering and stride-1 identity") as info:
-        d = flops_decoupled(COCO_LEVEL_DIMS)
-        s = flops_strided(COCO_LEVEL_DIMS)
-        f = flops_full(COCO_LEVEL_DIMS)
+        totals = flops_table(COCO_LEVEL_DIMS)["totals"]
+        d, s, f = totals["decoupled"], totals["strided"], totals["full"]
         assert d < s < f
-        unit = [LevelDims(dd.h, dd.w, dd.c, s=1) for dd in COCO_LEVEL_DIMS]
-        assert flops_strided(unit) == flops_full(unit) == f
+        unit = flops_table([LevelDims(dd.h, dd.w, dd.c, s=1) for dd in COCO_LEVEL_DIMS])["totals"]
+        assert unit["strided"] == unit["full"] == f
         info["detail"] = f"decoupled {d} < strided {s} < full {f}; s=1 == full"
 
 
@@ -142,8 +139,9 @@ def test_criterion_06_measured_macs_match_formulas():
         ]
         checked = 0
         for dims in cases:
-            assert measured_macs("full", dims) == flops_full(dims)
-            assert measured_macs("decoupled", dims) == flops_decoupled(dims)
+            totals = flops_table(dims)["totals"]
+            assert measured_macs("full", dims) == totals["full"]
+            assert measured_macs("decoupled", dims) == totals["decoupled"]
             checked += 2
         info["detail"] = f"{checked}/{checked} exact matches on (c=4, h=w=2) configs"
 

@@ -170,12 +170,12 @@ class TestGradcheck:
 
 class TestFlops:
     def test_totals_match_library(self, tiny_cfg, tmp_path):
-        from sdtp.complexity import LevelDims, flops_full
+        from sdtp.complexity import LevelDims, flops_table
         out = tmp_path / "fl.json"
         assert main(["flops", "--config", tiny_cfg, "--out", str(out)]) == 0
         rep = json.loads(out.read_text())
         dims = [LevelDims(8, 8, 8, 2), LevelDims(4, 4, 8, 1)]
-        assert rep["flops"]["totals"]["full"] == flops_full(dims)
+        assert rep["flops"]["totals"]["full"] == flops_table(dims)["totals"]["full"]
 
     def test_default_config_frozen_totals(self, tmp_path, capsys):
         """Default dims reproduce the frozen benchmark totals."""

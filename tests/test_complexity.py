@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from sdtp.complexity import (
     COCO_LEVEL_DIMS,
+    TOKEN_SETS,
     LevelDims,
     MacCounter,
-    flops_decoupled,
-    flops_full,
-    flops_strided,
     flops_table,
     input_level_dims,
     measured_macs,
@@ -20,46 +18,48 @@ from sdtp.complexity import (
 from sdtp.tensor import ContractViolation
 
 
+def totals(dims) -> dict:
+    """Each layout's total MACs over dims, as flops_table sums them."""
+    return flops_table(dims)["totals"]
+
+
 class TestHandComputedValues:
     def test_full_single_level(self):
         """4hwc^2 + 2(hw)^2 c at h=w=2, c=4: 256 + 128 = 384."""
-        assert flops_full([LevelDims(2, 2, 4)]) == 384
+        assert totals([LevelDims(2, 2, 4)])["full"] == 384
 
     def test_decoupled_single_level(self):
         """4(h+w)c^2 + 2(h^2+w^2)c at h=w=2, c=4: 256 + 64 = 320."""
-        assert flops_decoupled([LevelDims(2, 2, 4)]) == 320
+        assert totals([LevelDims(2, 2, 4)])["decoupled"] == 320
 
     def test_strided_single_level(self):
         """Strided tokens: hw/s^2 = 4 at h=w=4, c=2, s=2: 128 + 64 = 192."""
         # 4 * 4 * 2^2 * (16//4) ... spelled out: n = 16//4 = 4 tokens
         # projections 4*n*c^2 = 4*4*4 = 64; scores+values 2*n^2*c = 2*16*2 = 64
-        assert flops_strided([LevelDims(4, 4, 2, s=2)]) == 128
+        assert totals([LevelDims(4, 4, 2, s=2)])["strided"] == 128
 
     def test_multi_level_additivity_hand(self):
         """Two levels sum their per-level costs."""
         dims = [LevelDims(2, 2, 4), LevelDims(1, 1, 4)]
         # second level: 4*1*16 + 2*1*4 = 64 + 8 = 72
-        assert flops_full(dims) == 384 + 72
+        assert totals(dims)["full"] == 384 + 72
 
     def test_minimal_cell(self):
         """h=w=c=1: full = 4+2 = 6; decoupled = 8+4 = 12."""
-        assert flops_full([LevelDims(1, 1, 1)]) == 6
-        assert flops_decoupled([LevelDims(1, 1, 1)]) == 12
+        assert totals([LevelDims(1, 1, 1)])["full"] == 6
+        assert totals([LevelDims(1, 1, 1)])["decoupled"] == 12
 
 
 class TestFrozenBenchmarkTotals:
     def test_benchmark_totals(self):
         """Frozen totals over the four standard detection levels at c=256."""
-        assert flops_full(COCO_LEVEL_DIMS) == 2489609472000
-        assert flops_strided(COCO_LEVEL_DIMS) == 3358924800
-        assert flops_decoupled(COCO_LEVEL_DIMS) == 367424000
+        assert totals(COCO_LEVEL_DIMS) == {
+            "full": 2489609472000, "strided": 3358924800, "decoupled": 367424000}
 
     def test_benchmark_ordering(self):
         """decoupled < strided < full on the standard dims."""
-        d = flops_decoupled(COCO_LEVEL_DIMS)
-        s = flops_strided(COCO_LEVEL_DIMS)
-        f = flops_full(COCO_LEVEL_DIMS)
-        assert d < s < f
+        t = totals(COCO_LEVEL_DIMS)
+        assert t["decoupled"] < t["strided"] < t["full"]
 
     def test_table_reports_ordering(self):
         """flops_table carries totals and the ordering flag."""
@@ -90,12 +90,11 @@ class TestIdentities:
         for _ in range(20):
             h, w, c = (int(rng.integers(1, 40)) for _ in range(3))
             dims = [LevelDims(h, w, c, s=1)]
-            assert flops_strided(dims) == flops_full(dims)
+            assert totals(dims)["strided"] == totals(dims)["full"]
 
     def test_costs_are_integers(self):
         """All closed forms produce exact integers (MAC counts)."""
-        for fn in (flops_full, flops_strided, flops_decoupled):
-            assert isinstance(fn(COCO_LEVEL_DIMS), int)
+        assert all(isinstance(v, int) for v in totals(COCO_LEVEL_DIMS).values())
 
     def test_dims_validated(self):
         """Non-positive dimensions are rejected at construction."""
@@ -106,24 +105,34 @@ class TestIdentities:
 
 
 class TestMeasuredAgainstAnalytic:
-    @pytest.mark.parametrize("section,formula", [
-        ("full", flops_full), ("decoupled", flops_decoupled)])
-    def test_measured_equals_formula_small(self, section, formula):
-        """Instrumented attention MACs equal the closed form exactly."""
+    @pytest.mark.parametrize("section", list(TOKEN_SETS))
+    def test_measured_equals_formula_small(self, section):
+        """Instrumented attention MACs equal the closed form exactly, for
+        every layout of the table."""
         dims = [LevelDims(2, 2, 4)]
-        assert measured_macs(section, dims) == formula(dims)
+        assert measured_macs(section, dims) == totals(dims)[section]
 
     def test_measured_multi_level(self):
         """Exact equality holds across several levels at once."""
         dims = [LevelDims(4, 3, 4), LevelDims(2, 2, 4)]
-        assert measured_macs("full", dims) == flops_full(dims)
-        assert measured_macs("decoupled", dims) == flops_decoupled(dims)
+        assert measured_macs("full", dims) == totals(dims)["full"]
+        assert measured_macs("decoupled", dims) == totals(dims)["decoupled"]
 
-    @pytest.mark.parametrize("section", ["strided", "dense"])
+    def test_measured_strided_with_an_empty_set(self):
+        """A strided level with h*w < s^2 subsamples to no token: its set
+        costs 0 by the closed form and runs no attention, beside a level
+        of 16 // 4 = 4 tokens that does."""
+        empty = [LevelDims(2, 2, 4, s=4)]
+        assert measured_macs("strided", empty) == totals(empty)["strided"] == 0
+        dims = [LevelDims(4, 4, 4, s=2), *empty]
+        assert measured_macs("strided", dims) == totals(dims)["strided"] == 384
+
+    @pytest.mark.parametrize("section", ["dense"])
     def test_unmeasurable_section_rejected(self, section):
-        """Only full and decoupled attention run here; strided is a closed
-        form only, and the message names the section asked for."""
-        with pytest.raises(ContractViolation, match=rf"unknown section '{section}'"):
+        """A section outside the layout table is refused, and the message
+        names the section asked for and the known ones."""
+        with pytest.raises(ContractViolation, match=rf"unknown section '{section}'; "
+                                                    r"known sections: \('full', 'strided', "):
             measured_macs(section, [LevelDims(2, 2, 4)])
 
     def test_measured_empty(self):
@@ -147,7 +156,7 @@ def test_full_dominates_decoupled_when_tokens_exceed_axes(h, w, c):
     """Property: once hw > h+w the full cost strictly exceeds decoupled."""
     if h * w > h + w and h * w * h * w > h * h + w * w:
         dims = [LevelDims(h, w, c)]
-        assert flops_full(dims) > flops_decoupled(dims)
+        assert totals(dims)["full"] > totals(dims)["decoupled"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -156,5 +165,5 @@ def test_full_dominates_decoupled_when_tokens_exceed_axes(h, w, c):
 def test_additivity_property(dim_list):
     """Property: multi-level cost is the sum of single-level costs."""
     dims = [LevelDims(h, w, c) for h, w, c in dim_list]
-    for fn in (flops_full, flops_decoupled):
-        assert fn(dims) == sum(fn([d]) for d in dims)
+    for layout in ("full", "decoupled"):
+        assert totals(dims)[layout] == sum(totals([d])[layout] for d in dims)

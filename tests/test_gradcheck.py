@@ -98,6 +98,15 @@ class TestChecker:
         np.testing.assert_array_equal(x.data, data)
         assert x.grad is None
 
+    def test_requires_grad_restored(self):
+        """Each input leaves with the requires_grad it came with, also where
+        the check returns early with a diagnostic."""
+        x = Tensor(np.ones((2, 2)))
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        assert vjp_check(lambda x, w: T.scale(x, 2.0), [("x", x), ("w", w)]).diagnostic
+        vjp_check(lambda x: T.scale(x, 2.0), [("x", x)])
+        assert (x.requires_grad, w.requires_grad) == (False, True)
+
     @pytest.mark.parametrize("vjp,forward,diagnostic", [
         (lambda g: (g * np.inf,), lambda d: 2.0 * d, "non-finite gradient for input 'x'"),
         (lambda g: (2.0 * g,), lambda d: d / 0.0, "non-finite forward output"),

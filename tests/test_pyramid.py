@@ -86,6 +86,15 @@ class TestFeaturePyramid:
         with pytest.raises(ContractViolation):
             FeaturePyramid(levels={2: bad})
 
+    def test_caller_dict_keeps_its_arrays(self):
+        """The pyramid stores its float64 levels in a dict of its own, so
+        the dict it was built from keeps the caller's int64 array."""
+        ints = np.ones((2, 3, 3), dtype=np.int64)
+        given = {4: ints}
+        p = FeaturePyramid(levels=given)
+        assert given[4] is ints and ints.dtype == np.int64
+        assert p.levels[4].dtype == np.float64
+
     def test_synthetic_pyramid_reproducible(self):
         """Same seed, same data; different seed, different data."""
         cfg = small_cfg()

@@ -1173,6 +1173,17 @@ class TestLevel2Memory:
         assert np.array_equal(d.grad, g * x.data + g * x.data)
         assert peak <= 2 * x.data.nbytes + self.block
 
+    def test_sub_backward_constant_subtrahend(self, level2):
+        """sub(m, target) with a target that needs no gradient, as the toy
+        loss's input map: the VJP hands the cotangent on as m's share and
+        forms no negated map-sized (8 MiB) share for the target."""
+        rng, x = level2
+        diff = T.sub(Tensor(x.data, requires_grad=True), Tensor(rng.standard_normal(x.shape)))
+        g = rng.standard_normal(diff.shape)
+        grads, peak, _ = vjp_peak(diff, g)
+        assert peak <= self.block
+        assert grads[0] is g and grads[1] is None
+
     def test_resample_nearest_backward(self, level2):
         """Level 3 upsampled to level 2, on a strided cotangent (the
         interior of a padded array, as the smooth conv's VJP hands over):
