@@ -8,9 +8,10 @@ attention consume several sources at once.  Scores are scaled by
 softmax, elementwise tanh, or the refinement gate at their tau.
 Projections are bias-free.
 
-Every dense matmul in this core reports its multiply-accumulate count to
-the instrumentation hook in the complexity module; convolutions and MLPs
-elsewhere do not, so measured counts can be compared against the analytic
+The core runs inside the SCOPE observer scope of the tensor module, so
+each T.matmul in it reports its multiply-accumulates as attention work,
+which complexity.MacCounter counts; convolutions and MLPs elsewhere run
+outside it, so measured counts can be compared against the analytic
 attention-cost formulas term by term.
 """
 
@@ -22,9 +23,11 @@ import numpy as np
 
 from . import tensor as T
 from .arf import arf_op
-from .complexity import record_macs
 from .config import ConfigurationError
 from .tensor import ContractViolation, Tensor
+
+# the observer scope its matmuls run in, which MacCounter counts
+SCOPE = "attention"
 
 
 @dataclass
@@ -72,13 +75,6 @@ def apply_activation(scores: Tensor, weights: AttentionWeights) -> Tensor:
     raise ConfigurationError(f"unknown attention activation mode {weights.mode!r}")
 
 
-def _matmul(a: Tensor, b: Tensor) -> Tensor:
-    """T.matmul that reports its multiply-accumulates, read from the
-    operand shapes, to record_macs."""
-    record_macs(a.shape[0] * a.shape[1] * b.shape[1])
-    return T.matmul(a, b)
-
-
 def multi_head_attention(queries: Tensor, keys_values: list[Tensor],
                          weights: AttentionWeights) -> Tensor:
     """Attend from `queries` over the concatenation of `keys_values`.
@@ -96,21 +92,22 @@ def multi_head_attention(queries: Tensor, keys_values: list[Tensor],
             raise ContractViolation(
                 f"key/value tokens must share embed width {c}, got {t.shape}")
 
-    source = keys_values[0] if len(keys_values) == 1 else T.concat(keys_values, axis=0)
-    q_full = _matmul(queries, weights.wq)
-    k_full = _matmul(source, weights.wk)
-    v_full = _matmul(source, weights.wv)
+    with T.observe(scope=SCOPE):
+        source = keys_values[0] if len(keys_values) == 1 else T.concat(keys_values, axis=0)
+        q_full = T.matmul(queries, weights.wq)
+        k_full = T.matmul(source, weights.wk)
+        v_full = T.matmul(source, weights.wv)
 
-    d_head = c // weights.n_heads
-    inv_sqrt = 1.0 / np.sqrt(float(d_head))
-    head_outs = []
-    for h in range(weights.n_heads):
-        lo = h * d_head
-        q = T.narrow(q_full, 1, lo, d_head)
-        k = T.narrow(k_full, 1, lo, d_head)
-        v = T.narrow(v_full, 1, lo, d_head)
-        scores = T.scale(_matmul(q, T.permute(k, (1, 0))), inv_sqrt)
-        w = apply_activation(scores, weights)
-        head_outs.append(_matmul(w, v))
-    merged = head_outs[0] if len(head_outs) == 1 else T.concat(head_outs, axis=1)
-    return _matmul(merged, weights.wo)
+        d_head = c // weights.n_heads
+        inv_sqrt = 1.0 / np.sqrt(float(d_head))
+        head_outs = []
+        for h in range(weights.n_heads):
+            lo = h * d_head
+            q = T.narrow(q_full, 1, lo, d_head)
+            k = T.narrow(k_full, 1, lo, d_head)
+            v = T.narrow(v_full, 1, lo, d_head)
+            scores = T.scale(T.matmul(q, T.permute(k, (1, 0))), inv_sqrt)
+            w = apply_activation(scores, weights)
+            head_outs.append(T.matmul(w, v))
+        merged = head_outs[0] if len(head_outs) == 1 else T.concat(head_outs, axis=1)
+        return T.matmul(merged, weights.wo)

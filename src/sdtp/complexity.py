@@ -7,8 +7,9 @@ strided, one of h w // s^2; decoupled, one of h (vertical) and one of w
 accumulates for the q/k/v/output projections plus 2 n^2 c for the score and
 value matmuls; flops_table sums that over each layout's sets and the levels,
 in exact integer arithmetic, and is the one place a layout's cost is read.
-The instrumented counter measures exactly those matmuls inside the attention
-core (convolutions and MLPs are deliberately not counted), and
+MacCounter measures exactly those matmuls: it counts what T.matmul reports
+inside the attention core's observer scope, in its own thread
+(convolutions and MLPs run outside that scope and are not counted), and
 measured_macs runs every layout's sets through it, so measured and analytic
 numbers compare term by term.  A new layout is one more TOKEN_SETS entry.
 
@@ -27,7 +28,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .tensor import ContractViolation, Tensor
+from . import attention as AT
+from .tensor import ContractViolation, Tensor, observe
 
 
 @dataclass(frozen=True)
@@ -114,29 +116,19 @@ def resolution_sweep(c: int, strides) -> list[dict]:
 # ---------------------------------------------------------------------------
 # instrumented MAC counting
 
-_ACTIVE_COUNTERS: list["MacCounter"] = []
-
-
-def record_macs(n: int) -> None:
-    """Called by the attention core around each dense matmul; no-op unless
-    a counter is active."""
-    for counter in _ACTIVE_COUNTERS:
-        counter.total += int(n)
-
-
-class MacCounter:
-    """Context manager accumulating multiply-accumulates reported by the
-    attention core while it is active."""
+class MacCounter(observe):
+    """Context manager summing, in .total, the multiply-accumulates that
+    T.matmul reports in the attention core's scope, in this thread, while
+    it is active.  Every active counter counts, so nested counters all
+    count the inner work."""
 
     def __init__(self):
+        super().__init__(self)
         self.total = 0
 
-    def __enter__(self) -> "MacCounter":
-        _ACTIVE_COUNTERS.append(self)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _ACTIVE_COUNTERS.remove(self)
+    def __call__(self, scope: str | None, macs: int) -> None:
+        if scope == AT.SCOPE:
+            self.total += macs
 
 
 def measured_macs(section: str, dims) -> int:
@@ -149,8 +141,6 @@ def measured_macs(section: str, dims) -> int:
     """
     if section not in TOKEN_SETS:
         raise ContractViolation(f"unknown section {section!r}; known sections: {tuple(TOKEN_SETS)}")
-
-    from . import attention as AT  # it imports this module
 
     rng = np.random.default_rng(0)
     with MacCounter() as counter:

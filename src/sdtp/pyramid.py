@@ -274,12 +274,26 @@ class TrainTrace:
         return self.final / self.initial if self.initial else float("nan")
 
 
+def identity_loss(outs: dict[int, Tensor], maps: dict[int, Tensor], dep: Tensor,
+                  lam: float) -> tuple[Tensor, Tensor]:
+    """toy_train's objective on a forward's outputs and penalty: the task
+    loss, the mean over levels of each output's mean squared error against
+    its input map, and the total, task plus lam times the penalty.
+    Returns (total, task)."""
+    task = None
+    for lvl in sorted(outs):
+        diff = T.sub(outs[lvl], maps[lvl])
+        term = T.mean_all(T.mul(diff, diff))
+        task = term if task is None else T.add(task, term)
+    task = T.scale(task, 1.0 / len(outs))
+    return total_loss(task, dep, lam), task
+
+
 def toy_train(pipe: Pipeline, pyramid: FeaturePyramid, steps: int | None = None) -> TrainTrace:
     """Plain gradient descent fitting the pipeline outputs to the inputs.
 
-    The task loss is the mean over levels of the per-level mean squared
-    error against the raw input maps, so in_channels must equal channels.
-    The optimised objective adds lambda times the decoupling penalty.
+    The objective is identity_loss against the raw input maps, so
+    in_channels must equal channels.
     The learning rate and lambda are the pipeline config's train.lr and
     cdi.lambda; steps defaults to its train.steps.
     Records total/task/penalty at each step plus a final evaluation
@@ -297,13 +311,7 @@ def toy_train(pipe: Pipeline, pyramid: FeaturePyramid, steps: int | None = None)
     def evaluate() -> Tensor:
         maps = {lvl: Tensor(arr) for lvl, arr in pyramid.levels.items()}
         outs, dep = pipe.forward_tensors(maps)
-        task = None
-        for lvl in sorted(outs):
-            diff = T.sub(outs[lvl], maps[lvl])
-            term = T.mean_all(T.mul(diff, diff))
-            task = term if task is None else T.add(task, term)
-        task = T.scale(task, 1.0 / len(outs))
-        total = total_loss(task, dep, lam)
+        total, task = identity_loss(outs, maps, dep, lam)
         trace.task.append(float(task.data))
         trace.dep.append(float(dep.data))
         trace.total.append(float(total.data))

@@ -8,6 +8,14 @@ The accumulation order is fixed by construction order, so identical inputs
 and seeds give bit-identical values and gradients.  Inside ``no_grad()``
 operations record nothing, so inference holds no intermediate arrays.
 
+What ops read besides their arguments is one observer state per thread,
+held in a ContextVar: whether they record the graph, the name of the
+scope they run in, and the active MAC counters, to which ``matmul``
+reports m*k*n with the scope.  ``observe`` changes it for a with-block
+and restores it on exit; ``no_grad()`` is observe(recording=False), and
+complexity.MacCounter an observe that adds itself as a counter.  A scope
+opened in one thread changes nothing in another.
+
 The graph is kept apart from the values, as in PyTorch's autograd: a node
 holds its VJP and its parents' nodes, never a Tensor, and every VJP closure
 holds shapes and the arrays it reads.  So an op output's array is freed as
@@ -48,8 +56,9 @@ from __future__ import annotations
 
 import math
 import weakref
-from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erf
@@ -64,25 +73,51 @@ class ContractViolation(ValueError):
     """An operation was called with arguments that violate its contract."""
 
 
-# off inside no_grad(); one switch for the whole process (not thread-local)
-_RECORDING = True
+class _Observer(NamedTuple):
+    """What a thread's ops read as they run: whether they record the
+    backward graph, the name of the scope they run in, and the counters
+    that matmul reports its MACs to, each called as counter(scope, macs)."""
+
+    recording: bool = True
+    scope: str | None = None
+    counters: tuple = ()
 
 
-@contextmanager
+# each thread starts from the default state, and a scope changes only its own
+_OBSERVER: ContextVar[_Observer] = ContextVar("sdtp_observer", default=_Observer())
+
+
+class observe:
+    """Context manager: run the enclosed operations with this thread's
+    observer state changed.  recording and scope, where given, replace
+    the current ones, and each positional counter joins the active
+    counters.  The previous state is restored on exit, also on an
+    exception, so scopes nest; other threads keep their own state."""
+
+    def __init__(self, *counters, recording: bool | None = None, scope: str | None = None):
+        self._counters, self._recording, self._scope = counters, recording, scope
+
+    def __enter__(self):
+        recording, scope, counters = _OBSERVER.get()
+        self._token = _OBSERVER.set(_Observer(
+            recording if self._recording is None else self._recording,
+            scope if self._scope is None else self._scope, counters + self._counters))
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _OBSERVER.reset(self._token)
+
+
 def no_grad():
-    """Run the enclosed operations without recording the backward graph.
+    """Run the enclosed operations, in this thread only, without recording
+    the backward graph.
 
     Outputs keep no parents and no VJP closure, so each intermediate array
     is freed once the next operation has consumed it.  Values are the same
-    as with recording on.  The previous state is restored on exit, also on
-    an exception, so scopes nest.
+    as with recording on.  It is observe(recording=False), so it nests and
+    restores the previous state on exit.
     """
-    global _RECORDING
-    prev, _RECORDING = _RECORDING, False
-    try:
-        yield
-    finally:
-        _RECORDING = prev
+    return observe(recording=False)
 
 
 class Tensor:
@@ -118,7 +153,7 @@ class Tensor:
         out.data = data = np.asarray(data)
         out.grad = None
         out.name = None
-        out.requires_grad = _RECORDING and any(p.requires_grad for p in parents)
+        out.requires_grad = _OBSERVER.get().recording and any(p.requires_grad for p in parents)
         out._parents = (_Node(data, parents, vjp),) if out.requires_grad else ()
         return out
 
@@ -335,6 +370,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ContractViolation(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
     out = ad @ bd
+    for count in (state := _OBSERVER.get()).counters:
+        count(state.scope, a.shape[0] * a.shape[1] * b.shape[1])
 
     def vjp(g):
         return g @ bd.T, ad.T @ g
@@ -611,9 +648,22 @@ def _conv2d_vjp(xd: np.ndarray, wt: np.ndarray, dilation: int, g: np.ndarray,
     return gxp[:, ph: ph + h, pw: pw + wd], gw
 
 
+def _norms(r: np.ndarray) -> np.ndarray:
+    """sqrt(sum(r**2)) over the last axis of r, kept as a length-1 axis,
+    for rows whose sum of squares overflows float64: each row is scaled by
+    the power of two that brings its largest magnitude into [0.5, 1) before
+    it is squared, and its norm is scaled back.  Scaling by a power of two
+    is exact, so the norm is right to rounding."""
+    e = np.frexp(np.abs(r).max(axis=-1, keepdims=True))[1]
+    rs = np.ldexp(r, -e)
+    return np.ldexp(np.sqrt((rs * rs).sum(axis=-1, keepdims=True)), e)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalise each row of a token matrix to zero mean / unit variance,
-    then apply a learned per-dimension affine."""
+    then apply a learned per-dimension affine.  A row whose sum of squares
+    overflows takes its variance from _norms (LAYER_NORM_EPS lies below its
+    rounding); every other row keeps its bits."""
     if x.ndim != 2:
         raise ContractViolation(f"layer_norm expects (n_tokens, d_embed), got shape {x.shape}")
     d = x.shape[-1]
@@ -621,8 +671,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise ContractViolation(f"layer_norm gain/bias must be ({d},), got {gain.shape}, {bias.shape}")
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    if not inv.all():  # 0 exactly in the rows whose sum of squares overflows
+        big = inv[:, 0] == 0
+        inv[big] = np.sqrt(d) / _norms(xc[big])
     xhat = xc * inv
     gd = gain.data
     out = xhat * gd + bias.data
@@ -659,12 +713,16 @@ def _outer_sum_ln_factors(y: Tensor, x: Tensor, gain: Tensor, bias: Tensor,
     yc = y.data - y.data.sum(axis=1, keepdims=True) / c
     xc = x.data - x.data.sum(axis=1, keepdims=True) / c
     var = np.empty((h, nw))
-    for rows in _blocks(h, nw * w.shape[1], nw):
-        sq = yc[rows, None, :] + xc
-        sq *= sq
-        sq.sum(axis=2, out=var[rows])
+    with np.errstate(over="ignore"):
+        for rows in _blocks(h, nw * w.shape[1], nw):
+            sq = yc[rows, None, :] + xc
+            sq *= sq
+            sq.sum(axis=2, out=var[rows])
     var /= c
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    if not inv.all():  # rows whose sum of squares overflows, as in layer_norm
+        i, j = np.nonzero(inv == 0)
+        inv[i, j] = np.sqrt(c) / _norms(yc[i] + xc[j])[:, 0]
     gw = gain.data[:, None] * w.data
     return yc, xc, inv, gw, yc @ gw, xc @ gw, bias.data @ w.data + b.data
 
@@ -745,8 +803,10 @@ def outer_sum_mlp(m: Tensor, y: Tensor, x: Tensor, gain: Tensor, bias: Tensor, w
     y_i + x_j is the sum of the factors' row means, so the centred row is
     yc_i + xc_j with centred factors yc, xc; its variance is the mean of
     its squares, formed a slab of factor rows at a time as in layer_norm.
-    The projection is linear, so pre_ij = inv_ij * (A_i + B_j) + b' with
-    A = yc @ gw, B = xc @ gw, gw = gain * w1 (row-scaled) and
+    Rows whose squares overflow take it from _norms, as in layer_norm, all
+    such rows at once: only there is the working set not bounded by a
+    slab.  The projection is linear, so pre_ij = inv_ij * (A_i + B_j) + b'
+    with A = yc @ gw, B = xc @ gw, gw = gain * w1 (row-scaled) and
     b' = bias @ w1 + b1.  Where the factors nearly cancel
     (|yc_i| + |xc_j| = kappa * |yc_i + xc_j| with kappa >> 1), A_i + B_j
     cancels too, and pre agrees with the dense layer_norm and matmul to
@@ -872,7 +932,7 @@ def softmax_pool(x: Tensor, w: Tensor, axis: int) -> Tensor:
     # the softmax has one row of length h (axis 1) or w (axis 2) per pooled
     # entry, so a channel has `per` rows of length `n_row`
     per, n_row = (wd, h) if axis == 1 else (h, wd)
-    recording = _RECORDING and (x.requires_grad or w.requires_grad)
+    recording = _OBSERVER.get().recording and (x.requires_grad or w.requires_grad)
     sm = np.empty((c * per, n_row)) if recording else None
     out = np.empty((c, 1, wd) if axis == 1 else (c, h, 1))
     blocks = _blocks(c, h * wd, 1)
@@ -916,7 +976,8 @@ def outer_sum_distance(m: Tensor, y: Tensor, x: Tensor) -> Tensor:
     subgradient 0 where they coincide.  Neither the outer sum nor the
     difference is kept: the VJP rebuilds the difference from m, y and x in
     one pass, so values and gradients equal, bit for bit, those of the
-    unfused chain that takes the norm of sub(m, add(y, x))."""
+    unfused chain that takes the norm of sub(m, add(y, x)).  A map whose
+    sum of squares overflows takes its norm from _norms."""
     if m.ndim != 3 or y.shape != (m.shape[0], m.shape[1], 1) \
             or x.shape != (m.shape[0], 1, m.shape[2]):
         raise ContractViolation(f"outer_sum_distance needs a (c, h, w) map with (c, h, 1) and "
@@ -924,8 +985,11 @@ def outer_sum_distance(m: Tensor, y: Tensor, x: Tensor) -> Tensor:
     md, yd, xd = m.data, y.data, x.data
     d = yd + xd
     np.subtract(md, d, out=d)
-    d *= d
-    nrm = float(np.sqrt(d.sum()))
+    with np.errstate(over="ignore"):
+        d *= d
+        nrm = float(np.sqrt(d.sum()))
+    if not math.isfinite(nrm):  # the squares overflow: rescaled, as in layer_norm
+        nrm = float(_norms((md - (yd + xd)).ravel())[0])
 
     def vjp(g):
         gd = yd + xd

@@ -1,11 +1,16 @@
 """Attention-cost model: closed forms against hand-computed values,
 measured multiply-accumulates against the formulas, orderings, identities."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdtp import tensor as T
+from sdtp.attention import attention_weights, multi_head_attention
 from sdtp.complexity import (
     COCO_LEVEL_DIMS,
     TOKEN_SETS,
@@ -15,12 +20,21 @@ from sdtp.complexity import (
     input_level_dims,
     measured_macs,
 )
-from sdtp.tensor import ContractViolation
+from sdtp.tensor import ContractViolation, Tensor
 
 
 def totals(dims) -> dict:
     """Each layout's total MACs over dims, as flops_table sums them."""
     return flops_table(dims)["totals"]
+
+
+def attend(n: int, c: int) -> int:
+    """Run one single-head self-attention over n random tokens of width c
+    and return its closed-form cost, 4 n c^2 + 2 n^2 c."""
+    rng = np.random.default_rng(n)
+    tokens = Tensor(rng.standard_normal((n, c)))
+    multi_head_attention(tokens, [tokens], attention_weights(rng, c, 1, "softmax", 2.0))
+    return 4 * n * c * c + 2 * n * n * c
 
 
 class TestHandComputedValues:
@@ -141,13 +155,72 @@ class TestMeasuredAgainstAnalytic:
 
     def test_counter_nesting_policy(self):
         """Every active counter accumulates: inner work counts in both."""
-        from sdtp.complexity import record_macs
         with MacCounter() as a:
-            record_macs(1)
+            first = attend(2, 4)
             with MacCounter() as b:
-                record_macs(2)
-            record_macs(3)
-        assert (a.total, b.total) == (6, 2)
+                second = attend(3, 2)
+            third = attend(1, 4)
+        assert (a.total, b.total) == (first + second + third, second)
+        assert (first, second, third) == (160, 84, 72)
+
+    def test_counter_ignores_matmuls_outside_attention(self):
+        """An Mlp's matmuls run outside the attention scope: a counter open
+        around an Mlp call counts none of them."""
+        rng = np.random.default_rng(0)
+        mlp = T.Mlp(rng, 4)
+        with MacCounter() as counter:
+            out = mlp(Tensor(rng.standard_normal((3, 4))))
+        assert out.shape == (3, 4)
+        assert counter.total == 0
+
+    def test_counter_in_another_thread_sees_none_of_this_ones(self):
+        """A counter held open in a second thread counts only that thread's
+        attention: none of the MACs of attention run in this thread."""
+        entered, release, held = threading.Event(), threading.Event(), []
+
+        def hold():
+            with MacCounter() as counter:
+                held.append(counter)
+                entered.set()
+                release.wait(30)
+
+        thread = threading.Thread(target=hold)
+        thread.start()
+        try:
+            assert entered.wait(30)
+            with MacCounter() as mine:
+                cost = attend(4, 4)
+        finally:
+            release.set()
+            thread.join(30)
+        assert not thread.is_alive()
+        assert mine.total == cost
+        assert held[0].total == 0
+
+    def test_counters_in_interleaved_threads_count_their_own(self):
+        """Four threads, more than the cores, each count their own attention
+        under a switch interval short enough to interleave them: every
+        counter reads its own thread's closed-form cost, and no other's."""
+        results = []
+
+        def work(k):
+            with MacCounter() as counter:
+                cost = sum(attend(2 + k, 4) for _ in range(10))
+            results.append((counter.total, cost))
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 4
+        assert all(total == cost for total, cost in results)
 
 
 @settings(max_examples=60, deadline=None)

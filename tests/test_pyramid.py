@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdtp import tensor as T
-from sdtp.cdi import total_loss
 from sdtp.complexity import input_level_dims, level_hw
 from sdtp.config import (
     ARF_MODES,
@@ -27,6 +26,7 @@ from sdtp.pyramid import (
     Pipeline,
     TrainingDiverged,
     cross_level_sensitivity,
+    identity_loss,
     synthetic_pyramid,
     toy_train,
     zero_enhancement_branches,
@@ -283,17 +283,6 @@ class TestInference:
             np.testing.assert_array_equal(a, b)
 
 
-def identity_loss(outs, maps, dep):
-    """toy_train's training objective: the mean squared distance of each
-    output from its input map, averaged over levels, plus the penalty."""
-    task = None
-    for lvl in sorted(outs):
-        diff = T.sub(outs[lvl], maps[lvl])
-        term = T.mean_all(T.mul(diff, diff))
-        task = term if task is None else T.add(task, term)
-    return total_loss(T.scale(task, 1.0 / len(outs)), dep)
-
-
 class TestTape:
     def test_graph_keeps_no_output_that_no_vjp_reads(self, monkeypatch):
         """On a taped training step, the graph keeps none of the op outputs
@@ -325,7 +314,7 @@ class TestTape:
         monkeypatch.setattr(T, "add", spy_add)
         outs, dep = pipe.forward_tensors(maps)
         monkeypatch.setattr(T, "mul", spy_mul)
-        total = identity_loss(outs, maps, dep)
+        total, _ = identity_loss(outs, maps, dep, pipe.cfg.cdi.lam)
         held = {id(a) for a in T.tape_arrays(total)}
         assert len(upsampled) == len(cdi_outs) == 2 and len(squares) == 3
         # freed: neither the tape nor anything else holds them

@@ -4,6 +4,7 @@ gradient checker, and structural contracts (shapes, accumulation, views)."""
 import itertools
 import math
 import re
+import threading
 import tracemalloc
 import weakref
 from unittest import mock
@@ -466,6 +467,30 @@ class TestNoGrad:
         assert out.requires_grad
         out.backward()
         np.testing.assert_array_equal(w.grad, 2 * w.data)
+
+    def test_scope_held_in_another_thread_leaves_this_one_recording(self):
+        """A scope held open in a second thread switches recording off in
+        that thread only: an op in this thread still records its graph."""
+        w = Tensor(rand(2, 2), requires_grad=True)
+        entered, release, inside = threading.Event(), threading.Event(), []
+
+        def hold():
+            with T.no_grad():
+                inside.append(T.scale(w, 2.0).requires_grad)
+                entered.set()
+                release.wait(30)
+
+        thread = threading.Thread(target=hold)
+        thread.start()
+        try:
+            assert entered.wait(30)
+            out = T.matmul(w, w)
+        finally:
+            release.set()
+            thread.join(30)
+        assert not thread.is_alive()
+        assert inside == [False]
+        assert out.requires_grad
 
 
 def dense_outer_sum_ln_linear(y, x, gain, bias, w, b):
@@ -1306,6 +1331,97 @@ def test_resample_nearest_vjp_matches_add_at(in_hw, out_hw, monkeypatch):
     monkeypatch.setattr(T, "_BLOCK_ELEMS", 8 * out_hw[0] * out_hw[1])
     assert [b.stop - b.start for b in T._blocks(21, out_hw[0] * out_hw[1], 1)] == [8, 8, 5]
     check(21, lambda shape: np.pad(rng.standard_normal(shape), 1)[1:-1, 1:-1, 1:-1])
+
+
+@pytest.mark.filterwarnings("error")
+class TestOverflowingSquares:
+    """Rows whose sum of squares overflows float64, at inputs scaled by
+    1e160, give the values of inputs scaled by 1e150 times the power of ten
+    the op scales by, to rounding, and warn about nothing."""
+
+    BIG, REF = 1e160, 1e150
+
+    def test_layer_norm_rows(self):
+        """Layer norm is scale-free: each huge row normalises as at 1e150,
+        not to the bias alone."""
+        rng = np.random.default_rng(0)
+        x, gain, bias = rng.standard_normal((3, 5)), Tensor(rand(5)), Tensor(np.full(5, 0.5))
+        big = T.layer_norm(Tensor(x * self.BIG), gain, bias).data
+        ref = T.layer_norm(Tensor(x * self.REF), gain, bias).data
+        np.testing.assert_allclose(big, ref, rtol=1e-13)
+
+    def test_layer_norm_ordinary_rows_keep_their_bits(self):
+        """A huge row beside ordinary ones leaves their outputs and
+        gradients bit for bit as beside another ordinary row."""
+        x, gain, bias, g = rand(3, 5), Tensor(rand(5)), Tensor(rand(5)), rand(3, 5)
+
+        def run(last_row):
+            t = Tensor(np.vstack([x[:2], last_row]), requires_grad=True)
+            out = T.layer_norm(t, gain, bias)
+            out.backward(g)
+            return out.data[:2], t.grad[:2]
+
+        for got, want in zip(run(x[2] * self.BIG), run(x[2])):
+            np.testing.assert_array_equal(got, want)
+
+    def test_layer_norm_gradient(self):
+        """The input gradient of a huge row scales by 1e-10 against 1e150."""
+        x, gain, bias, g = rand(2, 5), Tensor(rand(5)), Tensor(rand(5)), rand(2, 5)
+
+        def grad(scale):
+            t = Tensor(x * scale, requires_grad=True)
+            T.layer_norm(t, gain, bias).backward(g)
+            return t.grad
+
+        np.testing.assert_allclose(grad(self.BIG), grad(self.REF) * 1e-10, rtol=1e-12)
+
+    def test_outer_sum_ln_factors_inv(self):
+        """The factored layer norm's inverse scale of each row y_i + x_j
+        scales by 1e-10 against 1e150, not to 0."""
+        rng = np.random.default_rng(1)
+        y, x = rng.standard_normal((3, 4)), rng.standard_normal((5, 4))
+        rest = [Tensor(a) for a in (rand(4), rand(4), rand(4, 6), rand(6))]
+
+        def inv(scale):
+            return T._outer_sum_ln_factors(Tensor(y * scale), Tensor(x * scale), *rest)[2]
+
+        np.testing.assert_allclose(inv(self.BIG), inv(self.REF) * 1e-10, rtol=1e-13)
+
+    def test_outer_sum_mlp_pre_activation(self):
+        """With m = -(y_i + x_j) the output is the MLP of the normalised
+        outer sum alone, which is scale-free: the same at 1e160 as at
+        1e150, not the MLP of the projected bias b'."""
+        rng = np.random.default_rng(2)
+        c, h, w, d = 4, 3, 5, 8
+        y, x = rng.standard_normal((h, c)), rng.standard_normal((w, c))
+        params = [Tensor(rng.standard_normal(s)) for s in ((c,), (c,), (c, d), (d,), (d, c), (c,))]
+
+        def out(scale):
+            ys, xs = y * scale, x * scale
+            m = -(ys.T[:, :, None] + xs.T[:, None, :])
+            return T.outer_sum_mlp(Tensor(m), Tensor(ys), Tensor(xs), *params).data
+
+        big, ref = out(self.BIG), out(self.REF)
+        np.testing.assert_allclose(big, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    def test_outer_sum_distance(self):
+        """The distance scales by 1e10 against 1e150, not to inf, and its
+        gradients, each of the difference over the distance, are
+        scale-free."""
+        rng = np.random.default_rng(3)
+        arrays = [rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 3, 1)),
+                  rng.standard_normal((2, 1, 4))]
+
+        def run(scale):
+            ts = [Tensor(a * scale, requires_grad=True) for a in arrays]
+            out = T.outer_sum_distance(*ts)
+            out.backward()
+            return float(out.data), [t.grad for t in ts]
+
+        (big, big_grads), (ref, ref_grads) = run(self.BIG), run(self.REF)
+        assert big == pytest.approx(ref * 1e10, rel=1e-13)
+        for got, want in zip(big_grads, ref_grads):
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 class TestModule:
