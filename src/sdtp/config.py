@@ -2,7 +2,9 @@
 
 Every knob the CLI exposes lives here.  Validation reports the dotted
 path of the offending field so config errors are actionable; the CLI
-maps ConfigurationError to exit code 2.
+maps ConfigurationError to exit code 2.  yaml is imported by load_config
+only once it has a config file's text to parse, so a run on the default
+config never loads it.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import yaml
 
 from .complexity import COCO_LEVEL_DIMS, level_hw
 
@@ -284,14 +284,24 @@ def config_from_dict(raw: dict) -> PipelineConfig:
 
 
 def load_config(path: str | Path | None) -> PipelineConfig:
-    """Load a YAML (or JSON: it parses as YAML) config file; None -> defaults."""
+    """Load a YAML (or JSON: it parses as YAML) config file; None -> defaults.
+    A path that is missing, that cannot be read as a file (a directory),
+    or whose bytes are not UTF-8 text raises ConfigurationError naming it."""
     if path is None:
         return PipelineConfig()
     p = Path(path)
     if not p.exists():
         raise ConfigurationError(f"config file not found: {p}")
     try:
-        raw = yaml.safe_load(p.read_text())
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config file {p} is not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise ConfigurationError(f"config file {p} cannot be read: {exc.strerror}") from exc
+    import yaml
+
+    try:
+        raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"config file {p} is not valid YAML: {exc}") from exc
     if raw is None:

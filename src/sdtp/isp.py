@@ -103,6 +103,8 @@ class IspBlock(T.Module):
         self.c = c
         self.rates = tuple(rates)
         self.pos_mode = pos_embed
+        # the sinusoidal code per map size (h, w), built on first use
+        self._pos_codes: dict[tuple[int, int], np.ndarray] = {}
         self.state_convs = [
             T.conv_param(rng, c, c, 3, 3, name=f"{name}.state_conv_r{r}") for r in self.rates
         ]
@@ -121,10 +123,15 @@ class IspBlock(T.Module):
 
     def pos_embedding(self, hw: tuple[int, int]) -> Tensor | np.ndarray | None:
         """The position code for (h, w) maps; generate_states rejects a
-        learned code built for other dims."""
-        if self.pos_mode == "sinusoidal":
-            return sinusoidal_embedding_2d(self.c, *hw)
-        return self.learned_pos
+        learned code built for other dims.  A sinusoidal code is built once
+        per map size and kept, read-only, for the block's later calls."""
+        if self.pos_mode != "sinusoidal":
+            return self.learned_pos
+        code = self._pos_codes.get(hw)
+        if code is None:
+            code = self._pos_codes[hw] = sinusoidal_embedding_2d(self.c, *hw)
+            code.flags.writeable = False
+        return code
 
     def generate_states(self, x: Tensor) -> list[Tensor]:
         return generate_states(x, self.state_convs, self.rates,

@@ -50,6 +50,10 @@ such a multiple.  The exception is outer_sum_mlp's gradients over more
 than one slab: its slab-wise sums add in another order than one
 reduction over all rows, so they agree with the whole map's to rounding,
 not bit for bit.
+
+The module imports numpy alone.  scipy.special, for GELU's erf, is
+imported by the first _gelu_cdf, so a process that runs no GELU (the
+flops tables, --help, a config error) never loads it.
 """
 
 from __future__ import annotations
@@ -61,7 +65,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erf
 
 # spatial kernel footprints used anywhere in the pipeline
 ALLOWED_KERNEL_SHAPES = {(1, 1), (3, 3), (3, 1), (1, 3)}
@@ -433,7 +436,14 @@ def mean_all(a: Tensor) -> Tensor:
 
 def _gelu_cdf(x: np.ndarray) -> np.ndarray:
     """Standard normal cdf; gelu(x) = x * _gelu_cdf(x).  The value of
-    0.5 * (1 + erf(x / sqrt(2))), formed in place in one temporary."""
+    0.5 * (1 + erf(x / sqrt(2))), formed in place in one temporary.
+
+    scipy.special, whose erf ufunc this is, is imported by the first call
+    (later ones find it in sys.modules), not with this module: it takes
+    longer to import than numpy and sdtp together, and only GELU reads
+    it."""
+    from scipy.special import erf
+
     t = x / np.sqrt(2.0)
     erf(t, out=t)
     t += 1.0
@@ -770,12 +780,30 @@ def _outer_sum_ln_finish(factors: tuple[np.ndarray, ...], ga: np.ndarray, ginv: 
     """Gradients of Linear(LayerNorm(y_i + x_j)) with respect to its
     (y, x, gain, bias, w, b) from the sums _outer_sum_ln_reduce forms over
     all rows and from the arrays of gain, bias and w; every array here is
-    factor-sized."""
+    factor-sized.
+
+    gv, the cotangent of the variance, scales as 1 / rms**2, and its
+    factor inv ** 3 leaves the normal range once a row's rms passes about
+    1e102.  Those entries are left out of gv, and their shares
+    gv_ij * (yc_i + xc_j) of gyc_i and gxc_j, which scale as 1 / rms, are
+    formed in an order whose every factor stays in range.  Every other
+    entry keeps its bits."""
     yc, xc, inv, gw, _, _, _ = factors
     c = w.shape[0]
-    gv = (-1.0 / c) * inv ** 3 * ginv       # (2 / c) * d(loss)/d(var)
+    gv = (-1.0 / c) * inv ** 3
+    lost = np.abs(gv) < np.finfo(np.float64).tiny  # subnormal or 0
+    gv *= ginv                              # (2 / c) * d(loss)/d(var)
+    gv[lost] = 0.0
     gyc = gv.sum(axis=1)[:, None] * yc + gv @ xc + ga @ gw.T
     gxc = gv.sum(axis=0)[:, None] * xc + gv.T @ yc + gbf @ gw.T
+    if lost.any():
+        i, j = np.nonzero(lost)
+        k = inv[i, j]
+        # (inv * ginv) and inv * (yc_i + xc_j) are scale-free, and their
+        # product with inv scales as 1 / rms: no factor leaves the range
+        share = ((-1.0 / c) * (k * ginv[i, j]) * k)[:, None] * (k[:, None] * (yc[i] + xc[j]))
+        np.add.at(gyc, i, share)
+        np.add.at(gxc, j, share)
     # in place: the same sums as a + b, with one (c, d) temporary fewer
     ggw = yc.T @ ga
     ggw += xc.T @ gbf

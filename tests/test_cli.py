@@ -374,6 +374,17 @@ class TestErrors:
     def test_missing_config_file(self):
         assert main(["forward", "--config", "/nope/missing.yaml"]) == 2
 
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_config_path(self, tmp_path, capsys, kind):
+        """A --config path that is a directory, or a file that is not
+        UTF-8, exits 2 naming the path, never with a traceback."""
+        p = tmp_path
+        if kind == "not_utf8":
+            p = tmp_path / "utf16.yaml"
+            p.write_bytes(b"\xff\xfec\x00")
+        assert main(["forward", "--config", str(p)]) == 2
+        assert f"configuration error: config file {p} " in capsys.readouterr().err
+
     def test_invalid_config_value(self, tmp_path):
         p = tmp_path / "bad.yaml"
         p.write_text("channels: -3\n")

@@ -2,6 +2,7 @@
 YAML loading, serialization round-trips, and the reserved-word alias."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -173,6 +174,22 @@ class TestLoading:
     def test_missing_file(self):
         with pytest.raises(ConfigurationError, match="not found"):
             load_config("/nonexistent/nowhere.yaml")
+
+    def test_directory_is_config_error(self, tmp_path):
+        """A path that names a directory is a config error naming it, not
+        an IsADirectoryError."""
+        want = re.escape(f"config file {tmp_path} cannot be read")
+        with pytest.raises(ConfigurationError, match=want):
+            load_config(tmp_path)
+
+    def test_non_utf8_file_is_config_error(self, tmp_path):
+        """A file whose bytes are not UTF-8 is a config error naming it,
+        not a UnicodeDecodeError."""
+        p = tmp_path / "utf16.yaml"
+        p.write_bytes(b"\xff\xfec\x00h\x00")
+        want = re.escape(f"config file {p} is not UTF-8")
+        with pytest.raises(ConfigurationError, match=want):
+            load_config(p)
 
     def test_invalid_yaml(self, tmp_path):
         p = tmp_path / "bad.yaml"

@@ -4,6 +4,7 @@ oracle, positional codes, query/key wiring, block shape and residuals."""
 import numpy as np
 import pytest
 
+from sdtp import isp
 from sdtp import tensor as T
 from sdtp.attention import attention_weights
 from sdtp.config import ConfigurationError
@@ -180,6 +181,36 @@ class TestBlock:
         blk = self.make_block()
         with pytest.raises(ContractViolation):
             blk(Tensor(RNG.standard_normal((5, 4, 4))))
+
+    def test_sinusoidal_code_built_once_per_size(self, monkeypatch):
+        """A block builds its sinusoidal code once per map size, however
+        often it runs, and the code it keeps has the builder's bits."""
+        built = []
+
+        def counting(c, h, w):
+            built.append((c, h, w))
+            return sinusoidal_embedding_2d(c, h, w)
+
+        monkeypatch.setattr(isp, "sinusoidal_embedding_2d", counting)
+        blk = self.make_block()
+        before = blk.params()
+        x = Tensor(RNG.standard_normal((4, 5, 6)))
+        first = blk(x).data
+        np.testing.assert_array_equal(blk(x).data, first)
+        blk(Tensor(RNG.standard_normal((4, 3, 3))))
+        assert built == [(4, 5, 6), (4, 3, 3)]
+        assert blk.pos_embedding((5, 6)).tobytes() == sinusoidal_embedding_2d(4, 5, 6).tobytes()
+        after = blk.params()
+        assert len(after) == len(before)
+        assert all(a is b for a, b in zip(after, before))
+
+    def test_learned_code_is_the_parameter(self):
+        """A learned code is the block's parameter itself on every call."""
+        blk = IspBlock(np.random.default_rng(0), 4, rates=(1, 2), n_heads=2,
+                       pos_embed="learned", hw=(3, 3))
+        assert blk.pos_embedding((3, 3)) is blk.learned_pos
+        blk(Tensor(RNG.standard_normal((4, 3, 3))))
+        assert blk.pos_embedding((3, 3)) is blk.learned_pos
 
     def test_learned_embedding_registered_eagerly(self):
         """With hw given, the learned position code is a parameter up front."""

@@ -1404,6 +1404,27 @@ class TestOverflowingSquares:
         big, ref = out(self.BIG), out(self.REF)
         np.testing.assert_allclose(big, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
+    @pytest.mark.parametrize("scale", [1e110, 1e150, 1e160])
+    def test_outer_sum_ln_factor_gradients(self, scale):
+        """The y and x gradients of Linear(LayerNorm(y_i + x_j)) scale as
+        1 / scale, so times the scale they agree with those at 1e100, where
+        LAYER_NORM_EPS lies below rounding, rather than losing the
+        variance term once its inv ** 3 underflows."""
+        rng = np.random.default_rng(4)
+        h, w, c, d = 3, 4, 5, 7
+        y, x = rng.standard_normal((h, c)), rng.standard_normal((w, c))
+        rest = [rng.standard_normal(s) for s in ((c,), (c,), (c, d), (d,))]
+        g = rng.standard_normal((h * w, d))
+
+        def grads(s):
+            ty, tx = Tensor(y * s, requires_grad=True), Tensor(x * s, requires_grad=True)
+            outer_sum_ln_linear(ty, tx, *map(Tensor, rest)).backward(g)
+            return ty.grad * s, tx.grad * s
+
+        for got, want in zip(grads(scale), grads(1e100)):
+            err = np.abs(got - want).max() / np.abs(want).max()
+            assert err < 2e-15
+
     def test_outer_sum_distance(self):
         """The distance scales by 1e10 against 1e150, not to inf, and its
         gradients, each of the difference over the distance, are
