@@ -6,10 +6,12 @@ is a token, so each (c, h, w) level is first collapsed into a vertical
 factor (c, h, 1) and a horizontal factor (c, 1, w): a 1x1 convolution
 produces logits, a softmax along the axis being reduced turns them into
 pooling weights, and a 3x1 (resp. 1x3) convolution refines the pooled
-vector.  Grouped attention then runs over the vertical factors of all
-levels jointly, and separately over the horizontal factors, with shared
-projections, pre-norm, and residuals; each axis's attention weights carry
-the block's score activation (mode and tau).  Recoupling broadcasts the
+vector.  Grouped attention then runs once per axis: the vertical factor
+tokens of all levels are concatenated, and one self-attention over them,
+with pre-norm and a residual, lets every level's tokens query every
+level's, keys and values projected once; likewise the horizontal factors.
+Each axis's attention weights carry the block's score activation (mode and
+tau), and each level takes its own rows back.  Recoupling broadcasts the
 refined factors back to (c, h, w) by addition, an outer-sum expansion.  A
 token MLP (pre-norm) refines the recoupled map, and the map, the recoupled
 factors and the MLP output are summed into the level's output.
@@ -130,32 +132,28 @@ def total_loss(task_loss: Tensor, dep_loss: Tensor, lam: float = 0.01) -> Tensor
     return T.add(task_loss, T.scale(dep_loss, lam))
 
 
-def mga(token_sets: list[Tensor], weights: AttentionWeights) -> list[Tensor]:
-    """Grouped attention across levels: each level's tokens query the
-    concatenation of every level's keys/values; projections are shared.
-    Token counts per level are preserved."""
-    if not token_sets:
-        raise ContractViolation("mga needs at least one token set")
-    d = token_sets[0].shape[1]
-    for t in token_sets:
-        if t.ndim != 2 or t.shape[1] != d:
-            raise ContractViolation(
-                f"mga token sets must share embed width {d}, got {t.shape}")
-    return [multi_head_attention(q, token_sets, weights) for q in token_sets]
+def mga(tokens: Tensor, weights: AttentionWeights) -> Tensor:
+    """Grouped attention across levels: the rows of tokens are every
+    level's factor tokens, concatenated, and each queries the keys and
+    values of all of them, projected once with the shared weights.  So it
+    is one self-attention over the concatenation; row k of the output is
+    row k's update."""
+    return multi_head_attention(tokens, [tokens], weights)
 
 
 class CdiBlock(T.Module):
     """One round of cross-level interaction over a dict of (c, h, w) maps.
 
-    Per level: decouple -> grouped attention over vertical factors of all
-    levels (pre-norm, residual) and likewise horizontal -> token MLP on
-    the recoupled factors (pre-norm) -> add the recoupled map and the MLP
-    output back onto the input map; the last two steps are one op,
-    self.mlp applied to a T.OuterSum carrying the map.  The final residual
-    means zeroing the refinement convs together with the attention and
-    MLP output projections turns the whole block into an exact identity.
-    Returns (updated maps, decoupling penalty), the penalty computed from
-    the raw pre-attention factors.  Its parameters are named cdi.*.
+    Per level: decouple -> its rows of one grouped attention over the
+    vertical factors of all levels (pre-norm, residual) and likewise
+    horizontal -> token MLP on the recoupled factors (pre-norm) -> add the
+    recoupled map and the MLP output back onto the input map; the last two
+    steps are one op, self.mlp applied to a T.OuterSum carrying the map.
+    The final residual means zeroing the refinement convs together with the
+    attention and MLP output projections turns the whole block into an
+    exact identity.  Returns (updated maps, decoupling penalty), the penalty
+    computed from the raw pre-attention factors.  Its parameters are named
+    cdi.*.
     """
 
     def __init__(self, rng: np.random.Generator, c: int, n_heads: int = 8,
@@ -178,16 +176,19 @@ class CdiBlock(T.Module):
         pairs = [decouple(maps[lvl], self.dec, level=lvl) for lvl in levels]
         dep = decouple_loss([maps[lvl] for lvl in levels], pairs)
 
-        # a (c, h, 1) factor is a map of h tokens, a (c, 1, w) one of w
-        tv = [T.map_to_tokens(p.y) for p in pairs]
-        th = [T.map_to_tokens(p.x) for p in pairs]
-        attn_v = mga([self.ln_v(t) for t in tv], self.attn_v)
-        attn_h = mga([self.ln_h(t) for t in th], self.attn_h)
-        v_hat = [T.add(t, a) for t, a in zip(tv, attn_v)]
-        h_hat = [T.add(t, a) for t, a in zip(th, attn_h)]
+        # a (c, h, 1) factor is a map of h tokens, a (c, 1, w) one of w; one
+        # grouped attention per axis runs over every level's tokens at once
+        tv = T.concat([T.map_to_tokens(p.y) for p in pairs], axis=0)
+        th = T.concat([T.map_to_tokens(p.x) for p in pairs], axis=0)
+        v_hat = T.add(tv, mga(self.ln_v(tv), self.attn_v))
+        h_hat = T.add(th, mga(self.ln_h(th), self.attn_h))
 
-        # the MLP reads the refined factors and adds the map, their outer sum
-        # and its own output into the level's output
-        outs = {lvl: self.mlp(T.OuterSum(maps[lvl], v, hh, self.ln_m))
-                for lvl, v, hh in zip(levels, v_hat, h_hat)}
+        # the MLP reads the level's rows of the refined factors and adds the
+        # map, their outer sum and its own output into the level's output
+        outs, top, left = {}, 0, 0
+        for lvl in levels:
+            _, h, w = maps[lvl].shape
+            v, hh = T.narrow(v_hat, 0, top, h), T.narrow(h_hat, 0, left, w)
+            outs[lvl] = self.mlp(T.OuterSum(maps[lvl], v, hh, self.ln_m))
+            top, left = top + h, left + w
         return outs, dep

@@ -378,8 +378,7 @@ def _(rng):
     t2 = Tensor(rng.standard_normal((3, 6)))
 
     def fn(t1, t2, *ps):
-        outs = D.mga([t1, t2], w)
-        return T.concat(outs, axis=0)
+        return D.mga(T.concat([t1, t2]), w)
 
     return fn, [("t1", t1), ("t2", t2)] + _attention_params(w)
 

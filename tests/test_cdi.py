@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdtp import pyramid as P
 from sdtp import tensor as T
-from sdtp.attention import attention_weights
+from sdtp.attention import attention_weights, multi_head_attention
 from sdtp.cdi import (
     CdiBlock,
     DecoupledPair,
@@ -18,6 +19,8 @@ from sdtp.cdi import (
     recouple,
     total_loss,
 )
+from sdtp.complexity import MacCounter
+from sdtp.config import PipelineConfig
 from sdtp.tensor import ContractViolation, Tensor
 
 from oracles import naive_recouple
@@ -46,9 +49,10 @@ def _zeros(*shape):
     (lambda: decouple_loss([_zeros(3, 2, 2)],
                            [DecoupledPair(y=_zeros(2, 2, 1), x=_zeros(2, 1, 2), level=4)]),
      r"level 4: map channels 3 != factor channels 2"),
-    (lambda: mga([], attention_weights(np.random.default_rng(0), 4, 2, "arf", 2.0)),
-     r"mga needs at least one token set"),
-], ids=["pair_vertical", "pair_horizontal", "decouple_rank", "loss_channels", "mga_empty"])
+    (lambda: CdiBlock(np.random.default_rng(0), 4, n_heads=2)({}),
+     r"concat of an empty list"),
+], ids=["pair_vertical", "pair_horizontal", "decouple_rank", "loss_channels",
+        "block_without_levels"])
 def test_contract_violations_name_the_argument(call, match):
     """Each CDI contract raises ContractViolation naming what is wrong."""
     with pytest.raises(ContractViolation, match=match):
@@ -192,32 +196,88 @@ class TestPenalty:
 
 
 class TestGroupedAttention:
+    """mga is one self-attention over every level's tokens, concatenated."""
+
+    def sets(self, c, counts=(3, 5, 2)):
+        return [Tensor(RNG.standard_normal((n, c))) for n in counts]
+
     def test_preserves_token_counts(self):
-        """Each level keeps its own token count; embed width is shared."""
+        """One output row per token, so each level's rows keep its token
+        count, and a block over three levels keeps every level's shape."""
         c = 4
         w = attention_weights(np.random.default_rng(0), c, 2, "arf", 2.0)
-        sets = [Tensor(RNG.standard_normal((n, c))) for n in (3, 5, 2)]
-        outs = mga(sets, w)
-        assert [o.shape for o in outs] == [(3, c), (5, c), (2, c)]
+        assert mga(T.concat(self.sets(c)), w).shape == (10, c)
+        maps = {lvl: Tensor(RNG.standard_normal((c, h, wd)))
+                for lvl, (h, wd) in zip((3, 4, 5), ((5, 7), (3, 4), (2, 2)))}
+        outs, _ = CdiBlock(np.random.default_rng(0), c, n_heads=2)(maps)
+        assert {k: v.shape for k, v in outs.items()} == {k: v.shape for k, v in maps.items()}
 
     def test_every_level_sees_every_level(self):
-        """Perturbing one level's tokens changes all levels' outputs."""
+        """Perturbing one token of the last level changes every level's
+        rows; in a block, perturbing the deepest map changes the shallowest
+        level's output, which only the grouped attention carries."""
         c = 4
         w = attention_weights(np.random.default_rng(1), c, 2, "arf", 2.0)
-        base_sets = [RNG.standard_normal((3, c)) for _ in range(3)]
-        base = [o.data for o in mga([Tensor(s) for s in base_sets], w)]
-        bumped = [s.copy() for s in base_sets]
-        bumped[2][0, 0] += 1.0
-        new = [o.data for o in mga([Tensor(s) for s in bumped], w)]
-        for b, n in zip(base, new):
-            assert np.abs(n - b).max() > 0
+        base = RNG.standard_normal((9, c))  # three levels of three tokens
+        bumped = base.copy()
+        bumped[6, 0] += 1.0
+        diff = np.abs(mga(Tensor(bumped), w).data - mga(Tensor(base), w).data)
+        for rows in (slice(0, 3), slice(3, 6), slice(6, 9)):
+            assert diff[rows].max() > 0
+        blk = CdiBlock(np.random.default_rng(1), c, n_heads=2)
+        maps = {4: RNG.standard_normal((c, 4, 6)), 5: RNG.standard_normal((c, 2, 3))}
+        before = blk({k: Tensor(v) for k, v in maps.items()})[0][4].data
+        maps[5][0, 0, 0] += 1.0
+        after = blk({k: Tensor(v) for k, v in maps.items()})[0][4].data
+        assert np.abs(after - before).max() > 0
+
+    @pytest.mark.parametrize("mode", ["softmax", "tanh", "arf"])
+    def test_equals_each_level_querying_all_levels(self, mode):
+        """Each level's rows equal its tokens querying the concatenation of
+        every level's keys and values, grouped attention's per-level form,
+        to rounding: the products now span the other levels' rows too."""
+        c = 4
+        w = attention_weights(np.random.default_rng(2), c, 2, mode, 2.0)
+        sets = self.sets(c)
+        joint, top = mga(T.concat(sets), w).data, 0
+        for s in sets:
+            want = multi_head_attention(s, sets, w).data
+            np.testing.assert_allclose(joint[top: top + s.shape[0]], want, rtol=1e-13, atol=1e-15)
+            top += s.shape[0]
 
     def test_width_mismatch_rejected(self):
-        """Token sets of different widths cannot be grouped."""
+        """Tokens whose width is not the weights' embed width are rejected."""
         w = attention_weights(np.random.default_rng(0), 4, 2, "arf", 2.0)
-        with pytest.raises(ContractViolation):
-            mga([Tensor(RNG.standard_normal((3, 4))),
-                 Tensor(RNG.standard_normal((3, 5)))], w)
+        with pytest.raises(ContractViolation, match=r"queries must be \(n, 4\), got \(6, 5\)"):
+            mga(Tensor(RNG.standard_normal((6, 5))), w)
+
+
+class TestAttentionCost:
+    @pytest.mark.parametrize("dims", [((4, 6), (2, 3)), ((5, 7), (3, 4), (2, 2))],
+                             ids=["two_levels", "three_levels"])
+    def test_block_counts_one_self_attention_per_axis(self, dims):
+        """A block's attention MACs are, per axis, one self-attention over
+        all levels' N tokens (N the sum of the levels' h, resp. w):
+        4*N*c^2 for the four projections and 2*N^2*c for the scores and the
+        weighted values.  Keys and values are projected once per axis, not
+        once per level."""
+        c = 4
+        blk = CdiBlock(np.random.default_rng(0), c, n_heads=2)
+        maps = {lvl: Tensor(RNG.standard_normal((c, h, wd)))
+                for lvl, (h, wd) in enumerate(dims, start=3)}
+        with MacCounter() as counter:
+            blk(maps)
+        axes = (sum(h for h, _ in dims), sum(wd for _, wd in dims))
+        assert counter.total == sum(4 * n * c * c + 2 * n * n * c for n in axes)
+
+    def test_default_forward_attention_macs(self):
+        """A default-dims forward counts 117,506,048 attention MACs: ISP's
+        and both of CDI's axes, whose keys and values are projected once."""
+        cfg = PipelineConfig()
+        pipe, pyr = P.Pipeline(cfg), P.synthetic_pyramid(cfg)
+        with MacCounter() as counter:
+            pipe.forward(pyr)
+        assert counter.total == 117_506_048
 
 
 class TestBlock:
