@@ -706,7 +706,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 def _outer_sum_ln_factors(y: Tensor, x: Tensor, gain: Tensor, bias: Tensor,
                           w: Tensor, b: Tensor) -> tuple[np.ndarray, ...]:
     """Check the arguments of outer_sum_mlp's Linear(LayerNorm(y_i + x_j))
-    and return its factor-side arrays (yc, xc, inv, gw, A, B, b'), as
+    and return its factor-side arrays (yc, xc, inv, A, B, b'), as
     outer_sum_mlp names them."""
     if y.ndim != 2 or x.ndim != 2 or y.shape[1] != x.shape[1]:
         raise ContractViolation(f"outer_sum_mlp factors must be (h, c) and (w, c), "
@@ -734,7 +734,7 @@ def _outer_sum_ln_factors(y: Tensor, x: Tensor, gain: Tensor, bias: Tensor,
         i, j = np.nonzero(inv == 0)
         inv[i, j] = np.sqrt(c) / _norms(yc[i] + xc[j])[:, 0]
     gw = gain.data[:, None] * w.data
-    return yc, xc, inv, gw, yc @ gw, xc @ gw, bias.data @ w.data + b.data
+    return yc, xc, inv, yc @ gw, xc @ gw, bias.data @ w.data + b.data
 
 
 def _outer_sum_slabs(factors: tuple[np.ndarray, ...]):
@@ -744,7 +744,7 @@ def _outer_sum_slabs(factors: tuple[np.ndarray, ...]):
     Linear(LayerNorm(y_i + x_j)), which is inv_ij * (A_i + B_j) + b'.
     Every block is written into one reused buffer, so it is valid only
     until the next one is yielded."""
-    _, _, inv, _, a_f, b_f, b_out = factors
+    _, _, inv, a_f, b_f, b_out = factors
     (h, nw), d = inv.shape, a_f.shape[1]
     slabs = _blocks(h, nw * d, nw)
     buf = np.empty((max(s.stop - s.start for s in slabs), nw, d))
@@ -763,7 +763,7 @@ def _outer_sum_ln_reduce(factors: tuple[np.ndarray, ...], rows: slice,
     Linear(LayerNorm(y_i + x_j)) read: the weighted row sums ga and the
     cotangent of inv, ginv, for those factor rows, and these rows' shares
     of the sums over all rows, gb (by token) and gbf (by column j)."""
-    _, _, inv, _, a_f, b_f, _ = factors
+    _, _, inv, a_f, b_f, _ = factors
     inv, (nw, d) = inv[rows], b_f.shape
     g3 = g.reshape(-1, nw, d)
     # weighted row and column sums of the cotangent over the slab's grid
@@ -779,8 +779,10 @@ def _outer_sum_ln_finish(factors: tuple[np.ndarray, ...], ga: np.ndarray, ginv: 
                          w: np.ndarray) -> tuple[np.ndarray, ...]:
     """Gradients of Linear(LayerNorm(y_i + x_j)) with respect to its
     (y, x, gain, bias, w, b) from the sums _outer_sum_ln_reduce forms over
-    all rows and from the arrays of gain, bias and w; every array here is
-    factor-sized.
+    all rows and from the arrays of gain, bias and w.  Every array here is
+    factor-sized, apart from those of w's shape: w itself, gw = gain * w,
+    rebuilt as _outer_sum_ln_factors formed it so that the tape keeps no
+    copy, and w's gradient.
 
     gv, the cotangent of the variance, scales as 1 / rms**2, and its
     factor inv ** 3 leaves the normal range once a row's rms passes about
@@ -788,8 +790,9 @@ def _outer_sum_ln_finish(factors: tuple[np.ndarray, ...], ga: np.ndarray, ginv: 
     gv_ij * (yc_i + xc_j) of gyc_i and gxc_j, which scale as 1 / rms, are
     formed in an order whose every factor stays in range.  Every other
     entry keeps its bits."""
-    yc, xc, inv, gw, _, _, _ = factors
+    yc, xc, inv, _, _, _ = factors
     c = w.shape[0]
+    gw = gain[:, None] * w
     gv = (-1.0 / c) * inv ** 3
     lost = np.abs(gv) < np.finfo(np.float64).tiny  # subnormal or 0
     gv *= ginv                              # (2 / c) * d(loss)/d(var)

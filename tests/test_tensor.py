@@ -709,6 +709,15 @@ class TestOuterSumMlp:
         assert held
         assert all(a.size < h * wd * c for a in held)
 
+    def test_graph_keeps_no_copy_of_the_first_weight(self):
+        """No array of w1's shape but w1 itself is held: the VJP rebuilds
+        gain * w1, a (c, 4c) array per CDI level, when it runs."""
+        ts = [Tensor(a, requires_grad=True) for a in self.inputs(5)]  # no (h, d) is (c, d)
+        w1 = ts[5].data
+        held = T.tape_arrays(T.outer_sum_mlp(*ts))
+        assert any(a is w1 for a in held)
+        assert [a.shape for a in held if a.shape == w1.shape and a is not w1] == []
+
     def test_shape_contract(self):
         """The map, factors, LayerNorm, both weights and both biases must
         agree."""

@@ -42,7 +42,7 @@ def outer_sum_ln_linear(y, x, gain, bias, w, b):
     It is formed as inv_ij * (A_i + B_j) + b' on all rows at once: element
     for element the arithmetic of outer_sum_mlp's slabs, but not its loop."""
     factors = T._outer_sum_ln_factors(y, x, gain, bias, w, b)
-    _, _, inv, _, a_f, b_f, b_out = factors
+    _, _, inv, a_f, b_f, b_out = factors
     out = (a_f[:, None, :] + b_f) * inv[:, :, None] + b_out
     # a copy, so the output owns its memory as a package op's output does
     out = out.reshape(-1, out.shape[2]).copy()
