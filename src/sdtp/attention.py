@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .arf import arf_op
-from .config import ConfigurationError
+from .arf import _check_tau, arf_op
+from .config import ARF_MODES, ConfigurationError
 from .tensor import ContractViolation, Tensor
 
 # the observer scope its matmuls run in, which MacCounter counts
@@ -33,7 +33,9 @@ SCOPE = "attention"
 @dataclass
 class AttentionWeights(T.Module):
     """Bias-free projection matrices, heads being column blocks of each,
-    and the score activation: its mode and the refinement gate's tau."""
+    and the score activation: its mode and the refinement gate's tau,
+    both checked here, so a bad one fails where the weights are built
+    rather than at the first attention call."""
 
     wq: Tensor
     wk: Tensor
@@ -51,6 +53,9 @@ class AttentionWeights(T.Module):
         if self.n_heads < 1 or c % self.n_heads:
             raise ConfigurationError(
                 f"n_heads={self.n_heads} does not divide embed width {c}")
+        if self.mode not in ARF_MODES:
+            raise ConfigurationError(f"attention mode {self.mode!r} not in {ARF_MODES}")
+        _check_tau(self.tau)
 
     @property
     def c(self) -> int:

@@ -9,8 +9,10 @@ import pytest
 from sdtp import tensor as T
 from sdtp.arf import arf
 from sdtp.attention import AttentionWeights, attention_weights, multi_head_attention
+from sdtp.cdi import CdiBlock
 from sdtp.complexity import MacCounter
 from sdtp.config import ConfigurationError
+from sdtp.isp import IspBlock
 from sdtp.tensor import ContractViolation, Tensor
 
 from oracles import naive_multi_head_attention
@@ -104,11 +106,25 @@ class TestContracts:
             make_weights(6, 4)
 
     def test_unknown_mode_rejected(self):
-        """Unknown activation tags fail loudly."""
-        w = make_weights(4, 2, mode="sigmoid")
-        with pytest.raises(ConfigurationError):
-            multi_head_attention(Tensor(RNG.standard_normal((2, 4))),
-                                 [Tensor(RNG.standard_normal((2, 4)))], w)
+        """Unknown activation tags fail loudly, where the weights are built."""
+        with pytest.raises(ConfigurationError, match="attention mode 'sigmoid' not in"):
+            make_weights(4, 2, mode="sigmoid")
+
+    @pytest.mark.parametrize("tau", [-1.0, float("nan"), float("inf")])
+    def test_bad_tau_rejected(self, tau):
+        """A negative or non-finite tau fails where the weights are built,
+        as the refinement gate would reject it at the first call."""
+        with pytest.raises(ContractViolation, match="tau must be finite and >= 0"):
+            make_weights(4, 2, mode="arf", tau=tau)
+
+    @pytest.mark.parametrize("build", [
+        lambda rng: CdiBlock(rng, 4, n_heads=2, mode="sofmax"),
+        lambda rng: IspBlock(rng, 4, rates=(1, 2), n_heads=2, mode="sofmax"),
+    ], ids=["cdi", "isp"])
+    def test_block_with_bad_mode_fails_when_built(self, build):
+        """A misspelt mode stops the block's construction, not its forward."""
+        with pytest.raises(ConfigurationError, match="'sofmax'"):
+            build(np.random.default_rng(0))
 
     def test_non_square_weight_rejected(self):
         """Projection matrices must be square and equal-sized."""
