@@ -17,11 +17,12 @@ token MLP (pre-norm) refines the recoupled map, and the map, the recoupled
 factors and the MLP output are summed into the level's output.
 
 Each level's map passes through three fused ops, whose recorded graphs keep
-only what their VJPs read, so a taped block's graph holds two arrays of a
-map's size per level beside its input, the two pooling softmaxes, and the
-output only while the caller or a VJP downstream holds it.
+only what their VJPs read, so of the arrays of a map's size a taped
+block's graph holds, beside its input, the output only, and that only
+while the caller or a VJP downstream holds it.
 - softmax_pool, once per axis: the logit conv, softmax and weighted sum.
-  Its VJP keeps the softmax output and rebuilds the rest.
+  Its VJP keeps only the map and the logit kernel, and rebuilds each
+  block of channels' softmax when it runs.
 - outer_sum_distance: the decoupling penalty's term.  Its VJP rebuilds
   the difference from the map and the factors.
 - outer_sum_mlp: the residual update.  Its layer norm and first projection

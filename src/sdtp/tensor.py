@@ -37,7 +37,10 @@ input gradients block by block.  conv2d's and softmax_pool's hold a
 map-sized temporary only where one product reduces over every pixel (a
 weight gradient); outer_sum_mlp's holds none, since it adds each slab's
 share into its weight gradients and its factor-side sums over all token
-rows as it walks.  resample_nearest's VJP, too, walks _blocks of
+rows as it walks.  softmax_pool's graph keeps no softmax: its VJP
+rebuilds each block's from x and w as the forward formed it, once for
+the logit cotangent and once, in the gradient's own rows, for the pooled
+gradient.  resample_nearest's VJP, too, walks _blocks of
 channels, summing each block's outputs onto their sources in raster
 order with np.bincount.  Every output element is summed in the same
 order whatever the block size, and each gradient is laid out as the
@@ -131,8 +134,9 @@ class Tensor:
     node as its one parent (``_parents == (node,)``); the node does not
     link back, so the graph never keeps an output Tensor, nor through it
     the output's array.
-    Gradient buffers are never mutated in place, only rebound, so views
-    returned by cheap VJPs (reshape, transpose) are safe to share.
+    backward() writes into no array a VJP returned, only into the sums it
+    formed itself, so views returned by cheap VJPs (reshape, transpose)
+    and one array returned to two parents are safe to share.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents")
@@ -182,7 +186,13 @@ class Tensor:
         """Add this output's gradient, seeded with grad (1 for a scalar;
         else of the output's shape), into the .grad of every grad-requiring
         leaf it depends on, and consume the graph: a second pass over any
-        part of it raises."""
+        part of it raises.
+
+        Where a node receives several gradients, the first two are summed
+        out of place and each later one is added into that sum in place:
+        the same additions in the same order, so the same bits, with one
+        array per node however many gradients it receives.  A leaf's .grad
+        is rebound, never written into."""
         if not self.requires_grad:
             raise ContractViolation(
                 "backward() on a tensor with no graph: no input requires grad, "
@@ -217,9 +227,14 @@ class Tensor:
         # the graph: each op node gives up its VJP closure and its parent
         # links as it is reached, so the arrays only that closure held are
         # freed as the pass goes, and a later pass through it is refused.
+        # `owned` names the entries that are sums this pass formed itself,
+        # the only arrays it adds into in place: a VJP may return one array
+        # to two parents, or a view of its cotangent.
         grads = {id(root): np.asarray(grad, dtype=self.data.dtype)}
+        owned: set[int] = set()
         for node in reversed(topo):
             g_node = grads.pop(id(node), None)
+            owned.discard(id(node))
             if node._vjp is None:  # a leaf
                 if g_node is not None:
                     node.grad = g_node if node.grad is None else node.grad + g_node
@@ -231,8 +246,15 @@ class Tensor:
             pgrads = vjp(g_node)
             vjp = g_node = None  # frees the closure's arrays and the cotangent
             for p, g in zip(parents, pgrads):
-                if p.requires_grad and g is not None:
-                    grads[id(p)] = g if id(p) not in grads else grads[id(p)] + g
+                if not p.requires_grad or g is None:
+                    continue
+                if id(p) in owned:
+                    grads[id(p)] += g
+                elif id(p) in grads:
+                    grads[id(p)] = grads[id(p)] + g
+                    owned.add(id(p))
+                else:
+                    grads[id(p)] = g
             pgrads = g = None  # and the parent gradients summed into others
 
     def __repr__(self):
@@ -478,12 +500,18 @@ def tanh_t(a: Tensor) -> Tensor:
 
 def softmax_rows(a: Tensor) -> Tensor:
     """Softmax along the last axis, stabilised by row-max subtraction."""
-    x = a.data
-    out = x - x.max(axis=-1, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    out = _softmax_rows_into(a.data)
     # a copy of the cotangent, which may be shared with other gradients
     return Tensor._from_op(out, (a,), lambda g: (_softmax_rows_vjp(out, np.copy(g)),))
+
+
+def _softmax_rows_into(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """softmax_rows's math on the array x, formed in out (x itself for in
+    place) or, with out None, in a new array; returns it."""
+    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def _softmax_rows_vjp(out: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -935,16 +963,19 @@ def softmax_pool(x: Tensor, w: Tensor, axis: int) -> Tensor:
     (for axis 1 on a transposed copy), both under no_grad, and its weighted
     sum is written into the output; each row of every step depends on its
     own channel alone, so the values do not depend on the block size.
-    When the op is recorded, each block's softmax is also written into one
-    map-sized array, which the VJP holds with the arrays of x and w, and
-    from which it runs the product's, the softmax's and the conv's VJP
-    math over the same blocks of channels: it writes the logit cotangent
-    block by block into one map-sized array, the weighted cotangent and
-    the softmax VJP's temporaries are one block each, and the conv's VJP
-    walks blocks of rows.  x is listed twice among the parents, product
-    use first, as the unfused chain conv2d -> softmax -> mul -> sum
-    accumulates it, so values and gradients equal that chain's bit for
-    bit.
+    The recorded VJP holds only the arrays of x and w, no softmax
+    (gradient checkpointing of one op).  It walks the same blocks of
+    channels twice, rebuilding each block's softmax with the same conv2d
+    and softmax_rows's math, formed in place in an array of the block's
+    rows.  The first walk forms it in a fresh block, then the weighted
+    cotangent and, in place, its softmax VJP, one block each, writing the
+    logit cotangent block by block into one map-sized array; the conv's
+    VJP then walks blocks of rows, and the logit cotangent is freed.  The
+    second walk forms each block's softmax in that block's rows of the
+    pooled input's gradient and multiplies the cotangent in there.  x is
+    listed twice among the parents, product use first, as the unfused
+    chain conv2d -> softmax -> mul -> sum accumulates it, so values and
+    gradients equal that chain's bit for bit.
     """
     if x.ndim != 3:
         raise ContractViolation(f"softmax_pool expects (c, h, w), got shape {x.shape}")
@@ -963,8 +994,6 @@ def softmax_pool(x: Tensor, w: Tensor, axis: int) -> Tensor:
     # the softmax has one row of length h (axis 1) or w (axis 2) per pooled
     # entry, so a channel has `per` rows of length `n_row`
     per, n_row = (wd, h) if axis == 1 else (h, wd)
-    recording = _OBSERVER.get().recording and (x.requires_grad or w.requires_grad)
-    sm = np.empty((c * per, n_row)) if recording else None
     out = np.empty((c, 1, wd) if axis == 1 else (c, h, 1))
     blocks = _blocks(c, h * wd, 1)
     with no_grad():
@@ -974,29 +1003,43 @@ def softmax_pool(x: Tensor, w: Tensor, axis: int) -> Tensor:
                 logits = logits.transpose(0, 2, 1)
             block = softmax_rows(Tensor(logits.reshape(-1, n_row))).data
             del logits
-            if recording:
-                sm[ch.start * per: ch.stop * per] = block
             n = ch.stop - ch.start
             out[ch] = (pooling_weights(block, n) * xd[ch]).sum(axis=axis, keepdims=True)
             del block  # freed before the next block's logits
+
+    def softmax_block(ch, rows):
+        """Block ch's softmax, rebuilt with the forward's conv2d and
+        softmax math in rows, an (n * per, n_row) array, which it
+        returns.  No input requires grad, so nothing is recorded."""
+        pooling_weights(rows, ch.stop - ch.start)[...] = conv2d(Tensor(xd), Tensor(wt[ch])).data
+        return _softmax_rows_into(rows, rows)
 
     def vjp(g):
         gp = np.broadcast_to(g, xd.shape)
         glogits = np.empty((c, h, wd))
         for ch in blocks:
             n = ch.stop - ch.start
+            sm = softmax_block(ch, np.empty((n * per, n_row)))
             # the block's weighted cotangent, laid out as its softmax rows
             # (for axis 1 in a transposed block), and then, in place, their
             # softmax VJP: the block's logit cotangent
             rows = glogits[ch] if axis == 2 else np.empty((n, wd, h))
             np.multiply(gp[ch], xd[ch], out=pooling_weights(rows, n))
-            _softmax_rows_vjp(sm[ch.start * per: ch.stop * per], rows.reshape(-1, n_row))
+            _softmax_rows_vjp(sm, rows.reshape(-1, n_row))
             if axis == 1:
                 glogits[ch] = pooling_weights(rows, n)
-            del rows  # freed before the next block's
+            del sm, rows  # freed before the next block's
         gx_logits, gw = _conv2d_vjp(xd, wt, 1, glogits)
         del glogits  # freed before the pooled input's gradient is formed
-        return gp * pooling_weights(sm, c), gx_logits, gw
+        # the pooled input's gradient, laid out as the softmax rows; each
+        # block's softmax is rebuilt in the block's own rows of it, and the
+        # cotangent multiplied in there
+        gx_rows = np.empty((c * per, n_row))
+        for ch in blocks:
+            sm = pooling_weights(softmax_block(ch, gx_rows[ch.start * per: ch.stop * per]),
+                                 ch.stop - ch.start)
+            np.multiply(gp[ch], sm, out=sm)
+        return pooling_weights(gx_rows, c), gx_logits, gw
 
     return Tensor._from_op(out, (x, x, w), vjp)
 

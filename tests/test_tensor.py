@@ -163,6 +163,29 @@ class TestBackwardStructure:
         np.testing.assert_allclose(a.grad, 2 * a.data, rtol=1e-15, atol=1e-15)
         np.testing.assert_allclose(b.grad, 2 * b.data, rtol=1e-15, atol=1e-15)
 
+    def test_backward_adds_in_place_only_into_its_own_sums(self):
+        """A VJP returns one array to two parents, each of which has two
+        more consumers.  backward() adds the later shares in place only into
+        the sums it formed itself: the returned array is left as it was,
+        and each leaf gradient is the out-of-place sum of its shares in
+        arrival order, bit for bit."""
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal(4), requires_grad=True)
+        y = Tensor(rng.standard_normal(4), requires_grad=True)
+        p, q = T.scale(x, 2.0), T.scale(y, 2.0)
+        shared = rng.standard_normal(4)
+        kept = shared.copy()
+        both = Tensor._from_op(p.data + q.data, (p, q), lambda g: (shared, shared))
+        cs = [rng.standard_normal(4) for _ in range(4)]
+        out = both
+        for parent, c in zip((p, q, p, q), cs):
+            # mul's VJP hands p (or q) the cotangent of ones times c: c itself
+            out = T.add(out, T.mul(parent, Tensor(c)))
+        out.backward(np.ones(4))
+        assert np.array_equal(shared, kept)
+        assert np.array_equal(x.grad, ((shared + cs[0]) + cs[2]) * 2.0)
+        assert np.array_equal(y.grad, ((shared + cs[1]) + cs[3]) * 2.0)
+
     def test_second_backward_is_refused(self):
         """backward() consumes the graph, so a second pass over it raises,
         and every leaf keeps the gradient the first pass left."""
@@ -846,14 +869,15 @@ class TestSoftmaxPool:
         for got, want in zip(fused, chain):
             assert_rel_close(got, want, 1e-12)
 
-    def test_graph_keeps_one_map_sized_array(self):
-        """Besides its input, the graph holds one array of the map's size,
-        the softmax output: no logits, transposed copy or product."""
+    def test_graph_keeps_no_map_sized_array(self):
+        """The graph holds the arrays of x, w and the output alone: no
+        softmax, logits, transposed copy or product of the map's size."""
         for axis in (1, 2):
             x = Tensor(rand(3, 5, 7), requires_grad=True)
             w = Tensor(rand(3, 3, 1, 1), requires_grad=True)
-            held = T.tape_arrays(T.softmax_pool(x, w, axis))
-            assert sum(a.size == x.size and a is not x.data for a in held) == 1
+            out = T.softmax_pool(x, w, axis)
+            held = T.tape_arrays(out)
+            assert {id(a) for a in held} == {id(out.data), id(x.data), id(w.data)}
 
     def test_contract(self):
         """The map must be (c, h, w), the kernel (c, c, 1, 1), the axis 1 or 2."""
@@ -1147,10 +1171,13 @@ class TestLevel2Memory:
 
     @pytest.mark.parametrize("axis", [1, 2])
     def test_softmax_pool_backward(self, level2, axis):
-        """Two blocks: the weighted cotangent's block (transposed for axis
-        1) and its softmax VJP's product, then the logit conv's block.  The
-        map-sized logit cotangent is freed before the pooled gradient is
-        formed."""
+        """Two blocks beyond the gradients.  The first walk's blocks (the
+        rebuilt softmax, the weighted cotangent, transposed for axis 1, and
+        its softmax VJP's product) and the map-sized logit cotangent come
+        before the gradients are allocated; the logit conv's VJP adds one
+        block; the logit cotangent is freed before the pooled gradient is
+        formed, and the second walk rebuilds each block's softmax in that
+        gradient's own rows, beside one block of logits."""
         rng, x = level2
         w = Tensor(rng.standard_normal((256, 256, 1, 1)))
         out = T.softmax_pool(Tensor(x.data, requires_grad=True), w, axis)
