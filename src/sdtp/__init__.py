@@ -10,7 +10,7 @@ from .complexity import (COCO_LEVEL_DIMS, LevelDims, MacCounter, flops_table,
                          input_level_dims, measured_macs, resolution_sweep)
 from .config import ConfigurationError, PipelineConfig, load_config
 from .gradcheck import GradCheckReport, registered_cases, run_all, run_case, vjp_check
-from .isp import IspBlock, generate_states, mma, sinusoidal_embedding_2d
+from .isp import IspBlock, mma, sinusoidal_embedding_2d
 from .pyramid import (FeaturePyramid, Pipeline, TrainingDiverged, TrainTrace,
                       cross_level_sensitivity, synthetic_pyramid, toy_train,
                       variant_rows, zero_enhancement_branches)
@@ -27,7 +27,7 @@ __all__ = [
     "input_level_dims", "measured_macs", "resolution_sweep",
     "ConfigurationError", "PipelineConfig", "load_config",
     "GradCheckReport", "registered_cases", "run_all", "run_case", "vjp_check",
-    "IspBlock", "generate_states", "mma", "sinusoidal_embedding_2d",
+    "IspBlock", "mma", "sinusoidal_embedding_2d",
     "FeaturePyramid", "Pipeline", "TrainingDiverged", "TrainTrace",
     "cross_level_sensitivity", "synthetic_pyramid", "toy_train",
     "variant_rows", "zero_enhancement_branches",

@@ -28,19 +28,21 @@ def arf(x: np.ndarray, tau: float = 2.0) -> np.ndarray:
     branch so all exponents are non-positive there; the raw form
     (e^x - e^-x) / (e^x + e^-(x+2tau)) overflows beyond |x| ~ 709.
     Values are clipped to zero for x <= 0 and lie in [0, 1); note that
-    for x beyond ~19 the result rounds to exactly 1.0 in float64.
+    for x beyond ~19 the result rounds to exactly 1.0 in float64.  A NaN
+    input gives NaN, as tanh and softmax do, so it reaches the loss.
     """
     _check_tau(tau)
     x = np.asarray(x, dtype=np.float64)
-    pos = x > 0
-    xs = np.where(pos, x, 1.0)  # dummy on the clipped branch to avoid overflow
+    clip = x <= 0
+    xs = np.where(clip, 1.0, x)  # dummy on the clipped branch to avoid overflow
     num = -np.expm1(-2.0 * xs)
     den = 1.0 + np.exp(-2.0 * (xs + tau))
-    return np.where(pos, num / den, 0.0)
+    return np.where(clip, 0.0, num / den)
 
 
 def arf_grad(x: np.ndarray, tau: float = 2.0) -> np.ndarray:
-    """Elementwise derivative; the subgradient at the x = 0 kink is 0.
+    """Elementwise derivative; the subgradient at the x = 0 kink is 0, and
+    a NaN input gives NaN.
 
     On the positive branch, with u = exp(-2x) and v = exp(-2(x + tau)),
     the derivative simplifies to 2(u + v) / (1 + v)^2, which recovers
@@ -48,12 +50,12 @@ def arf_grad(x: np.ndarray, tau: float = 2.0) -> np.ndarray:
     """
     _check_tau(tau)
     x = np.asarray(x, dtype=np.float64)
-    pos = x > 0
-    xs = np.where(pos, x, 1.0)
+    clip = x <= 0
+    xs = np.where(clip, 1.0, x)
     u = np.exp(-2.0 * xs)
     v = np.exp(-2.0 * (xs + tau))
     g = 2.0 * (u + v) / (1.0 + v) ** 2
-    return np.where(pos, g, 0.0)
+    return np.where(clip, 0.0, g)
 
 
 def arf_op(t: Tensor, tau: float = 2.0) -> Tensor:

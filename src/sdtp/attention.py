@@ -1,9 +1,10 @@
 """Multi-head attention core shared by the intra-level and cross-level stages.
 
-Queries come from one token matrix; keys and values are projected from a
-list of token matrices and concatenated along the token axis, which is how
-both the multi-receptive-state attention and the cross-level grouped
-attention consume several sources at once.  Scores are scaled by
+Queries come from one token matrix and keys and values from another, the
+source, as in standard multi-head attention.  A stage that attends over
+several token sets concatenates them into one source: the intra-level
+stage its state maps' tokens, the cross-level stage every level's factor
+tokens, which are also its queries.  Scores are scaled by
 1/sqrt(d_head) and passed through the activation the weights carry: row
 softmax, elementwise tanh, or the refinement gate at their tau.
 Projections are bias-free.
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import tensor as T
 from .arf import _check_tau, arf_op
-from .config import ARF_MODES, ConfigurationError
+from .config import ARF_MODES, ConfigurationError, _check_int
 from .tensor import ContractViolation, Tensor
 
 # the observer scope its matmuls run in, which MacCounter counts
@@ -33,9 +34,9 @@ SCOPE = "attention"
 @dataclass
 class AttentionWeights(T.Module):
     """Bias-free projection matrices, heads being column blocks of each,
-    and the score activation: its mode and the refinement gate's tau,
-    both checked here, so a bad one fails where the weights are built
-    rather than at the first attention call."""
+    and the score activation: its mode and the refinement gate's tau.
+    The head count, mode and tau are checked here, so a bad one fails
+    where the weights are built rather than at the first attention call."""
 
     wq: Tensor
     wk: Tensor
@@ -50,7 +51,8 @@ class AttentionWeights(T.Module):
         for nm, w in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)):
             if w.shape != (c, c):
                 raise ContractViolation(f"attention weight {nm} must be ({c}, {c}), got {w.shape}")
-        if self.n_heads < 1 or c % self.n_heads:
+        _check_int("n_heads", self.n_heads, low=1)
+        if c % self.n_heads:
             raise ConfigurationError(
                 f"n_heads={self.n_heads} does not divide embed width {c}")
         if self.mode not in ARF_MODES:
@@ -75,30 +77,23 @@ def apply_activation(scores: Tensor, weights: AttentionWeights) -> Tensor:
         return T.softmax_rows(scores)
     if weights.mode == "tanh":
         return T.tanh_t(scores)
-    if weights.mode == "arf":
-        return arf_op(scores, tau=weights.tau)
-    raise ConfigurationError(f"unknown attention activation mode {weights.mode!r}")
+    # the mode was checked where the weights were built, so this one is arf
+    return arf_op(scores, tau=weights.tau)
 
 
-def multi_head_attention(queries: Tensor, keys_values: list[Tensor],
+def multi_head_attention(queries: Tensor, source: Tensor,
                          weights: AttentionWeights) -> Tensor:
-    """Attend from `queries` over the concatenation of `keys_values`.
+    """Attend from `queries` over `source`, which gives keys and values.
 
-    queries: (n_q, c); each entry of keys_values: (n_k, c).  Returns
-    (n_q, c) after concatenating per-head outputs and projecting.
+    queries: (n_q, c); source: (n_k, c).  Returns (n_q, c) after
+    concatenating per-head outputs and projecting.
     """
     c = weights.c
-    if queries.ndim != 2 or queries.shape[1] != c:
-        raise ContractViolation(f"queries must be (n, {c}), got {queries.shape}")
-    if not keys_values:
-        raise ContractViolation("attention needs at least one key/value source")
-    for t in keys_values:
+    for nm, t in (("queries", queries), ("key/value tokens", source)):
         if t.ndim != 2 or t.shape[1] != c:
-            raise ContractViolation(
-                f"key/value tokens must share embed width {c}, got {t.shape}")
+            raise ContractViolation(f"{nm} must be (n, {c}), got {t.shape}")
 
     with T.observe(scope=SCOPE):
-        source = keys_values[0] if len(keys_values) == 1 else T.concat(keys_values, axis=0)
         q_full = T.matmul(queries, weights.wq)
         k_full = T.matmul(source, weights.wk)
         v_full = T.matmul(source, weights.wv)

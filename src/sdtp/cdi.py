@@ -139,7 +139,7 @@ def mga(tokens: Tensor, weights: AttentionWeights) -> Tensor:
     values of all of them, projected once with the shared weights.  So it
     is one self-attention over the concatenation; row k of the output is
     row k's update."""
-    return multi_head_attention(tokens, [tokens], weights)
+    return multi_head_attention(tokens, tokens, weights)
 
 
 class CdiBlock(T.Module):

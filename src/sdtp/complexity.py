@@ -148,5 +148,5 @@ def measured_macs(section: str, dims) -> int:
             for n in filter(None, TOKEN_SETS[section](d)):
                 w = AT.attention_weights(rng, c=d.c, n_heads=1, mode="softmax", tau=2.0)
                 tokens = Tensor(rng.standard_normal((n, d.c)))
-                AT.multi_head_attention(tokens, [tokens], w)
+                AT.multi_head_attention(tokens, tokens, w)
     return counter.total

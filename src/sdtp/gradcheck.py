@@ -268,7 +268,7 @@ def _attention_core(mode: str) -> CaseFactory:
         w = AT.attention_weights(rng, c=8, n_heads=2, mode=mode, tau=2.0)
         q = Tensor(rng.standard_normal((5, 8)))
         kv = Tensor(rng.standard_normal((7, 8)))
-        fn = lambda q, kv, *ps: AT.multi_head_attention(q, [kv], w)
+        fn = lambda q, kv, *ps: AT.multi_head_attention(q, kv, w)
         return fn, [("q", q), ("kv", kv)] + _attention_params(w)
     return factory
 

@@ -1,13 +1,15 @@
 """Intra-level stage: promote the deepest pyramid level with self-attention
 over multi-receptive-field views of itself.
 
-The level is expanded into a list of S state maps, one per dilation rate
-(rate 1 first, always), each its own c-to-c 3x3 dilated convolution plus a
-positional embedding.  Attention queries come from the rate-1 state only;
-keys and values come from every state, concatenated along the tokens.  The
-surrounding block is a standard pre-norm transformer block: attention with
-a residual, then an MLP with a residual.  The block hands its score
-activation (mode and tau) to its attention weights, which carry it.
+IspBlock expands the level into S state maps, one per dilation rate (rate
+1 first; every rate an integer >= 1, checked where the block is built):
+each is its own c-to-c 3x3 dilated convolution of the level plus a
+position code that every state shares.  Attention queries come from the
+rate-1 state only; keys and values come from every state, whose tokens
+are concatenated into one key/value matrix.  The block is a standard
+pre-norm transformer block: attention with a residual, then an MLP with a
+residual.  It hands its score activation (mode and tau) to its attention
+weights, which carry it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import AttentionWeights, attention_weights, multi_head_attention
-from .config import POS_EMBED_MODES, ConfigurationError
+from .config import POS_EMBED_MODES, ConfigurationError, _check_int_tuple
 from .tensor import ContractViolation, Tensor
 
 
@@ -46,47 +48,11 @@ def _axis_embedding(n: int, d: int) -> np.ndarray:
     return pe
 
 
-def generate_states(c5: Tensor, conv_weights: list[Tensor], rates: tuple[int, ...],
-                    pos_embed: np.ndarray | Tensor | None = None) -> list[Tensor]:
-    """Expand a (c, h, w) map into one (c, h, w) state map per rate.
-
-    State s = dilated 3x3 convolution of the input at rates[s], plus the
-    positional embedding (shared across states).  rates[0] must be 1 so the
-    query state keeps the native receptive field; each kernel must map the
-    input's c channels to c.
-    """
-    if not rates or rates[0] != 1:
-        raise ConfigurationError(f"dilation rates must start with 1, got {list(rates)}")
-    if any(r < 1 for r in rates):
-        raise ConfigurationError(f"dilation rates must be >= 1, got {list(rates)}")
-    if len(conv_weights) != len(rates):
-        raise ContractViolation(
-            f"{len(conv_weights)} conv kernels for {len(rates)} rates")
-    c = c5.shape[0]
-    for w, rate in zip(conv_weights, rates):
-        if w.shape[:2] != (c, c):
-            raise ContractViolation(f"state kernel at rate {rate} has shape {w.shape}; "
-                                    f"it must map the input's {c} channels to {c}")
-    pos = None
-    if pos_embed is not None:
-        pos = pos_embed if isinstance(pos_embed, Tensor) else Tensor(pos_embed)
-        if pos.shape != c5.shape:
-            raise ContractViolation(
-                f"positional embedding shape {pos.shape} does not match input {c5.shape}")
-    maps = []
-    for w, rate in zip(conv_weights, rates):
-        m = T.conv2d(c5, w, dilation=rate)
-        if pos is not None:
-            m = T.add(m, pos)
-        maps.append(m)
-    return maps
-
-
 def mma(states: list[Tensor], weights: AttentionWeights) -> Tensor:
     """Multi-receptive attention: queries from the rate-1 state map, keys and
-    values from all state maps concatenated along tokens.  Returns (h*w, c)."""
+    values from every state map's tokens, concatenated.  Returns (h*w, c)."""
     tokens = [T.map_to_tokens(m) for m in states]
-    return multi_head_attention(tokens[0], tokens, weights)
+    return multi_head_attention(tokens[0], T.concat(tokens, axis=0), weights)
 
 
 class IspBlock(T.Module):
@@ -96,12 +62,13 @@ class IspBlock(T.Module):
     def __init__(self, rng: np.random.Generator, c: int, rates: tuple[int, ...] = (1, 3, 6),
                  n_heads: int = 8, pos_embed: str = "sinusoidal", mode: str = "arf",
                  tau: float = 2.0, name: str = "isp", hw: tuple[int, int] | None = None):
+        rates = _check_int_tuple("dilation rates", rates, low=1)
         if not rates or rates[0] != 1:
             raise ConfigurationError(f"dilation rates must start with 1, got {list(rates)}")
         if pos_embed not in POS_EMBED_MODES:
             raise ConfigurationError(f"pos_embed {pos_embed!r} not in {POS_EMBED_MODES}")
         self.c = c
-        self.rates = tuple(rates)
+        self.rates = rates
         self.pos_mode = pos_embed
         # the sinusoidal code per map size (h, w), built on first use
         self._pos_codes: dict[tuple[int, int], np.ndarray] = {}
@@ -123,7 +90,7 @@ class IspBlock(T.Module):
 
     def pos_embedding(self, hw: tuple[int, int]) -> Tensor | np.ndarray | None:
         """The position code for (h, w) maps; generate_states rejects a
-        learned code built for other dims.  A sinusoidal code is built once
+        learned one built for other dims.  A sinusoidal code is built once
         per map size and kept, read-only, for the block's later calls."""
         if self.pos_mode != "sinusoidal":
             return self.learned_pos
@@ -134,8 +101,20 @@ class IspBlock(T.Module):
         return code
 
     def generate_states(self, x: Tensor) -> list[Tensor]:
-        return generate_states(x, self.state_convs, self.rates,
-                               pos_embed=self.pos_embedding((x.shape[1], x.shape[2])))
+        """Expand the (c, h, w) map x into one (c, h, w) state map per rate:
+        the state convolution at that rate, plus the position code, which
+        every state shares."""
+        pos = self.pos_embedding((x.shape[1], x.shape[2]))
+        if isinstance(pos, np.ndarray):
+            pos = Tensor(pos)
+        if pos is not None and pos.shape != x.shape:
+            raise ContractViolation(
+                f"positional embedding shape {pos.shape} does not match input {x.shape}")
+        states = []
+        for w, rate in zip(self.state_convs, self.rates):
+            m = T.conv2d(x, w, dilation=rate)
+            states.append(m if pos is None else T.add(m, pos))
+        return states
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 3 or x.shape[0] != self.c:

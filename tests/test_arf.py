@@ -90,6 +90,17 @@ class TestStability:
             g = arf_grad(xs, tau=2.0)
         assert np.all(np.isfinite(out)) and np.all(np.isfinite(g))
 
+    def test_nan_propagates(self):
+        """A NaN score stays NaN in the gate and its derivative, as in tanh
+        and softmax, instead of being clipped to 0 and lost; the inputs
+        around it keep their values."""
+        xs = np.array([np.nan, -np.inf, -1.0, -0.0, 0.0, 1.0, np.inf])
+        out, g = arf(xs, tau=2.0), arf_grad(xs, tau=2.0)
+        assert np.isnan(out[0]) and np.isnan(g[0])
+        np.testing.assert_array_equal(out[1:], arf(xs[1:], tau=2.0))
+        np.testing.assert_array_equal(g[1:], arf_grad(xs[1:], tau=2.0))
+        assert out[-1] == 1.0 and np.all(out[1:5] == 0.0) and np.all(g[1:5] == 0.0)
+
 
 class TestDerivative:
     def test_matches_central_difference(self):

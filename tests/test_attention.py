@@ -31,7 +31,7 @@ class TestAgainstOracle:
         c, n = 4, 5
         w = make_weights(c, heads)
         q = RNG.standard_normal((n, c))
-        got = multi_head_attention(Tensor(q), [Tensor(q)], w).data
+        got = multi_head_attention(Tensor(q), Tensor(q), w).data
         want = naive_multi_head_attention(
             q, q, w.wq.data, w.wk.data, w.wv.data, w.wo.data, heads)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -41,7 +41,7 @@ class TestAgainstOracle:
         c, n, tau = 4, 6, 2.0
         w = make_weights(c, 2, seed=1, mode="arf", tau=tau)
         q = RNG.standard_normal((n, c))
-        got = multi_head_attention(Tensor(q), [Tensor(q)], w).data
+        got = multi_head_attention(Tensor(q), Tensor(q), w).data
         want = naive_multi_head_attention(
             q, q, w.wq.data, w.wk.data, w.wv.data, w.wo.data, 2,
             activation=lambda s: float(arf(np.array(s), tau=tau)))
@@ -53,21 +53,11 @@ class TestAgainstOracle:
         c, n = 4, 3
         w = make_weights(c, 1, seed=2, mode="tanh")
         q = RNG.standard_normal((n, c))
-        got = multi_head_attention(Tensor(q), [Tensor(q)], w).data
+        got = multi_head_attention(Tensor(q), Tensor(q), w).data
         want = naive_multi_head_attention(
             q, q, w.wq.data, w.wk.data, w.wv.data, w.wo.data, 1,
             activation=math.tanh)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
-    def test_multi_source_equals_concatenated_source(self):
-        """Passing several K/V matrices equals passing their concatenation."""
-        c = 6
-        w = make_weights(c, 3, seed=3)
-        q = Tensor(RNG.standard_normal((4, c)))
-        a, b = RNG.standard_normal((3, c)), RNG.standard_normal((5, c))
-        split = multi_head_attention(q, [Tensor(a), Tensor(b)], w).data
-        joined = multi_head_attention(q, [Tensor(np.concatenate([a, b]))], w).data
-        np.testing.assert_array_equal(split, joined)
 
 
 class TestContracts:
@@ -75,15 +65,16 @@ class TestContracts:
         """Output token count follows the queries, width follows the embed."""
         w = make_weights(8, 2)
         out = multi_head_attention(Tensor(RNG.standard_normal((3, 8))),
-                                   [Tensor(RNG.standard_normal((7, 8)))], w)
+                                   Tensor(RNG.standard_normal((7, 8))), w)
         assert out.shape == (3, 8)
 
     def test_rejects_width_mismatch(self):
-        """K/V tokens must share the projection width."""
+        """K/V tokens must share the projection width; the source gets the
+        queries' check and message."""
         w = make_weights(4, 2)
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match=r"key/value tokens must be \(n, 4\), got \(3, 5\)"):
             multi_head_attention(Tensor(RNG.standard_normal((3, 4))),
-                                 [Tensor(RNG.standard_normal((3, 5)))], w)
+                                 Tensor(RNG.standard_normal((3, 5))), w)
 
     @pytest.mark.parametrize("shape", [(3, 5), (12,)], ids=["width", "rank"])
     def test_rejects_query_width_mismatch(self, shape):
@@ -92,18 +83,19 @@ class TestContracts:
         w = make_weights(4, 2)
         want = r"queries must be \(n, 4\), got " + re.escape(str(shape))
         with pytest.raises(ContractViolation, match=want):
-            multi_head_attention(Tensor(np.zeros(shape)), [Tensor(np.zeros((3, 4)))], w)
-
-    def test_rejects_empty_sources(self):
-        """At least one key/value source is required."""
-        w = make_weights(4, 2)
-        with pytest.raises(ContractViolation):
-            multi_head_attention(Tensor(RNG.standard_normal((3, 4))), [], w)
+            multi_head_attention(Tensor(np.zeros(shape)), Tensor(np.zeros((3, 4))), w)
 
     def test_heads_must_divide_width(self):
         """Head count not dividing the width is a configuration error."""
         with pytest.raises(ConfigurationError):
             make_weights(6, 4)
+
+    @pytest.mark.parametrize("heads", [2.0, True, "2"], ids=["float", "bool", "str"])
+    def test_non_integer_heads_rejected(self, heads):
+        """A head count that is not an integer fails where the weights are
+        built, naming it, rather than at the first attention call."""
+        with pytest.raises(ConfigurationError, match=r"n_heads: expected an integer, got "):
+            make_weights(4, heads)
 
     def test_unknown_mode_rejected(self):
         """Unknown activation tags fail loudly, where the weights are built."""
@@ -142,7 +134,7 @@ class TestInstrumentation:
         w = make_weights(c, heads)
         q = Tensor(RNG.standard_normal((n, c)))
         with MacCounter() as mc:
-            multi_head_attention(q, [q], w)
+            multi_head_attention(q, q, w)
         want = 4 * n * c * c + 2 * n * n * c
         assert mc.total == want
 
@@ -150,7 +142,7 @@ class TestInstrumentation:
         """Backward reaches every projection matrix."""
         w = make_weights(4, 2, mode="arf")
         q = Tensor(RNG.standard_normal((3, 4)), requires_grad=True)
-        out = multi_head_attention(q, [q], w)
+        out = multi_head_attention(q, q, w)
         T.sum_all(out).backward()
         for p in w.params():
             assert p.grad is not None and np.any(p.grad != 0)

@@ -239,9 +239,10 @@ class TestGroupedAttention:
         c = 4
         w = attention_weights(np.random.default_rng(2), c, 2, mode, 2.0)
         sets = self.sets(c)
-        joint, top = mga(T.concat(sets), w).data, 0
+        every = T.concat(sets)
+        joint, top = mga(every, w).data, 0
         for s in sets:
-            want = multi_head_attention(s, sets, w).data
+            want = multi_head_attention(s, every, w).data
             np.testing.assert_allclose(joint[top: top + s.shape[0]], want, rtol=1e-13, atol=1e-15)
             top += s.shape[0]
 

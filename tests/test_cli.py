@@ -9,7 +9,9 @@ import sys
 
 import pytest
 
+from sdtp import pyramid
 from sdtp.cli import main
+from sdtp.tensor import ContractViolation
 
 TINY_CFG = """\
 channels: 8
@@ -373,6 +375,17 @@ class TestVariants:
 class TestErrors:
     def test_missing_config_file(self):
         assert main(["forward", "--config", "/nope/missing.yaml"]) == 2
+
+    def test_contract_violation_exits_one(self, tiny_cfg, monkeypatch, capsys):
+        """A contract violation raised inside a subcommand exits 1 with its
+        message on stderr, never with a traceback."""
+        def broken(*args, **kwargs):
+            raise ContractViolation("pyramid level 3 has the wrong shape")
+
+        monkeypatch.setattr(pyramid, "synthetic_pyramid", broken)
+        assert main(["forward", "--config", tiny_cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("contract violation: pyramid level 3 has the wrong shape")
 
     @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
     def test_unreadable_config_path(self, tmp_path, capsys, kind):

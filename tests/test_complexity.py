@@ -33,7 +33,7 @@ def attend(n: int, c: int) -> int:
     and return its closed-form cost, 4 n c^2 + 2 n^2 c."""
     rng = np.random.default_rng(n)
     tokens = Tensor(rng.standard_normal((n, c)))
-    multi_head_attention(tokens, [tokens], attention_weights(rng, c, 1, "softmax", 2.0))
+    multi_head_attention(tokens, tokens, attention_weights(rng, c, 1, "softmax", 2.0))
     return 4 * n * c * c + 2 * n * n * c
 
 

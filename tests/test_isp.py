@@ -6,14 +6,8 @@ import pytest
 
 from sdtp import isp
 from sdtp import tensor as T
-from sdtp.attention import attention_weights
 from sdtp.config import ConfigurationError
-from sdtp.isp import (
-    IspBlock,
-    generate_states,
-    mma,
-    sinusoidal_embedding_2d,
-)
+from sdtp.isp import IspBlock, mma, sinusoidal_embedding_2d
 from sdtp.tensor import ContractViolation, Tensor
 
 from oracles import naive_conv2d
@@ -49,15 +43,19 @@ class TestPositionalEmbedding:
         assert len({tuple(row) for row in np.round(flat, 12)}) == 36
 
 
+def state_block(c, rates, **kw):
+    """An IspBlock whose state generation the tests below call directly."""
+    return IspBlock(np.random.default_rng(5), c, rates=rates, n_heads=1, **kw)
+
+
 class TestStateGeneration:
     def test_states_match_direct_dilated_conv(self):
         """Each state is the dilated convolution at its rate (no embedding)."""
         c, h, w = 3, 6, 5
         x = RNG.standard_normal((c, h, w))
-        rates = (1, 2, 3)
-        convs = [Tensor(RNG.standard_normal((c, c, 3, 3))) for _ in rates]
-        states = generate_states(Tensor(x), convs, rates, pos_embed=None)
-        for m, wt, r in zip(states, convs, rates):
+        blk = state_block(c, (1, 2, 3), pos_embed="none")
+        states = blk.generate_states(Tensor(x))
+        for m, wt, r in zip(states, blk.state_convs, blk.rates):
             np.testing.assert_allclose(m.data, naive_conv2d(x, wt.data, r),
                                        rtol=1e-12, atol=1e-12)
 
@@ -65,63 +63,45 @@ class TestStateGeneration:
         """A positional embedding shifts all states by the same offset."""
         c, h, w = 2, 4, 4
         x = Tensor(RNG.standard_normal((c, h, w)))
-        convs = [Tensor(RNG.standard_normal((c, c, 3, 3))) for _ in (1, 2)]
         pe = RNG.standard_normal((c, h, w))
-        plain = generate_states(x, convs, (1, 2), pos_embed=None)
-        coded = generate_states(x, convs, (1, 2), pos_embed=pe)
+        # one seed gives both blocks the same state kernels in every mode
+        coded_blk = state_block(c, (1, 2), pos_embed="learned", hw=(h, w))
+        coded_blk.learned_pos.data[...] = pe
+        plain = state_block(c, (1, 2), pos_embed="none").generate_states(x)
+        coded = coded_blk.generate_states(x)
         for a, b in zip(plain, coded):
             np.testing.assert_allclose(b.data - a.data, pe, rtol=1e-12, atol=1e-12)
 
     def test_rates_must_start_with_one(self):
         """The query state must keep the native receptive field."""
-        c = 2
-        convs = [Tensor(RNG.standard_normal((c, c, 3, 3))) for _ in range(2)]
         with pytest.raises(ConfigurationError):
-            generate_states(Tensor(RNG.standard_normal((c, 3, 3))), convs, (2, 3))
+            state_block(2, (2, 3))
 
     def test_mismatched_embedding_rejected(self):
         """Embedding must match the input map shape."""
         c = 2
-        convs = [Tensor(RNG.standard_normal((c, c, 3, 3)))]
+        blk = state_block(c, (1,), pos_embed="learned", hw=(4, 4))
         with pytest.raises(ContractViolation):
-            generate_states(Tensor(RNG.standard_normal((c, 3, 3))), convs, (1,),
-                            pos_embed=np.zeros((c, 4, 4)))
+            blk.generate_states(Tensor(RNG.standard_normal((c, 3, 3))))
 
     def test_state_count_and_shapes(self):
         """One state per rate, all input-shaped."""
         c, h, w = 4, 5, 3
-        convs = [Tensor(RNG.standard_normal((c, c, 3, 3))) for _ in range(3)]
-        states = generate_states(Tensor(RNG.standard_normal((c, h, w))), convs, (1, 3, 6))
+        states = state_block(c, (1, 3, 6)).generate_states(Tensor(RNG.standard_normal((c, h, w))))
         assert len(states) == 3
         assert all(m.shape == (c, h, w) for m in states)
 
-    @pytest.mark.parametrize("kernel_shape", [(3, 2, 3, 3), (2, 3, 3, 3)],
-                             ids=["out_channels", "in_channels"])
-    def test_kernel_must_keep_channel_width(self, kernel_shape):
-        """A state kernel that does not map c channels to c is rejected,
-        naming its rate, before any state is formed."""
-        c = 2
-        convs = [Tensor(RNG.standard_normal((c, c, 3, 3))),
-                 Tensor(RNG.standard_normal(kernel_shape))]
-        with pytest.raises(ContractViolation, match=r"rate 2 has shape"):
-            generate_states(Tensor(RNG.standard_normal((c, 3, 3))), convs, (1, 2),
-                            pos_embed=np.zeros((c, 3, 3)))
 
-
-@pytest.mark.parametrize("call,error,match", [
-    (lambda convs: generate_states(Tensor(np.zeros((2, 3, 3))), convs, (1, 0)),
-     ConfigurationError, r"rates must be >= 1, got \[1, 0\]"),
-    (lambda convs: generate_states(Tensor(np.zeros((2, 3, 3))), convs[:1], (1, 2)),
-     ContractViolation, r"1 conv kernels for 2 rates"),
-    (lambda convs: IspBlock(np.random.default_rng(0), 2, rates=(2, 3), n_heads=1),
-     ConfigurationError, r"rates must start with 1, got \[2, 3\]"),
-], ids=["rate_below_one", "kernel_count", "block_first_rate"])
-def test_state_contracts_name_the_argument(call, error, match):
-    """Rate and kernel-count contracts raise naming the offending values;
-    the kernel-width contract has its own test above."""
-    convs = [Tensor(np.zeros((2, 2, 3, 3))) for _ in range(2)]
-    with pytest.raises(error, match=match):
-        call(convs)
+@pytest.mark.parametrize("rates,match", [
+    ((1, 0), r"dilation rates\[1\]: must be >= 1, got 0"),
+    ((1, 2.0), r"dilation rates\[1\]: expected an integer, got 2.0"),
+    ((2, 3), r"rates must start with 1, got \[2, 3\]"),
+], ids=["rate_below_one", "rate_not_integer", "block_first_rate"])
+def test_state_contracts_name_the_argument(rates, match):
+    """Every rate is an integer >= 1 and the first is 1, checked where the
+    block is built, and the error names the offending value."""
+    with pytest.raises(ConfigurationError, match=match):
+        IspBlock(np.random.default_rng(0), 2, rates=rates, n_heads=1)
 
 
 class TestMultiReceptiveAttention:
@@ -129,23 +109,21 @@ class TestMultiReceptiveAttention:
         """Output token count equals the rate-1 state's token count even
         though keys/values span all states."""
         c, h, w = 4, 3, 3
-        convs = [Tensor(RNG.standard_normal((c, c, 3, 3))) for _ in range(3)]
-        states = generate_states(Tensor(RNG.standard_normal((c, h, w))), convs, (1, 2, 3))
-        weights = attention_weights(np.random.default_rng(0), c, 2, "arf", 2.0)
-        out = mma(states, weights)
+        blk = IspBlock(np.random.default_rng(0), c, rates=(1, 2, 3), n_heads=2)
+        states = blk.generate_states(Tensor(RNG.standard_normal((c, h, w))))
+        out = mma(states, blk.attn)
         assert out.shape == (h * w, c)
 
     def test_single_state_reduces_to_self_attention(self):
         """With one state the stage is ordinary self-attention over tokens."""
         from sdtp.attention import multi_head_attention
         c, h, w = 4, 3, 2
-        convs = [Tensor(RNG.standard_normal((c, c, 3, 3)))]
+        blk = IspBlock(np.random.default_rng(0), c, rates=(1,), n_heads=2, mode="softmax")
         x = Tensor(RNG.standard_normal((c, h, w)))
-        states = generate_states(x, convs, (1,))
-        weights = attention_weights(np.random.default_rng(0), c, 2, "softmax", 2.0)
-        got = mma(states, weights).data
+        states = blk.generate_states(x)
+        got = mma(states, blk.attn).data
         toks = T.map_to_tokens(states[0])
-        want = multi_head_attention(toks, [toks], weights).data
+        want = multi_head_attention(toks, toks, blk.attn).data
         np.testing.assert_array_equal(got, want)
 
 
