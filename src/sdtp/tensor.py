@@ -32,12 +32,18 @@ and one block's arrays.  conv2d walks blocks of output rows,
 softmax_pool blocks of channels and outer_sum_mlp slabs of factor rows,
 all cut by one rule, _blocks: about _BLOCK_ELEMS elements a block,
 aligned so that every block starts at a multiple of 8 along the axis a
-product cuts.  Their recorded VJPs walk the same blocks: each forms its
-input gradients block by block.  conv2d's and softmax_pool's hold a
-map-sized temporary only where one product reduces over every pixel (a
-weight gradient); outer_sum_mlp's holds none, since it adds each slab's
-share into its weight gradients and its factor-side sums over all token
-rows as it walks.  softmax_pool's graph keeps no softmax: its VJP
+product cuts.  A conv2d whose stack of every tap's window fits one block
+forms all its taps' products in one batched matmul instead: on the
+gradcheck's tiny maps numpy's per-call overhead, not arithmetic, sets
+the time, and the loop's copies, products and adds, four calls a tap,
+cost about three times the batched product; on larger maps BLAS sets it,
+and the loop keeps one block's temporaries.  So the path is chosen by
+size.  The recorded VJPs, conv2d's on either path, walk the blocks:
+each forms its input gradients block by block.  conv2d's and
+softmax_pool's hold a map-sized temporary only where one product
+reduces over every pixel (a weight gradient); outer_sum_mlp's holds
+none, since it adds each slab's share into its weight gradients and its
+factor-side sums over all token rows as it walks.  softmax_pool's graph keeps no softmax: its VJP
 rebuilds each block's from x and w as the forward formed it, once for
 the logit cotangent and once, in the gradient's own rows, for the pooled
 gradient.  resample_nearest's VJP, too, walks _blocks of
@@ -61,6 +67,7 @@ flops tables, --help, a config error) never loads it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 from contextvars import ContextVar
@@ -258,7 +265,7 @@ class Tensor:
             pgrads = g = None  # and the parent gradients summed into others
 
     def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
+        tag = f", name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad}{tag})"
 
 
@@ -419,7 +426,7 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
         raise ContractViolation("concat of an empty list")
     sizes = [t.data.shape[axis] for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + sizes)
+    offsets = list(itertools.accumulate(sizes, initial=0))
 
     def vjp(g):
         sl = [slice(None)] * g.ndim
@@ -433,6 +440,9 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
+    if start < 0 or length < 0 or start + length > a.shape[axis]:
+        raise ContractViolation(f"narrow range {start}:{start + length} outside axis {axis} "
+                                f"of length {a.shape[axis]}")
     sl = [slice(None)] * a.ndim
     sl[axis] = slice(start, start + length)
     sl = tuple(sl)
@@ -575,6 +585,33 @@ def _conv_taps(w: np.ndarray, dilation: int, h: int, wd: int):
             yield a, b, win, np.ascontiguousarray(w[:, :, a, b])
 
 
+def _conv_stacked(xd: np.ndarray, wt: np.ndarray, dilation: int, out: np.ndarray) -> None:
+    """Write into out, (out_c, h*w), conv2d's output for a map small enough
+    that every tap's window fits one stack of _BLOCK_ELEMS elements: the
+    map is padded once, every window gathered with one strided copy into a
+    (taps, c_in, h*w) stack, every tap's product formed by one batched
+    matmul against the kernel, copied once as (taps, out_c, c_in), and the
+    products summed in tap order by one reduction.  numpy's batched matmul
+    calls BLAS on each (out_c, c_in) @ (c_in, h*w) pair as the per-tap
+    product does, and its reduction over the leading axis adds whole
+    product rows in order, so the bits are those of the per-tap loop.  Not
+    so for one output channel: numpy forms each product as a vector-matrix
+    product, whose bits depend on how the window is laid out, and sums a
+    one-element output's taps pairwise, so conv2d keeps the loop there."""
+    c_in, h, wd = xd.shape
+    out_c, _, kh, kw = wt.shape
+    kernel = np.ascontiguousarray(wt.transpose(2, 3, 0, 1)).reshape(kh * kw, out_c, c_in)
+    xp = _conv_pad(xd, (kh - 1) * dilation // 2, (kw - 1) * dilation // 2, 0, h)
+    s0, s1, s2 = xp.strides
+    stack = np.empty((kh * kw, c_in, h * wd))
+    # every tap's window as one view of xp (the constructor checks that it
+    # stays inside xp, and costs a sixth of as_strided's call)
+    stack.reshape(kh, kw, c_in, h, wd)[...] = np.ndarray(
+        (kh, kw, c_in, h, wd), xp.dtype, xp, 0, (dilation * s1, dilation * s2, s0, s1, s2))
+    del xp  # freed before the products are formed
+    np.add.reduce(np.matmul(kernel, stack), axis=0, out=out)
+
+
 def conv2d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
     """2-D convolution with zero same-padding.
 
@@ -584,13 +621,22 @@ def conv2d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
     equal the input's.
     A 1x1 kernel is one product over x's array as it is laid out, with no
     copy: a copy of a strided x (a permuted view) would change the low bits
-    of the product.  A larger footprint walks blocks of output rows (see
-    _blocks), about _BLOCK_ELEMS elements of the input or output wide and
-    each starting at a multiple of 8 columns of the flattened map, and
-    zero-pads only each block's rows plus the rows its taps reach above
-    and below; each tap's patch and product are one block's size.  Every output column
-    sums its taps' products in the same order as over the whole map, so
-    the values do not depend on the block size.
+    of the product.  A larger footprint on a map whose stack of every
+    tap's window, kh*kw*max(c_in, c_out)*h*w elements, fits one block
+    takes _conv_stacked: one padded copy, one gather, one batched product
+    and one reduction, where the loop below makes a tap copy, a window
+    copy, a product and an add for each tap.  At gradcheck sizes those
+    numpy calls are most of the op's time (a 3x3 conv there takes 11 us
+    stacked against 34 us looped); on larger maps the products are, and
+    the loop holds one block's temporaries in place of the stacks.  A
+    one-channel output keeps the loop (see _conv_stacked).  The loop
+    walks blocks of output rows (see _blocks), about _BLOCK_ELEMS
+    elements of the input or output wide and each starting at a multiple
+    of 8 columns of the flattened map, and zero-pads only each block's
+    rows plus the rows its taps reach above and below; each tap's patch
+    and product are one block's size.  Every output column sums its taps'
+    products in the same order on either path and over the whole map, so
+    the values do not depend on the path or the block size.
     The recorded VJP holds only the arrays of x and w: it rebuilds each
     tap's window of the padded input and slices each tap again when it
     runs, so the graph keeps no padded copy of the input and no per-tap
@@ -618,6 +664,8 @@ def conv2d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
     if kh == kw == 1:
         np.matmul(np.ascontiguousarray(wt[:, :, 0, 0]), xd.reshape(c_in, h * wd),
                   out=out.reshape(out_c, h * wd))
+    elif kh * kw * max(c_in, out_c) * h * wd <= _BLOCK_ELEMS and out_c > 1:
+        _conv_stacked(xd, wt, dilation, out.reshape(out_c, h * wd))
     else:
         ph, pw = (kh - 1) * dilation // 2, (kw - 1) * dilation // 2
         for rows in _blocks(h, max(c_in, out_c) * wd, wd):
@@ -707,10 +755,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ContractViolation(f"layer_norm gain/bias must be ({d},), got {gain.shape}, {bias.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # sums over d then one division: ndarray.mean's arithmetic, with less
+    # per-call overhead (the op also runs at tiny sizes in gradcheck)
+    mu = x.data.sum(axis=-1, keepdims=True) / d
     xc = x.data - mu
     with np.errstate(over="ignore"):
-        var = (xc * xc).mean(axis=-1, keepdims=True)
+        var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     if not inv.all():  # 0 exactly in the rows whose sum of squares overflows
         big = inv[:, 0] == 0
@@ -721,8 +771,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
     def vjp(g):
         dxhat = g * gd
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = dxhat.sum(axis=-1, keepdims=True) / d
+        m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / d
         gx = (dxhat - m1 - xhat * m2) * inv
         ggain = (g * xhat).sum(axis=0)
         gbias = g.sum(axis=0)

@@ -329,7 +329,7 @@ class TestTape:
         """One training step at the default config, on the built pipeline
         and synthetic_pyramid(cfg, seed=1), with tracemalloc started after
         both were built: forward_tensors, identity_loss and backward().
-        The graph keeps 59,964,896 B (57.2 MiB) of arrays that are neither
+        The graph keeps 59,964,568 B (57.2 MiB) of arrays that are neither
         parameters nor inputs, and the step peaks within 92 MiB of numpy
         and Python allocations (89.8 MiB measured).  A graph that kept
         softmax_pool's softmaxes (78.4 MiB, 109.3 MiB peak), or a
@@ -352,7 +352,7 @@ class TestTape:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert tape == 59_964_896
+        assert tape == 59_964_568
         assert peak <= 92 * 2 ** 20
         assert all(p.grad is not None for p in pipe.params())
 

@@ -79,6 +79,25 @@ class TestForwardValues:
         np.testing.assert_allclose(got, naive_layer_norm(x, gain, bias),
                                    rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("n,d", [(1, 1), (3, 5), (7, 24), (4, 256)])
+    def test_layer_norm_bit_identical_to_mean_form(self, n, d):
+        """layer_norm takes each row mean as a sum over d and one division,
+        ndarray.mean's own arithmetic: values and VJP outputs equal those
+        formed with .mean bit for bit."""
+        rng = np.random.default_rng(n * d)
+        x = rng.standard_normal((n, d)) * 3.0 + 1.0
+        gain, bias, g = rng.standard_normal(d), rng.standard_normal(d), rng.standard_normal((n, d))
+        out = T.layer_norm(*(Tensor(a, requires_grad=True) for a in (x, gain, bias)))
+        xc = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + T.LAYER_NORM_EPS)
+        xhat = xc * inv
+        dxhat = g * gain
+        gx = (dxhat - dxhat.mean(axis=-1, keepdims=True)
+              - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv
+        assert np.array_equal(out.data, xhat * gain + bias)
+        for got, want in zip(out._node._vjp(g), (gx, (g * xhat).sum(axis=0), g.sum(axis=0))):
+            assert np.array_equal(got, want)
+
     def test_softmax_rows_matches_scalar_loop(self):
         """softmax_rows agrees with math.exp row-by-row."""
         x = rand(3, 6)
@@ -153,6 +172,41 @@ class TestBackwardStructure:
         T.sum_all(T.add(T.mul(a, a), b)).backward()
         want = np.concatenate([2 * x.data[:, :3], np.ones((4, 3))], axis=1)
         np.testing.assert_allclose(x.grad, want, rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize("axis,start,length", [(0, 2, 5), (1, -1, 2), (1, 0, 5), (0, 3, 1),
+                                                   (1, 2, -1)])
+    def test_narrow_rejects_a_range_outside_the_axis(self, axis, start, length):
+        """A range that starts before the axis or ends past it raises,
+        where numpy's slicing would clip it to a shorter or empty one."""
+        a = Tensor(rand(3, 4))
+        with pytest.raises(ContractViolation, match=rf"narrow range {start}:{start + length} "
+                                                    rf"outside axis {axis} of length"):
+            T.narrow(a, axis, start, length)
+
+    @pytest.mark.parametrize("axis,start,length", [(0, 0, 3), (1, 3, 1), (1, 4, 0)])
+    def test_narrow_accepts_every_range_inside_the_axis(self, axis, start, length):
+        a = Tensor(rand(3, 4))
+        out = T.narrow(a, axis, start, length)
+        assert out.shape[axis] == length
+        assert np.array_equal(out.data, np.take(a.data, range(start, start + length), axis))
+
+    def test_backward_skips_a_node_that_receives_no_gradient(self):
+        """A VJP may return None for a parent that needs a gradient.  A node
+        that receives nothing else is consumed without its VJP running, so
+        the leaves behind it get no .grad."""
+        ran = []
+        x = Tensor(rand(2, 3), requires_grad=True)
+        mid = Tensor._from_op(x.data * 2.0, (x,), lambda g: ran.append(g) or (2.0 * g,))
+        out = Tensor._from_op(mid.data.sum(), (mid,), lambda g: (None,))
+        node = mid._node
+        out.backward()
+        assert ran == [] and x.grad is None
+        assert node._vjp is T._consumed and node._parents == ()
+
+    def test_repr_names_shape_grad_and_name(self):
+        assert repr(Tensor(np.zeros((2, 3)))) == "Tensor(shape=(2, 3), grad=False)"
+        assert (repr(Tensor(np.zeros(4), requires_grad=True, name="w"))
+                == "Tensor(shape=(4,), grad=True, name='w')")
 
     def test_concat_narrow_round_trip_gradient(self):
         """concat backward routes slices back to each operand."""
@@ -443,6 +497,20 @@ class TestGraphNodes:
         del mid
         assert node.data.size == 0 and node.data.nbytes == 0
         assert {id(a) for a in T.tape_arrays(out)} == {id(out.data), id(x.data)}
+
+    def test_tape_arrays_reads_dict_values_and_skips_unbound_cells(self):
+        """tape_arrays finds the arrays a VJP closure holds as a dict's
+        values, and passes over a closure cell not yet bound."""
+        x = Tensor(rand(2, 3), requires_grad=True)
+        kept = {"scale": rand(2, 3)}
+
+        def vjp(g):
+            return (g * kept["scale"] * late,)
+
+        out = Tensor._from_op(x.data * 2.0, (x,), vjp)
+        assert {id(a) for a in T.tape_arrays(out)} == {id(out.data), id(x.data), id(kept["scale"])}
+        late = rand(2, 3)
+        assert id(late) in {id(a) for a in T.tape_arrays(out)}
 
     def test_grad_free_parents_share_one_stand_in(self):
         """A parent that needs no gradient is linked as one constant
@@ -930,6 +998,49 @@ BLOCKED_CONVS = [
     (16, 8, 12, 7, 3, 3, 1, 3),
 ]
 
+# (c_in, c_out, h, w, kh, kw, dilation): convs whose stack of every tap's
+# window fits one block unpatched, so they take the stacked path: the
+# gradcheck cases' four, dilation 6 on 3x3 maps, 3x1 and 1x3 kernels on
+# one-column and one-row maps, and the default dims' level-5 3x3 conv.
+STACKED_CONVS = [
+    (3, 2, 5, 4, 3, 3, 1),
+    (2, 2, 6, 6, 3, 3, 2),
+    (3, 3, 6, 1, 3, 1, 1),
+    (3, 3, 1, 6, 1, 3, 1),
+    (4, 5, 3, 3, 3, 3, 6),
+    (4, 5, 3, 3, 3, 1, 6),
+    (5, 4, 3, 3, 1, 3, 6),
+    (8, 8, 7, 1, 3, 3, 3),
+    (8, 8, 1, 7, 1, 3, 2),
+    (16, 3, 2, 5, 3, 3, 2),
+    (256, 256, 8, 8, 3, 3, 1),
+]
+
+
+def spy_stacked(monkeypatch) -> list:
+    """Patch conv2d's stacked path to log the input shape of each call."""
+    calls, stacked = [], T._conv_stacked
+
+    def spy(xd, *args):
+        calls.append(xd.shape)
+        return stacked(xd, *args)
+
+    monkeypatch.setattr(T, "_conv_stacked", spy)
+    return calls
+
+
+def assert_conv2d_bit_identical_to_unblocked(c_in, c_out, h, w, kh, kw, dil):
+    """conv2d's values and both VJP outputs equal the unblocked
+    reference's bit for bit, the gradients laid out as its own."""
+    rng = np.random.default_rng(h * 100 + dil * 10 + kh)
+    x, wt = rng.standard_normal((c_in, h, w)), rng.standard_normal((c_out, c_in, kh, kw))
+    g = rng.standard_normal((c_out, h, w))
+    got = T.conv2d(Tensor(x, requires_grad=True), Tensor(wt), dil)
+    want = unblocked_conv2d(Tensor(x, requires_grad=True), Tensor(wt), dil)
+    assert np.array_equal(got.data, want.data)
+    for a, b in zip(got._node._vjp(g), want._node._vjp(g)):
+        assert_same_arrays(a, b)
+
 
 def assert_same_arrays(got, want):
     """Equal bits and equal memory layout: a reduction over a gradient sums
@@ -975,14 +1086,59 @@ class TestBlocks:
         step = 8 // np.gcd(w, 8)
         assert all(b.start * w % 8 == 0 for b in blocks)
         assert len(blocks) > 1 or h < 2 * step
-        rng = np.random.default_rng(h * 100 + dil * 10 + kh)
-        x, wt = rng.standard_normal((c_in, h, w)), rng.standard_normal((c_out, c_in, kh, kw))
-        g = rng.standard_normal((c_out, h, w))
-        got = T.conv2d(Tensor(x, requires_grad=True), Tensor(wt), dil)
-        want = unblocked_conv2d(Tensor(x, requires_grad=True), Tensor(wt), dil)
-        assert np.array_equal(got.data, want.data)
-        for a, b in zip(got._node._vjp(g), want._node._vjp(g)):
-            assert_same_arrays(a, b)
+        calls = spy_stacked(monkeypatch)
+        assert_conv2d_bit_identical_to_unblocked(c_in, c_out, h, w, kh, kw, dil)
+        assert calls == []
+
+    @pytest.mark.parametrize("c_in,c_out,h,w,kh,kw,dil", STACKED_CONVS)
+    def test_stacked_conv2d_bit_identical_to_unblocked(self, monkeypatch, c_in, c_out, h, w,
+                                                       kh, kw, dil):
+        """A map whose stack of every tap's window fits one block takes
+        the stacked path: one batched product over all taps, summed in tap
+        order by one reduction, with the per-tap products' bits."""
+        calls = spy_stacked(monkeypatch)
+        assert_conv2d_bit_identical_to_unblocked(c_in, c_out, h, w, kh, kw, dil)
+        assert calls == [(c_in, h, w)]
+
+    @pytest.mark.parametrize("c_in,c_out,h,w,kh,kw,dil", [
+        (3, 4, 5, 4, 3, 3, 1), (4, 3, 8, 1, 3, 1, 2), (3, 4, 1, 9, 1, 3, 3)])
+    @pytest.mark.parametrize("spare", [0, -1])
+    def test_stacked_path_chosen_by_stack_size(self, monkeypatch, c_in, c_out, h, w, kh, kw,
+                                               dil, spare):
+        """The stacked path runs while kh*kw*max(c_in, c_out)*h*w is at
+        most _BLOCK_ELEMS, and the per-tap loop one element over; either
+        way the bits are the unblocked reference's."""
+        monkeypatch.setattr(T, "_BLOCK_ELEMS", kh * kw * max(c_in, c_out) * h * w + spare)
+        calls = spy_stacked(monkeypatch)
+        assert_conv2d_bit_identical_to_unblocked(c_in, c_out, h, w, kh, kw, dil)
+        assert len(calls) == (spare == 0)
+
+    @pytest.mark.parametrize("c_in,h,w,kh,kw,dil", [
+        (2, 6, 1, 1, 3, 1), (2, 2, 1, 3, 3, 6), (3, 1, 1, 3, 3, 1), (3, 4, 5, 3, 3, 1)])
+    def test_one_output_channel_keeps_the_tap_loop(self, monkeypatch, c_in, h, w, kh, kw, dil):
+        """With one output channel numpy forms each tap's product as a
+        vector-matrix product, whose bits depend on how the window is laid
+        out, and sums the taps of a one-element output pairwise; such a
+        conv keeps the per-tap loop, and the reference's bits."""
+        calls = spy_stacked(monkeypatch)
+        assert_conv2d_bit_identical_to_unblocked(c_in, 1, h, w, kh, kw, dil)
+        assert calls == []
+
+    @pytest.mark.parametrize("c_in,c_out,h,w,kh,kw,dil", [
+        (16, 16, 8, 8, 3, 3, 1), (24, 16, 8, 8, 3, 3, 2), (16, 24, 1, 64, 1, 3, 1),
+        (256, 256, 8, 8, 3, 3, 1)])
+    def test_stacked_conv2d_memory(self, c_in, c_out, h, w, kh, kw, dil):
+        """The stacked path allocates its output, the kernel copy and two
+        stacks of at most kh*kw*max(c_in, c_out)*h*w elements: the windows
+        and the products.  The padded map is freed before the products
+        are formed; on these maps it is smaller than they are (a dilation
+        beyond the map pads it past them).  4 KiB covers array headers."""
+        rng = np.random.default_rng(c_in + h)
+        x = Tensor(rng.standard_normal((c_in, h, w)))
+        wt = Tensor(rng.standard_normal((c_out, c_in, kh, kw)))
+        out, peak = no_grad_peak(lambda: T.conv2d(x, wt, dil))
+        stack = 8 * kh * kw * max(c_in, c_out) * h * w
+        assert peak <= out.data.nbytes + wt.data.nbytes + 2 * stack + 4096
 
     def test_1x1_conv2d_reads_a_permuted_view_as_laid_out(self, monkeypatch):
         """A 1x1 conv2d is not blocked, even with blocks smaller than the
