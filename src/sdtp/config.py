@@ -138,9 +138,7 @@ class PipelineConfig:
         _check_choice("arf.mode", self.arf.mode, ARF_MODES)
         _check_float("arf.tau", self.arf.tau)
 
-        self.isp.rates = _check_int_tuple("isp.rates", self.isp.rates, low=1)
-        if not self.isp.rates or self.isp.rates[0] != 1:
-            raise ConfigurationError(f"isp.rates: first rate must be 1, got {list(self.isp.rates)}")
+        self.isp.rates = _check_rates("isp.rates", self.isp.rates)
         _check_int("isp.heads", self.isp.heads, low=1)
         if self.channels % self.isp.heads:
             raise ConfigurationError(
@@ -228,6 +226,18 @@ def _check_list(path: str, v) -> None:
 def _check_int_tuple(path: str, v, low: int) -> tuple[int, ...]:
     _check_list(path, v)
     return tuple(_check_int(f"{path}[{k}]", x, low=low) for k, x in enumerate(v))
+
+
+def _check_rates(path: str, v) -> tuple[int, ...]:
+    """The ISP dilation rates v as a tuple: integers >= 1, the first 1 (the
+    rate whose state gives the queries), and none repeated, since each
+    rate's state conv is named by its rate."""
+    rates = _check_int_tuple(path, v, low=1)
+    if not rates or rates[0] != 1:
+        raise ConfigurationError(f"{path} must start with 1, got {list(rates)}")
+    if len(set(rates)) != len(rates):
+        raise ConfigurationError(f"{path} must not repeat a rate, got {list(rates)}")
+    return rates
 
 
 def _check_hw(path: str, v) -> tuple[int, int]:

@@ -2,7 +2,8 @@
 over multi-receptive-field views of itself.
 
 IspBlock expands the level into S state maps, one per dilation rate (rate
-1 first; every rate an integer >= 1, checked where the block is built):
+1 first; every rate an integer >= 1 and none repeated, checked where the
+block is built by the rule PipelineConfig checks isp.rates with):
 each is its own c-to-c 3x3 dilated convolution of the level plus a
 position code that every state shares.  Attention queries come from the
 rate-1 state only; keys and values come from every state, whose tokens
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import AttentionWeights, attention_weights, multi_head_attention
-from .config import POS_EMBED_MODES, ConfigurationError, _check_int_tuple
+from .config import POS_EMBED_MODES, ConfigurationError, _check_rates
 from .tensor import ContractViolation, Tensor
 
 
@@ -62,9 +63,7 @@ class IspBlock(T.Module):
     def __init__(self, rng: np.random.Generator, c: int, rates: tuple[int, ...] = (1, 3, 6),
                  n_heads: int = 8, pos_embed: str = "sinusoidal", mode: str = "arf",
                  tau: float = 2.0, name: str = "isp", hw: tuple[int, int] | None = None):
-        rates = _check_int_tuple("dilation rates", rates, low=1)
-        if not rates or rates[0] != 1:
-            raise ConfigurationError(f"dilation rates must start with 1, got {list(rates)}")
+        rates = _check_rates("dilation rates", rates)
         if pos_embed not in POS_EMBED_MODES:
             raise ConfigurationError(f"pos_embed {pos_embed!r} not in {POS_EMBED_MODES}")
         self.c = c
@@ -88,25 +87,25 @@ class IspBlock(T.Module):
         self.attn = attention_weights(rng, c, n_heads, mode, tau, name=f"{name}.attn")
         self.mlp = T.Mlp(rng, c, name=f"{name}.mlp")
 
-    def pos_embedding(self, hw: tuple[int, int]) -> Tensor | np.ndarray | None:
+    def pos_embedding(self, hw: tuple[int, int]) -> Tensor | None:
         """The position code for (h, w) maps; generate_states rejects a
         learned one built for other dims.  A sinusoidal code is built once
-        per map size and kept, read-only, for the block's later calls."""
+        per map size and kept, read-only, for the block's later calls,
+        each of which gets it in a new Tensor: kept as a Tensor, it would
+        count among the block's parameters."""
         if self.pos_mode != "sinusoidal":
             return self.learned_pos
         code = self._pos_codes.get(hw)
         if code is None:
             code = self._pos_codes[hw] = sinusoidal_embedding_2d(self.c, *hw)
             code.flags.writeable = False
-        return code
+        return Tensor(code)
 
     def generate_states(self, x: Tensor) -> list[Tensor]:
         """Expand the (c, h, w) map x into one (c, h, w) state map per rate:
         the state convolution at that rate, plus the position code, which
         every state shares."""
         pos = self.pos_embedding((x.shape[1], x.shape[2]))
-        if isinstance(pos, np.ndarray):
-            pos = Tensor(pos)
         if pos is not None and pos.shape != x.shape:
             raise ContractViolation(
                 f"positional embedding shape {pos.shape} does not match input {x.shape}")

@@ -80,11 +80,16 @@ def synthetic_pyramid(cfg: PipelineConfig, seed: int | None = None) -> FeaturePy
 
 
 class Pipeline(T.Module):
-    """A built variant: parameters plus a forward pass over level maps."""
+    """A built variant: parameters plus a forward pass over level maps.
+
+    The variant is read once, where the pipeline is built, and decides
+    which stages it builds: ISP blocks and a CDI block (sdtp), a dilated
+    conv of the deepest level (dilated_c5), neither (the rest), and
+    whether the decoder runs top-down (not for no_interaction or a
+    single-input variant).  The forward runs the stages it finds built."""
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
-        self.variant = cfg.variant
         self.levels = list(cfg.cdi.levels)
         self.single_level = cfg.single_input_level()
         c, in_c = cfg.channels, cfg.in_channels
@@ -98,7 +103,8 @@ class Pipeline(T.Module):
         self.isp_blocks: list[IspBlock] = []
         self.cdi: CdiBlock | None = None
         self.dilated: Tensor | None = None
-        if self.variant == "sdtp":
+        self.top_down = cfg.variant != "no_interaction" and self.single_level is None
+        if cfg.variant == "sdtp":
             deepest_hw = dims[max(self.levels)]
             for k in range(cfg.isp.blocks):
                 self.isp_blocks.append(IspBlock(
@@ -107,7 +113,7 @@ class Pipeline(T.Module):
                     name=f"isp{k}", hw=deepest_hw))
             self.cdi = CdiBlock(rng, c, n_heads=cfg.cdi.heads,
                                 mode=cfg.arf.mode, tau=cfg.arf.tau)
-        elif self.variant == "dilated_c5":
+        elif cfg.variant == "dilated_c5":
             self.dilated = T.conv_param(rng, c, c, 3, 3, name="dilated_deepest")
 
         self.smooth: dict[int, Tensor] = {}
@@ -134,18 +140,15 @@ class Pipeline(T.Module):
         else:
             lat = {lvl: T.conv2d(maps[lvl], self.lateral[lvl]) for lvl in self.levels}
         deepest = max(self.levels)
+        for blk in self.isp_blocks:
+            lat[deepest] = blk(lat[deepest])
+        if self.dilated is not None:
+            lat[deepest] = T.conv2d(lat[deepest], self.dilated, dilation=3)
         dep = Tensor(0.0)
-
-        if self.variant == "sdtp":
-            x = lat[deepest]
-            for blk in self.isp_blocks:
-                x = blk(x)
-            lat = {**lat, deepest: x}
+        if self.cdi is not None:
             lat, dep = self.cdi(lat)
-        elif self.variant == "dilated_c5":
-            lat = {**lat, deepest: T.conv2d(lat[deepest], self.dilated, dilation=3)}
 
-        if self.variant == "no_interaction" or self.single_level is not None:
+        if not self.top_down:
             return {lvl: T.conv2d(lat[lvl], self.smooth[lvl]) for lvl in self.levels}, dep
 
         # each lateral or CDI map is dropped once read, so that where it is

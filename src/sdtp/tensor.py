@@ -32,21 +32,23 @@ and one block's arrays.  conv2d walks blocks of output rows,
 softmax_pool blocks of channels and outer_sum_mlp slabs of factor rows,
 all cut by one rule, _blocks: about _BLOCK_ELEMS elements a block,
 aligned so that every block starts at a multiple of 8 along the axis a
-product cuts.  A conv2d whose stack of every tap's window fits one block
-forms all its taps' products in one batched matmul instead: on the
-gradcheck's tiny maps numpy's per-call overhead, not arithmetic, sets
-the time, and the loop's copies, products and adds, four calls a tap,
-cost about three times the batched product; on larger maps BLAS sets it,
-and the loop keeps one block's temporaries.  So the path is chosen by
-size.  The recorded VJPs, conv2d's on either path, walk the blocks:
-each forms its input gradients block by block.  conv2d's and
+product cuts.  Each conv2d block whose stack of every tap's window fits
+_BLOCK_ELEMS forms all its taps' products in one batched matmul, and
+every other block in a loop over the taps; a small map is one such
+block.  On the gradcheck's tiny maps numpy's per-call overhead, not
+arithmetic, sets the time, and the loop's copies, products and adds,
+four calls a tap, cost about three times the batched product; on larger
+blocks BLAS sets it, and the loop keeps one block's temporaries.  So
+each block's path is chosen by its size.  The recorded VJPs walk the
+blocks: each forms its input gradients block by block.  conv2d's and
 softmax_pool's hold a map-sized temporary only where one product
 reduces over every pixel (a weight gradient); outer_sum_mlp's holds
 none, since it adds each slab's share into its weight gradients and its
-factor-side sums over all token rows as it walks.  softmax_pool's graph keeps no softmax: its VJP
-rebuilds each block's from x and w as the forward formed it, once for
-the logit cotangent and once, in the gradient's own rows, for the pooled
-gradient.  resample_nearest's VJP, too, walks _blocks of
+factor-side sums over all token rows as it walks.  softmax_pool's graph
+keeps no softmax: one builder forms each block's from x and w, in the
+forward and twice in the VJP, once for the logit cotangent and once, in
+the gradient's own rows, for the pooled gradient.  resample_nearest's
+VJP, too, walks _blocks of
 channels, summing each block's outputs onto their sources in raster
 order with np.bincount.  Every output element is summed in the same
 order whatever the block size, and each gradient is laid out as the
@@ -571,44 +573,20 @@ def _conv_pad(x: np.ndarray, ph: int, pw: int, r0: int, r1: int) -> np.ndarray:
     return xp
 
 
-def _conv_taps(w: np.ndarray, dilation: int, h: int, wd: int):
-    """Yield (a, b, window, tap) for each kernel tap (a, b): the index of the
-    (c_in, h, wd) window of the padded input it reads (and of the padded
-    input gradient it adds into), and its (out_c, c_in) weight slice,
-    copied because per-tap slices are strided and BLAS needs them
-    contiguous.  Each tap is built when reached, so none outlives its
-    step."""
-    for a in range(w.shape[2]):
-        for b in range(w.shape[3]):
-            i, j = a * dilation, b * dilation
-            win = (slice(None), slice(i, i + h), slice(j, j + wd))
-            yield a, b, win, np.ascontiguousarray(w[:, :, a, b])
-
-
-def _conv_stacked(xd: np.ndarray, wt: np.ndarray, dilation: int, out: np.ndarray) -> None:
-    """Write into out, (out_c, h*w), conv2d's output for a map small enough
-    that every tap's window fits one stack of _BLOCK_ELEMS elements: the
-    map is padded once, every window gathered with one strided copy into a
-    (taps, c_in, h*w) stack, every tap's product formed by one batched
-    matmul against the kernel, copied once as (taps, out_c, c_in), and the
-    products summed in tap order by one reduction.  numpy's batched matmul
-    calls BLAS on each (out_c, c_in) @ (c_in, h*w) pair as the per-tap
-    product does, and its reduction over the leading axis adds whole
-    product rows in order, so the bits are those of the per-tap loop.  Not
-    so for one output channel: numpy forms each product as a vector-matrix
-    product, whose bits depend on how the window is laid out, and sums a
-    one-element output's taps pairwise, so conv2d keeps the loop there."""
-    c_in, h, wd = xd.shape
-    out_c, _, kh, kw = wt.shape
+def _conv_stacked(stack: np.ndarray, wt: np.ndarray, out: np.ndarray) -> None:
+    """Write into out, (out_c, n*w), conv2d's output rows for a block whose
+    every tap's window is gathered in stack, (taps, c_in, n*w): every
+    tap's product formed by one batched matmul against the kernel, copied
+    once as (taps, out_c, c_in), and the products summed in tap order by
+    one reduction.  numpy's batched matmul calls BLAS on each
+    (out_c, c_in) @ (c_in, n*w) pair as the per-tap product does, and its
+    reduction over the leading axis adds whole product rows in order, so
+    the bits are those of the per-tap loop.  Not so for one output
+    channel: numpy forms each product as a vector-matrix product, whose
+    bits depend on how the window is laid out, and sums a one-element
+    output's taps pairwise, so conv2d keeps the loop there."""
+    out_c, c_in, kh, kw = wt.shape
     kernel = np.ascontiguousarray(wt.transpose(2, 3, 0, 1)).reshape(kh * kw, out_c, c_in)
-    xp = _conv_pad(xd, (kh - 1) * dilation // 2, (kw - 1) * dilation // 2, 0, h)
-    s0, s1, s2 = xp.strides
-    stack = np.empty((kh * kw, c_in, h * wd))
-    # every tap's window as one view of xp (the constructor checks that it
-    # stays inside xp, and costs a sixth of as_strided's call)
-    stack.reshape(kh, kw, c_in, h, wd)[...] = np.ndarray(
-        (kh, kw, c_in, h, wd), xp.dtype, xp, 0, (dilation * s1, dilation * s2, s0, s1, s2))
-    del xp  # freed before the products are formed
     np.add.reduce(np.matmul(kernel, stack), axis=0, out=out)
 
 
@@ -621,22 +599,23 @@ def conv2d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
     equal the input's.
     A 1x1 kernel is one product over x's array as it is laid out, with no
     copy: a copy of a strided x (a permuted view) would change the low bits
-    of the product.  A larger footprint on a map whose stack of every
-    tap's window, kh*kw*max(c_in, c_out)*h*w elements, fits one block
-    takes _conv_stacked: one padded copy, one gather, one batched product
-    and one reduction, where the loop below makes a tap copy, a window
-    copy, a product and an add for each tap.  At gradcheck sizes those
-    numpy calls are most of the op's time (a 3x3 conv there takes 11 us
-    stacked against 34 us looped); on larger maps the products are, and
-    the loop holds one block's temporaries in place of the stacks.  A
-    one-channel output keeps the loop (see _conv_stacked).  The loop
-    walks blocks of output rows (see _blocks), about _BLOCK_ELEMS
-    elements of the input or output wide and each starting at a multiple
-    of 8 columns of the flattened map, and zero-pads only each block's
-    rows plus the rows its taps reach above and below; each tap's patch
-    and product are one block's size.  Every output column sums its taps'
-    products in the same order on either path and over the whole map, so
-    the values do not depend on the path or the block size.
+    of the product.  A larger footprint walks blocks of output rows (see
+    _blocks), about _BLOCK_ELEMS elements of the input or output wide and
+    each starting at a multiple of 8 columns of the flattened map; a map
+    whose stack of every tap's window fits one block is one block.  Each
+    block is zero-padded once, over its rows plus the rows its taps reach
+    above and below, and every tap's window is one view of it.  A block
+    whose stack, kh*kw*max(c_in, c_out)*n*w elements for n rows, fits
+    _BLOCK_ELEMS takes _conv_stacked: one gather, one batched product and
+    one reduction, where the per-tap loop makes a tap copy, a window copy,
+    a product and an add for each tap.  At gradcheck sizes those numpy
+    calls are most of the op's time (a 3x3 conv there takes 11 us stacked
+    against 34 us looped); on larger blocks the products are, and the loop
+    holds one patch and one product of the block's size in place of the
+    stacks.  A one-channel output keeps the loop (see _conv_stacked).
+    Every output column sums its taps' products in the same order on
+    either path and over the whole map, so the values do not depend on the
+    path or the block size.
     The recorded VJP holds only the arrays of x and w: it rebuilds each
     tap's window of the padded input and slices each tap again when it
     runs, so the graph keeps no padded copy of the input and no per-tap
@@ -664,20 +643,36 @@ def conv2d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
     if kh == kw == 1:
         np.matmul(np.ascontiguousarray(wt[:, :, 0, 0]), xd.reshape(c_in, h * wd),
                   out=out.reshape(out_c, h * wd))
-    elif kh * kw * max(c_in, out_c) * h * wd <= _BLOCK_ELEMS and out_c > 1:
-        _conv_stacked(xd, wt, dilation, out.reshape(out_c, h * wd))
     else:
         ph, pw = (kh - 1) * dilation // 2, (kw - 1) * dilation // 2
-        for rows in _blocks(h, max(c_in, out_c) * wd, wd):
+        stack_row = kh * kw * max(c_in, out_c) * wd  # a row's share of the stack
+        # _blocks makes a map whose stack fits one block one block; not
+        # asking it saves a call on the gradcheck's tiny maps
+        blocks = ((slice(0, h),) if stack_row * h <= _BLOCK_ELEMS
+                  else _blocks(h, max(c_in, out_c) * wd, wd))
+        for rows in blocks:
             n = rows.stop - rows.start
             xp = _conv_pad(xd, ph, pw, rows.start, rows.stop)
+            s0, s1, s2 = xp.strides
+            # every tap's window as one view of xp (the constructor checks
+            # that it stays inside xp, and costs a sixth of as_strided's call)
+            windows = np.ndarray((kh, kw, c_in, n, wd), xp.dtype, xp, 0,
+                                 (dilation * s1, dilation * s2, s0, s1, s2))
             out_rows = out[:, rows].reshape(out_c, n * wd)
-            for a, b, win, tap in _conv_taps(wt, dilation, n, wd):
-                patch = xp[win].reshape(c_in, -1)
-                if a == b == 0:
-                    np.matmul(tap, patch, out=out_rows)
-                else:
-                    out_rows += tap @ patch
+            if stack_row * n <= _BLOCK_ELEMS and out_c > 1:
+                stack = np.empty((kh * kw, c_in, n * wd))
+                stack.reshape(kh, kw, c_in, n, wd)[...] = windows
+                del xp, windows  # freed before the products are formed
+                _conv_stacked(stack, wt, out_rows)
+            else:
+                for a, b in itertools.product(range(kh), range(kw)):
+                    # the tap copied: its slice is strided, and BLAS needs it contiguous
+                    tap = np.ascontiguousarray(wt[:, :, a, b])
+                    patch = windows[a, b].reshape(c_in, n * wd)
+                    if a == b == 0:
+                        np.matmul(tap, patch, out=out_rows)
+                    else:
+                        out_rows += tap @ patch
     need_gx = x.requires_grad
     return Tensor._from_op(out, (x, w),
                            lambda g: _conv2d_vjp(xd, wt, dilation, g, need_gx))
@@ -728,9 +723,10 @@ def _conv2d_vjp(xd: np.ndarray, wt: np.ndarray, dilation: int, g: np.ndarray,
     for rows in reversed(_blocks(h, max(c_in, out_c) * wd, wd)):
         n = rows.stop - rows.start
         g_rows = gflat[:, rows.start * wd: rows.stop * wd]
-        gx_rows = gxp[:, rows.start: rows.stop + 2 * ph]
-        for _, _, win, tap in _conv_taps(wt, dilation, n, wd):
-            gx_rows[win] += (tap.T @ g_rows).reshape(c_in, n, wd)
+        for a, b in itertools.product(range(kh), range(kw)):
+            i, j = rows.start + a * dilation, b * dilation
+            tap = np.ascontiguousarray(wt[:, :, a, b])
+            gxp[:, i: i + n, j: j + wd] += (tap.T @ g_rows).reshape(c_in, n, wd)
     return gxp[:, ph: ph + h, pw: pw + wd], gw
 
 
@@ -1007,17 +1003,17 @@ def softmax_pool(x: Tensor, w: Tensor, axis: int) -> Tensor:
     then the weighted sum of x along it, kept with length 1.
 
     It walks blocks of channels (see _blocks), about _BLOCK_ELEMS elements
-    of the map each and each starting at a multiple of 8 channels: a
-    block's logits come from the module-level conv2d on the
-    block's rows of w, its row softmax from the module-level softmax_rows
-    (for axis 1 on a transposed copy), both under no_grad, and its weighted
-    sum is written into the output; each row of every step depends on its
-    own channel alone, so the values do not depend on the block size.
-    The recorded VJP holds only the arrays of x and w, no softmax
-    (gradient checkpointing of one op).  It walks the same blocks of
-    channels twice, rebuilding each block's softmax with the same conv2d
-    and softmax_rows's math, formed in place in an array of the block's
-    rows.  The first walk forms it in a fresh block, then the weighted
+    of the map each and each starting at a multiple of 8 channels.  One
+    builder forms a block's softmax, in the forward and in the VJP: the
+    block's logits from the module-level conv2d on the block's rows of w,
+    written into an array laid out as the softmax rows (for axis 1
+    transposed), and softmax_rows's math in place there.  The forward
+    writes each block's weighted sum into the output; each row of every
+    step depends on its own channel alone, so the values do not depend on
+    the block size.  The recorded VJP holds only the arrays of x and w,
+    no softmax (gradient checkpointing of one op).  It walks the same
+    blocks of channels twice, rebuilding each block's softmax with that
+    builder.  The first walk forms it in a fresh block, then the weighted
     cotangent and, in place, its softmax VJP, one block each, writing the
     logit cotangent block by block into one map-sized array; the conv's
     VJP then walks blocks of rows, and the logit cotangent is freed.  The
@@ -1044,25 +1040,21 @@ def softmax_pool(x: Tensor, w: Tensor, axis: int) -> Tensor:
     # the softmax has one row of length h (axis 1) or w (axis 2) per pooled
     # entry, so a channel has `per` rows of length `n_row`
     per, n_row = (wd, h) if axis == 1 else (h, wd)
-    out = np.empty((c, 1, wd) if axis == 1 else (c, h, 1))
-    blocks = _blocks(c, h * wd, 1)
-    with no_grad():
-        for ch in blocks:
-            logits = conv2d(x, Tensor(wt[ch])).data
-            if axis == 1:
-                logits = logits.transpose(0, 2, 1)
-            block = softmax_rows(Tensor(logits.reshape(-1, n_row))).data
-            del logits
-            n = ch.stop - ch.start
-            out[ch] = (pooling_weights(block, n) * xd[ch]).sum(axis=axis, keepdims=True)
-            del block  # freed before the next block's logits
 
     def softmax_block(ch, rows):
-        """Block ch's softmax, rebuilt with the forward's conv2d and
-        softmax math in rows, an (n * per, n_row) array, which it
+        """Block ch's softmax, formed with the module-level conv2d and
+        softmax_rows's math in rows, an (n * per, n_row) array, which it
         returns.  No input requires grad, so nothing is recorded."""
         pooling_weights(rows, ch.stop - ch.start)[...] = conv2d(Tensor(xd), Tensor(wt[ch])).data
         return _softmax_rows_into(rows, rows)
+
+    out = np.empty((c, 1, wd) if axis == 1 else (c, h, 1))
+    blocks = _blocks(c, h * wd, 1)
+    for ch in blocks:
+        n = ch.stop - ch.start
+        sm = pooling_weights(softmax_block(ch, np.empty((n * per, n_row))), n)
+        out[ch] = (sm * xd[ch]).sum(axis=axis, keepdims=True)
+        del sm  # freed before the next block's
 
     def vjp(g):
         gp = np.broadcast_to(g, xd.shape)

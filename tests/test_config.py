@@ -69,6 +69,12 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="isp.rates"):
             PipelineConfig(isp=IspConfig(rates=(2, 3)))
 
+    def test_rates_must_not_repeat(self):
+        """A repeated rate would build two state convs of one name, which
+        named_params and gradcheck's per-name report would fold together."""
+        with pytest.raises(ConfigurationError, match=r"isp.rates must not repeat a rate, got \[1, 1, 3\]"):
+            config_from_dict({"isp": {"rates": [1, 1, 3]}})
+
     def test_levels_must_be_consecutive(self):
         with pytest.raises(ConfigurationError, match="cdi.levels"):
             PipelineConfig(cdi=CdiConfig(levels=(2, 4)))

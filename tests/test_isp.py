@@ -96,10 +96,12 @@ class TestStateGeneration:
     ((1, 0), r"dilation rates\[1\]: must be >= 1, got 0"),
     ((1, 2.0), r"dilation rates\[1\]: expected an integer, got 2.0"),
     ((2, 3), r"rates must start with 1, got \[2, 3\]"),
-], ids=["rate_below_one", "rate_not_integer", "block_first_rate"])
+    ((1, 3, 3), r"dilation rates must not repeat a rate, got \[1, 3, 3\]"),
+], ids=["rate_below_one", "rate_not_integer", "block_first_rate", "repeated_rate"])
 def test_state_contracts_name_the_argument(rates, match):
-    """Every rate is an integer >= 1 and the first is 1, checked where the
-    block is built, and the error names the offending value."""
+    """Every rate is an integer >= 1, the first is 1 and none repeats
+    (two state convs would share a name), checked where the block is
+    built, and the error names the offending value."""
     with pytest.raises(ConfigurationError, match=match):
         IspBlock(np.random.default_rng(0), 2, rates=rates, n_heads=1)
 
@@ -177,7 +179,7 @@ class TestBlock:
         np.testing.assert_array_equal(blk(x).data, first)
         blk(Tensor(RNG.standard_normal((4, 3, 3))))
         assert built == [(4, 5, 6), (4, 3, 3)]
-        assert blk.pos_embedding((5, 6)).tobytes() == sinusoidal_embedding_2d(4, 5, 6).tobytes()
+        assert blk.pos_embedding((5, 6)).data.tobytes() == sinusoidal_embedding_2d(4, 5, 6).tobytes()
         after = blk.params()
         assert len(after) == len(before)
         assert all(a is b for a, b in zip(after, before))

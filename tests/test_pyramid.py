@@ -197,6 +197,22 @@ class TestVariants:
         assert isinstance(dep, Tensor)
         assert float(dep.data) == 0.0
 
+    def test_forward_runs_the_stages_it_built(self):
+        """The forward compares no variant name: an sdtp pipeline whose ISP
+        and CDI stages are taken away runs as the baseline holding its
+        lateral and smooth weights, with a 0 penalty."""
+        pipe = Pipeline(small_cfg())
+        pipe.isp_blocks, pipe.cdi = [], None
+        base = Pipeline(small_cfg(variant="fpn_baseline"))
+        for lvl in pipe.levels:
+            base.lateral[lvl].data = pipe.lateral[lvl].data.copy()
+            base.smooth[lvl].data = pipe.smooth[lvl].data.copy()
+        pyr = synthetic_pyramid(small_cfg())
+        (got, dep), (want, _) = pipe.forward(pyr), base.forward(pyr)
+        assert dep == 0.0
+        for lvl in want:
+            np.testing.assert_array_equal(got[lvl], want[lvl])
+
     def test_wrong_levels_rejected(self):
         """Forward refuses pyramids whose levels differ from the build."""
         cfg = small_cfg()

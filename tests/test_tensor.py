@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdtp import tensor as T
@@ -1018,12 +1018,13 @@ STACKED_CONVS = [
 
 
 def spy_stacked(monkeypatch) -> list:
-    """Patch conv2d's stacked path to log the input shape of each call."""
+    """Patch conv2d's batched product to log the shape of each block's
+    stack of windows, (taps, c_in, rows * w)."""
     calls, stacked = [], T._conv_stacked
 
-    def spy(xd, *args):
-        calls.append(xd.shape)
-        return stacked(xd, *args)
+    def spy(stack, *args):
+        calls.append(stack.shape)
+        return stacked(stack, *args)
 
     monkeypatch.setattr(T, "_conv_stacked", spy)
     return calls
@@ -1070,6 +1071,39 @@ def test_blocks_is_one_aligned_rule(n, row_elems, row_len, block_elems):
     assert all(b.stop - b.start <= most for b in blocks)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 17), st.integers(1, 17), st.integers(1, 24), st.integers(1, 12),
+       st.sampled_from(sorted(T.ALLOWED_KERNEL_SHAPES)), st.integers(1, 6),
+       st.integers(1, 4000), st.integers(0, 2 ** 16))
+@example(3, 4, 20, 8, (3, 3), 1, 9 * 4 * 8 * 2, 0)  # the last of two blocks takes the batched product
+def test_conv2d_bit_identical_to_unblocked_property(c_in, c_out, h, w, kernel, dil, block_elems,
+                                                    seed):
+    """Property: with _BLOCK_ELEMS patched to any size, conv2d's values and
+    both VJP outputs equal the unblocked reference's bit for bit, the
+    gradients laid out as its own, whichever path each block takes.
+
+    One exception, which no block size sets: with one output channel the
+    weight gradient, one product over the whole map, is a vector-matrix
+    product whose bits depend on the layout of the window it reads (a
+    contiguous patch in conv2d's VJP, a strided view of the padded map in
+    the reference), so there it agrees to rounding."""
+    kh, kw = kernel
+    rng = np.random.default_rng(seed)
+    x, wt = rng.standard_normal((c_in, h, w)), rng.standard_normal((c_out, c_in, kh, kw))
+    g = rng.standard_normal((c_out, h, w))
+    with mock.patch.object(T, "_BLOCK_ELEMS", block_elems):
+        got = T.conv2d(Tensor(x, requires_grad=True), Tensor(wt), dil)
+        gx, gw = got._node._vjp(g)
+    want = unblocked_conv2d(Tensor(x, requires_grad=True), Tensor(wt), dil)
+    want_gx, want_gw = want._node._vjp(g)
+    assert np.array_equal(got.data, want.data)
+    assert_same_arrays(gx, want_gx)
+    if c_out > 1:
+        assert_same_arrays(gw, want_gw)
+    else:
+        np.testing.assert_allclose(gw, want_gw, rtol=1e-13, atol=1e-13)
+
+
 class TestBlocks:
     """conv2d, softmax_pool and outer_sum_mlp form their temporaries one
     block of about _BLOCK_ELEMS elements at a time (see _blocks), in the
@@ -1098,7 +1132,21 @@ class TestBlocks:
         order by one reduction, with the per-tap products' bits."""
         calls = spy_stacked(monkeypatch)
         assert_conv2d_bit_identical_to_unblocked(c_in, c_out, h, w, kh, kw, dil)
-        assert calls == [(c_in, h, w)]
+        assert calls == [(kh * kw, c_in, h * w)]
+
+    @pytest.mark.parametrize("c_in,c_out,h,w,kh,kw,dil,last", [
+        (3, 4, 20, 8, 3, 3, 1, 2), (4, 3, 21, 8, 3, 1, 2, 3), (3, 5, 19, 3, 1, 3, 1, 3)])
+    def test_partial_last_block_takes_the_batched_product(self, monkeypatch, c_in, c_out, h,
+                                                           w, kh, kw, dil, last):
+        """On a map of several blocks, each block takes the path its own
+        stack sets: the full blocks the per-tap loop, a last block of
+        `last` rows whose stack fits _BLOCK_ELEMS the batched product,
+        with the bits of the unblocked reference."""
+        monkeypatch.setattr(T, "_BLOCK_ELEMS", kh * kw * max(c_in, c_out) * w * last)
+        assert len(T._blocks(h, max(c_in, c_out) * w, w)) > 1
+        calls = spy_stacked(monkeypatch)
+        assert_conv2d_bit_identical_to_unblocked(c_in, c_out, h, w, kh, kw, dil)
+        assert calls == [(kh * kw, c_in, last * w)]
 
     @pytest.mark.parametrize("c_in,c_out,h,w,kh,kw,dil", [
         (3, 4, 5, 4, 3, 3, 1), (4, 3, 8, 1, 3, 1, 2), (3, 4, 1, 9, 1, 3, 3)])
